@@ -38,7 +38,6 @@ from .errors import (
     PreconditionError,
     ConfigError,
     NumericError,
-    TruncationError,
     BounceAccumulationError,
 )
 from .table import (
@@ -88,7 +87,6 @@ __all__ = [
     "PreconditionError",
     "ConfigError",
     "NumericError",
-    "TruncationError",
     "BounceAccumulationError",
     "TableSpec",
     "disk_table",

@@ -14,19 +14,14 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .config import load_config
+from .ambient import MODEL_KINDS
+from .config import load_config, validate_config
 from .errors import ConfigError, GeometryError
 from .runner import run_experiment
+from .table import BUILTIN_TABLES
 
 ENV_OUT_DIR = "FOLDBILLIARDS_OUT_DIR"
 ENV_WORKERS = "FOLDBILLIARDS_WORKERS"
-
-TABLE_DESCRIPTIONS = (
-    ("disk", "f = 1 - |x|^2, the closed unit disk"),
-    ("half-space", "f = x_1, a flat wall"),
-    ("parabola", "f = x_1^2 - x_2, region outside a parabola (nonconvex)"),
-    ("spherical-halfspace", "f = x_1 on a strip patch, n = 3"),
-)
 
 
 def _shipped_configs():
@@ -45,9 +40,9 @@ def _shipped_configs():
 
 def _list_builtins() -> str:
     lines = ["builtin tables:"]
-    for name, desc in TABLE_DESCRIPTIONS:
-        lines.append(f"  {name:<22} {desc}")
-    lines.append("ambient models: euclidean, hyperbolic, spherical")
+    for name, entry in BUILTIN_TABLES.items():
+        lines.append(f"  {name:<22} {entry.description}")
+    lines.append(f"ambient models: {', '.join(MODEL_KINDS)}")
     lines.append("shipped configs (foldbilliards run <path>):")
     for name, desc, path in _shipped_configs():
         lines.append(f"  {name:<34} {desc}")
@@ -79,11 +74,12 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config)
+        if args.seed is not None:
+            # the override is part of the config as run, which the report echoes
+            cfg = validate_config({**cfg.raw, "seed": args.seed})
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        cfg.seed = args.seed
     workers = args.workers
     if workers is None and os.environ.get(ENV_WORKERS):
         try:

@@ -8,36 +8,23 @@ so a config error never surfaces as a numerics error mid-run.
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
+from . import runner
 from .ambient import AmbientModel, MODEL_KINDS
 from .errors import ConfigError
-from .table import (
-    PolynomialShape,
-    Region,
-    TableSpec,
-    disk_table,
-    half_space_table,
-    parabola_table,
-    spherical_halfspace_table,
-)
+from .table import BUILTIN_TABLES, PolynomialShape, Region, TableSpec
 
-EXPERIMENTS = (
-    "curvature-scan",
-    "hausdorff",
-    "fold-convergence",
-    "boundary-geodesic",
-    "quasigeodesic-check",
-    "trajectory",
-)
-
-BUILTIN_TABLE_KINDS = ("disk", "half-space", "parabola", "spherical-halfspace")
 CURVE_KINDS = ("arc", "corner", "convex-kink", "billiard")
 TRAJECTORY_TARGETS = ("billiard", "fold-geodesic", "table-geodesic", "boundary-geodesic")
+# optional top-level keys; absent ones take the ExperimentConfig defaults
+_OPTIONAL_TOP_KEYS = ("seed", "workers", "out_dir", "description")
 
 
 @dataclass
@@ -52,9 +39,15 @@ class ExperimentConfig:
     description: str = ""
     raw: dict = field(default_factory=dict)
 
+    @property
+    def spec(self) -> Experiment:
+        """The registry entry of this config's experiment."""
+        return EXPERIMENTS[self.experiment]
+
 
 # --------------------------------------------------------------------------
-# validation helpers: every failure carries the key path
+# validation helpers: every failure carries the key path; optional keys
+# that are absent validate to None
 
 
 def _fail(path: str, msg: str):
@@ -72,11 +65,17 @@ def _check_keys(d: dict, path: str, required: tuple, optional: tuple):
             _fail(path, f"missing required key '{k}'")
 
 
-def _number(d, key, path, positive=False, default=None):
-    if key not in d:
-        if default is not None:
-            return default
+def _present(d, key, path, optional) -> bool:
+    if key in d:
+        return True
+    if not optional:
         _fail(path, f"missing required key '{key}'")
+    return False
+
+
+def _number(d, key, path, positive=False, optional=False):
+    if not _present(d, key, path, optional):
+        return None
     v = d[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         _fail(f"{path}.{key}", "expected a number")
@@ -85,11 +84,9 @@ def _number(d, key, path, positive=False, default=None):
     return float(v)
 
 
-def _integer(d, key, path, minimum=None, default=None):
-    if key not in d:
-        if default is not None:
-            return default
-        _fail(path, f"missing required key '{key}'")
+def _integer(d, key, path, minimum=None, optional=False):
+    if not _present(d, key, path, optional):
+        return None
     v = d[key]
     if isinstance(v, bool) or not isinstance(v, int):
         _fail(f"{path}.{key}", "expected an integer")
@@ -98,11 +95,9 @@ def _integer(d, key, path, minimum=None, default=None):
     return v
 
 
-def _string(d, key, path, choices=None, default=None):
-    if key not in d:
-        if default is not None:
-            return default
-        _fail(path, f"missing required key '{key}'")
+def _string(d, key, path, choices=None, optional=False):
+    if not _present(d, key, path, optional):
+        return None
     v = d[key]
     if not isinstance(v, str):
         _fail(f"{path}.{key}", "expected a string")
@@ -111,11 +106,9 @@ def _string(d, key, path, choices=None, default=None):
     return v
 
 
-def _number_list(d, key, path, length=None, positive=False, default=None):
-    if key not in d:
-        if default is not None:
-            return default
-        _fail(path, f"missing required key '{key}'")
+def _number_list(d, key, path, length=None, positive=False, optional=False):
+    if not _present(d, key, path, optional):
+        return None
     v = d[key]
     if not isinstance(v, list) or not v:
         _fail(f"{path}.{key}", "expected a nonempty list of numbers")
@@ -152,7 +145,7 @@ def _tolerances_positive(d: dict, path: str):
 
 
 def _build_table(d: dict, path: str = "table") -> TableSpec:
-    kind = _string(d, "kind", path, choices=BUILTIN_TABLE_KINDS + ("polynomial",))
+    kind = _string(d, "kind", path, choices=(*BUILTIN_TABLES, "polynomial"))
     if kind == "polynomial":
         _check_keys(d, path, ("kind", "n", "terms", "region", "p0"), ("name",))
         n = _integer(d, "n", path, minimum=1)
@@ -174,30 +167,20 @@ def _build_table(d: dict, path: str = "table") -> TableSpec:
         center = _number_list(d["region"], "center", rp, length=n)
         radius = _number(d["region"], "radius", rp, positive=True)
         p0 = _number_list(d, "p0", path, length=n)
-        name = _string(d, "name", path, default="custom-polynomial")
+        _string(d, "name", path, optional=True)
         try:
             return TableSpec(n=n, shape=PolynomialShape(terms=tuple(terms.items())),
                              region=Region(center=tuple(center), radius=radius),
-                             p0=tuple(p0), name=name)
+                             p0=tuple(p0), name=d.get("name", "custom-polynomial"))
         except Exception as e:
             _fail(path, f"invalid table: {e}")
-    _check_keys(d, path, ("kind",), ("n", "radius_U"))
-    n = _integer(d, "n", path, minimum=1, default=3 if kind == "spherical-halfspace" else 2)
-    builders = {
-        "disk": disk_table,
-        "half-space": half_space_table,
-        "parabola": parabola_table,
-    }
+    build = BUILTIN_TABLES[kind].build
+    # a builtin kind takes exactly the keyword options of its builder
+    _check_keys(d, path, ("kind",), tuple(inspect.signature(build).parameters))
+    options = {"n": _integer(d, "n", path, minimum=1, optional=True),
+               "radius_U": _number(d, "radius_U", path, positive=True, optional=True)}
     try:
-        if kind == "spherical-halfspace":
-            if "radius_U" in d:
-                _fail(f"{path}.radius_U", "not configurable for this table")
-            return spherical_halfspace_table(n)
-        if "radius_U" in d:
-            return builders[kind](n, radius_U=_number(d, "radius_U", path, positive=True))
-        return builders[kind](n)
-    except ConfigError:
-        raise
+        return build(**{k: v for k, v in options.items() if v is not None})
     except Exception as e:
         _fail(path, f"invalid table: {e}")
 
@@ -205,33 +188,41 @@ def _build_table(d: dict, path: str = "table") -> TableSpec:
 def _build_model(d: dict, n: int, path: str = "model") -> AmbientModel:
     _check_keys(d, path, ("kind",), ("dim",))
     kind = _string(d, "kind", path, choices=MODEL_KINDS)
-    dim = _integer(d, "dim", path, minimum=2, default=n + 1)
+    _integer(d, "dim", path, minimum=2, optional=True)
+    dim = d.get("dim", n + 1)
     if dim != n + 1:
         _fail(f"{path}.dim", f"ambient dimension must be table n + 1 = {n + 1}")
     return AmbientModel(kind, dim)
 
 
 # --------------------------------------------------------------------------
-# per-experiment parameter schemas
+# per-experiment parameter schemas; the defaults of optional keys live in
+# the signatures of the library functions the runners forward them to
 
 
-def _validate_scan(p: dict, path: str):
+def _needs_boundary_tangent(n: int):
+    if n < 2:
+        _fail("table.n", "this experiment launches along a boundary tangent and needs n >= 2")
+
+
+def _validate_scan(p: dict, path: str, n: int):
     _check_keys(p, path, ("lambdas", "kappa"),
                 ("n_grid", "n_random_planes", "tol"))
     _number_list(p, "lambdas", path, positive=True)
     _number(p, "kappa", path)
-    _integer(p, "n_grid", path, minimum=2, default=24)
-    _integer(p, "n_random_planes", path, minimum=0, default=8)
-    _number(p, "tol", path, positive=True, default=1e-6)
+    _integer(p, "n_grid", path, minimum=2, optional=True)
+    _integer(p, "n_random_planes", path, minimum=0, optional=True)
+    _number(p, "tol", path, positive=True, optional=True)
 
 
-def _validate_hausdorff(p: dict, path: str):
+def _validate_hausdorff(p: dict, path: str, n: int):
     _check_keys(p, path, ("lambdas",), ("n_grid",))
     _number_list(p, "lambdas", path, positive=True)
-    _integer(p, "n_grid", path, minimum=3, default=121)
+    _integer(p, "n_grid", path, minimum=3, optional=True)
 
 
 def _validate_fold_convergence(p: dict, path: str, n: int):
+    _needs_boundary_tangent(n)
     _check_keys(p, path, ("lambdas", "T", "dt"),
                 ("direction", "kappa", "tol_conv", "tol_qg", "p0",
                  "scan_grid", "scan_planes"))
@@ -241,21 +232,19 @@ def _validate_fold_convergence(p: dict, path: str, n: int):
     _decreasing(lams, f"{path}.lambdas")
     _number(p, "T", path, positive=True)
     _number(p, "dt", path, positive=True)
-    d = _number_list(p, "direction", path, length=2, default=[0.8, 0.6])
-    if d[1] <= 0:
+    d = _number_list(p, "direction", path, length=2, optional=True)
+    if d is not None and d[1] <= 0:
         _fail(f"{path}.direction", "vertical component must be positive")
-    _number(p, "tol_conv", path, positive=True, default=5e-3)
-    if "tol_qg" in p:
-        _number(p, "tol_qg", path, positive=True)
-    if "kappa" in p:
-        _number(p, "kappa", path)
-    if "p0" in p:
-        _number_list(p, "p0", path, length=n)
-    _integer(p, "scan_grid", path, minimum=2, default=12)
-    _integer(p, "scan_planes", path, minimum=0, default=4)
+    _number(p, "tol_conv", path, positive=True, optional=True)
+    _number(p, "tol_qg", path, positive=True, optional=True)
+    _number(p, "kappa", path, optional=True)
+    _number_list(p, "p0", path, length=n, optional=True)
+    _integer(p, "scan_grid", path, minimum=2, optional=True)
+    _integer(p, "scan_planes", path, minimum=0, optional=True)
 
 
 def _validate_boundary_geodesic(p: dict, path: str, n: int):
+    _needs_boundary_tangent(n)
     _check_keys(p, path, ("angles", "T", "dt"),
                 ("tol_rel", "p0", "ref_refine", "extend"))
     angs = _number_list(p, "angles", path, positive=True)
@@ -264,21 +253,18 @@ def _validate_boundary_geodesic(p: dict, path: str, n: int):
     _decreasing(angs, f"{path}.angles")
     _number(p, "T", path, positive=True)
     _number(p, "dt", path, positive=True)
-    _number(p, "tol_rel", path, positive=True, default=0.10)
-    if "p0" in p:
-        _number_list(p, "p0", path, length=n)
-    _integer(p, "ref_refine", path, minimum=1, default=8)
-    _number(p, "extend", path, positive=True, default=0.1)
+    _number(p, "tol_rel", path, positive=True, optional=True)
+    _number_list(p, "p0", path, length=n, optional=True)
+    _integer(p, "ref_refine", path, minimum=1, optional=True)
+    _number(p, "extend", path, positive=True, optional=True)
 
 
 def _validate_quasigeodesic(p: dict, path: str, n: int):
     _check_keys(p, path, ("curve", "dt"),
                 ("kappa", "tol", "reference_points"))
     _number(p, "dt", path, positive=True)
-    if "kappa" in p:
-        _number(p, "kappa", path)
-    if "tol" in p:
-        _number(p, "tol", path, positive=True)
+    _number(p, "kappa", path, optional=True)
+    _number(p, "tol", path, positive=True, optional=True)
     c = p["curve"]
     cpath = f"{path}.curve"
     kind = _string(c, "kind", cpath, choices=CURVE_KINDS)
@@ -320,13 +306,30 @@ def _validate_trajectory(p: dict, path: str, n: int):
         _fail(f"{path}.two_sided", "expected a boolean")
 
 
-_PARAM_VALIDATORS = {
-    "curvature-scan": lambda p, n: _validate_scan(p, "parameters"),
-    "hausdorff": lambda p, n: _validate_hausdorff(p, "parameters"),
-    "fold-convergence": lambda p, n: _validate_fold_convergence(p, "parameters", n),
-    "boundary-geodesic": lambda p, n: _validate_boundary_geodesic(p, "parameters", n),
-    "quasigeodesic-check": lambda p, n: _validate_quasigeodesic(p, "parameters", n),
-    "trajectory": lambda p, n: _validate_trajectory(p, "parameters", n),
+# --------------------------------------------------------------------------
+# the experiment registry
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment kind: its parameter schema and its runner."""
+
+    # (parameters, key path, table n); raises ConfigError
+    validate: Callable[[dict, str, int], None]
+    # (config, artifact directory) -> (verdict, passed, result, csv header,
+    # csv rows, extra artifact names); see runner.py
+    run: Callable[[ExperimentConfig, Path], tuple]
+
+
+EXPERIMENTS = {
+    "curvature-scan": Experiment(_validate_scan, runner._run_scan),
+    "hausdorff": Experiment(_validate_hausdorff, runner._run_hausdorff),
+    "fold-convergence": Experiment(_validate_fold_convergence,
+                                   runner._run_fold_convergence),
+    "boundary-geodesic": Experiment(_validate_boundary_geodesic,
+                                    runner._run_boundary_geodesic),
+    "quasigeodesic-check": Experiment(_validate_quasigeodesic, runner._run_quasigeodesic),
+    "trajectory": Experiment(_validate_trajectory, runner._run_trajectory),
 }
 
 
@@ -336,25 +339,23 @@ _PARAM_VALIDATORS = {
 
 def validate_config(raw: dict) -> ExperimentConfig:
     _check_keys(raw, "config",
-                ("experiment", "table", "model", "parameters"),
-                ("seed", "workers", "out_dir", "description"))
+                ("experiment", "table", "model", "parameters"), _OPTIONAL_TOP_KEYS)
     experiment = _string(raw, "experiment", "config", choices=EXPERIMENTS)
     table = _build_table(raw["table"])
     model = _build_model(raw["model"], table.n)
     params = raw["parameters"]
     if not isinstance(params, dict):
         _fail("config.parameters", "expected an object")
-    _PARAM_VALIDATORS[experiment](params, table.n)
+    EXPERIMENTS[experiment].validate(params, "parameters", table.n)
     _tolerances_positive(params, "parameters")
-    seed = _integer(raw, "seed", "config", minimum=0, default=0)
-    workers = _integer(raw, "workers", "config", minimum=1, default=1)
-    out_dir = raw.get("out_dir")
-    if out_dir is not None and not isinstance(out_dir, str):
-        _fail("config.out_dir", "expected a string")
-    description = _string(raw, "description", "config", default="")
+    _integer(raw, "seed", "config", minimum=0, optional=True)
+    _integer(raw, "workers", "config", minimum=1, optional=True)
+    if raw.get("out_dir") is not None:
+        _string(raw, "out_dir", "config")
+    _string(raw, "description", "config", optional=True)
     return ExperimentConfig(experiment=experiment, table=table, model=model,
-                            parameters=params, seed=seed, workers=workers,
-                            out_dir=out_dir, description=description, raw=raw)
+                            parameters=params, raw=raw,
+                            **{k: raw[k] for k in _OPTIONAL_TOP_KEYS if k in raw})
 
 
 def load_config(path) -> ExperimentConfig:

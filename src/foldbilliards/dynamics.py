@@ -287,7 +287,7 @@ def integrate_boundary_geodesic(table: TableSpec, model: AmbientModel, x0, v0,
                         truncated=exit_t is not None, exit_forward=exit_t)
 
 
-def _flow_f_curvature_bound(table, model_H, constraint_free, x, v):
+def _flow_f_curvature_bound(table, model_H, x, v):
     """Bound on |d^2/dt^2 f(x(t))| at the state, used to rule out hidden
     boundary crossings inside a step."""
     acc = _acceleration(model_H, None, x, v)
@@ -344,8 +344,8 @@ def billiard_trajectory(table: TableSpec, model: AmbientModel, x0, v0, T, dt,
             crossed = f_end < -1e-12
             if not crossed:
                 # rule out an excursion below f = 0 inside the step
-                m2 = 2.0 * max(_flow_f_curvature_bound(table, model_H, None, x, v),
-                               _flow_f_curvature_bound(table, model_H, None, x1, v1))
+                m2 = 2.0 * max(_flow_f_curvature_bound(table, model_H, x, v),
+                               _flow_f_curvature_bound(table, model_H, x1, v1))
                 if min(f_start, f_end) > 0.15 * m2 * remaining**2 + 1e-12:
                     x, v = x1, v1
                     remaining = 0.0

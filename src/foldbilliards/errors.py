@@ -37,10 +37,6 @@ class BounceAccumulationError(GeometryError):
     """Two billiard bounces closer in time than the configured minimum."""
 
 
-class TruncationError(GeometryError):
-    """A curve left the coordinate patch U and could not be continued."""
-
-
 class ConfigError(GeometryError):
     """Malformed experiment configuration or inconsistent sampled data."""
 

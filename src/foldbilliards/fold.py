@@ -32,7 +32,7 @@ from .errors import (
     PreconditionError,
     SingularPointError,
 )
-from .table import TableSpec
+from .table import TableSpec, _orthonormal_complement
 
 ON_FOLD_TOL = 1e-8
 SINGULAR_GRAD_TOL = 1e-10
@@ -131,24 +131,9 @@ def frame_at(fold: Fold, q) -> FoldPointFrame:
 
     hess = riemannian_hessian(fold, q)
 
-    d = fold.model.dim
-    basis = []
-    order = np.argsort(np.abs(grad_F) / np.linalg.norm(grad_F))
-    for idx in order:
-        v = np.zeros(d)
-        v[idx] = 1.0
-        v = v - (v @ metric.g @ unit_normal) * unit_normal
-        for b in basis:
-            v = v - (v @ metric.g @ b) * b
-        nrm = np.sqrt(max(v @ metric.g @ v, 0.0))
-        if nrm < 1e-10:
-            continue
-        basis.append(v / nrm)
-        if len(basis) == d - 1:
-            break
-    if len(basis) != d - 1:
+    tangent = _orthonormal_complement(metric.g, unit_normal, grad_F)
+    if tangent is None:
         raise SingularPointError("could not build a tangent basis")
-    tangent = np.array(basis)
     h = tangent @ hess @ tangent.T / grad_norm
     h = 0.5 * (h + h.T)
     return FoldPointFrame(q=q, grad_F=grad_F, grad_norm=grad_norm,

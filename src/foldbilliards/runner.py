@@ -15,25 +15,17 @@ import platform
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__, ambient, analysis, dynamics
 from .analysis import DEFAULT_KAPPA
-from .config import ExperimentConfig
-from .errors import PreconditionError
 from .fold import Fold, hausdorff_distance, scan_curvature
 from .table import model_on_table
 
-CSV_COLUMNS = {
-    "curvature-scan": ("lambda", "min_sec"),
-    "hausdorff": ("lambda", "sup_fold_to_table", "sup_table_to_fold",
-                  "hausdorff", "d_max", "c_model", "bound"),
-    "fold-convergence": ("lambda", "sup_distance", "angle_error", "residual"),
-    "boundary-geodesic": ("theta", "sup_distance", "sup_samegrid",
-                          "expected", "rel_error"),
-    "quasigeodesic-check": ("reference_index", "residual"),
-}
+if TYPE_CHECKING:  # config imports this module to register the runners
+    from .config import ExperimentConfig
 
 
 @dataclass
@@ -65,42 +57,36 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _grid_times(T: float, dt: float) -> np.ndarray:
-    n = max(1, int(round(T / dt)))
-    return np.linspace(0.0, T, n + 1)
-
-
 def _normalized(model, x, v):
     v = np.asarray(v, dtype=float)
     return v / ambient.norm(model, np.asarray(x, dtype=float), v)
 
 
+def _given(p: dict, *keys) -> dict:
+    """The optional parameters among keys that the config sets."""
+    return {k: p[k] for k in keys if k in p}
+
+
 # --------------------------------------------------------------------------
-# per-experiment runners; each returns (verdict|None, passed, result_dict,
-# csv_rows, extra_artifacts)
+# per-experiment runners, registered in config.EXPERIMENTS; each takes
+# (cfg, out_dir) and returns (verdict|None, passed, result_dict, csv_header,
+# csv_rows, extra_artifact_names).  Parameters named like the keywords of a
+# library function are forwarded to it as given, so its signature holds the
+# defaults.
 
 
-def _run_scan(cfg: ExperimentConfig):
-    p = cfg.parameters
-    rep = scan_curvature(cfg.table, cfg.model, p["lambdas"], kappa=p["kappa"],
-                         n_grid=p.get("n_grid", 24),
-                         n_random_planes=p.get("n_random_planes", 8),
-                         seed=cfg.seed, tol=p.get("tol", 1e-6),
-                         workers=cfg.workers)
+def _run_scan(cfg: ExperimentConfig, out_dir: Path):
+    rep = scan_curvature(cfg.table, cfg.model, seed=cfg.seed, workers=cfg.workers,
+                         **cfg.parameters)
     rows = list(zip(rep.lambdas, rep.min_sec_per_lambda))
-    return rep.verdict, True, rep.to_dict(), rows, {}
+    return rep.verdict, True, rep.to_dict(), ("lambda", "min_sec"), rows, []
 
 
-def _run_hausdorff(cfg: ExperimentConfig):
-    p = cfg.parameters
-    rows = []
+def _run_hausdorff(cfg: ExperimentConfig, out_dir: Path):
+    options = dict(cfg.parameters)
     results = []
-    for lam in p["lambdas"]:
-        res = hausdorff_distance(Fold(table=cfg.table, model=cfg.model, lam=lam),
-                                 n_grid=p.get("n_grid", 121))
-        rows.append((res.lam, res.sup_fold_to_table, res.sup_table_to_fold,
-                     max(res.sup_fold_to_table, res.sup_table_to_fold),
-                     res.d_max, res.c_model, res.bound))
+    for lam in options.pop("lambdas"):
+        res = hausdorff_distance(Fold(table=cfg.table, model=cfg.model, lam=lam), **options)
         results.append({
             "lam": res.lam,
             "sup_fold_to_table": res.sup_fold_to_table,
@@ -112,31 +98,26 @@ def _run_hausdorff(cfg: ExperimentConfig):
             "n_fold_samples": res.n_fold_samples,
             "n_table_samples": res.n_table_samples,
         })
-    return None, True, {"rows": results}, rows, {}
+    header = ("lambda", "sup_fold_to_table", "sup_table_to_fold", "hausdorff",
+              "d_max", "c_model", "bound")
+    rows = [(r["lam"], *(r[k] for k in header[1:])) for r in results]
+    return None, True, {"rows": results}, header, rows, []
 
 
-def _run_fold_convergence(cfg: ExperimentConfig):
-    p = cfg.parameters
+def _run_fold_convergence(cfg: ExperimentConfig, out_dir: Path):
     rep = analysis.fold_convergence_experiment(
-        cfg.table, cfg.model,
-        p0=p.get("p0"), direction=tuple(p.get("direction", (0.8, 0.6))),
-        lambdas=p["lambdas"], T=p["T"], dt=p["dt"],
-        kappa=p.get("kappa"), tol_conv=p.get("tol_conv", 5e-3),
-        tol_qg=p.get("tol_qg"), seed=cfg.seed, workers=cfg.workers,
-        scan_grid=p.get("scan_grid", 12), scan_planes=p.get("scan_planes", 4))
+        cfg.table, cfg.model, seed=cfg.seed, workers=cfg.workers, **cfg.parameters)
     rows = [(r.param, r.sup_distance, r.angle_error, r.residual) for r in rep.rows]
-    return rep.verdict, rep.verdict == "pass", rep.to_dict(), rows, {}
+    header = ("lambda", "sup_distance", "angle_error", "residual")
+    return rep.verdict, rep.verdict == "pass", rep.to_dict(), header, rows, []
 
 
-def _run_boundary_geodesic(cfg: ExperimentConfig):
-    p = cfg.parameters
-    rep = analysis.boundary_geodesic_experiment(
-        cfg.table, cfg.model, p0=p.get("p0"), angles=p["angles"],
-        T=p["T"], dt=p["dt"], tol_rel=p.get("tol_rel", 0.10),
-        ref_refine=p.get("ref_refine", 8), extend=p.get("extend", 0.1))
+def _run_boundary_geodesic(cfg: ExperimentConfig, out_dir: Path):
+    rep = analysis.boundary_geodesic_experiment(cfg.table, cfg.model, **cfg.parameters)
     rows = [(r.param, r.sup_distance, r.sup_samegrid, r.expected,
              r.sup_distance / r.expected - 1) for r in rep.rows]
-    return rep.verdict, rep.verdict == "pass", rep.to_dict(), rows, {}
+    header = ("theta", "sup_distance", "sup_samegrid", "expected", "rel_error")
+    return rep.verdict, rep.verdict == "pass", rep.to_dict(), header, rows, []
 
 
 def _quasigeodesic_curve(cfg: ExperimentConfig):
@@ -145,16 +126,16 @@ def _quasigeodesic_curve(cfg: ExperimentConfig):
     kind = p["curve"]["kind"]
     model_H = model_on_table(cfg.table, cfg.model)
     if kind == "arc":
-        t = _grid_times(np.pi, dt)
+        t = dynamics._grid(np.pi, dt)
         pts = np.stack([np.cos(t), np.sin(t)], axis=1)
         return dynamics.SampledCurve(times=t, points=pts), cfg.table, model_H
     if kind == "corner":
-        half = _grid_times(1.0, dt)
+        half = dynamics._grid(1.0, dt)
         t = np.concatenate([-half[::-1][:-1], half])
         pts = np.stack([t / np.sqrt(2), 1 - np.abs(t) / np.sqrt(2)], axis=1)
         return dynamics.SampledCurve(times=t, points=pts), cfg.table, model_H
     if kind == "convex-kink":
-        half = _grid_times(1.0, dt)
+        half = dynamics._grid(1.0, dt)
         t = np.concatenate([-half[::-1][:-1], half])
         pts = np.where(t[:, None] < 0,
                        np.stack([t, np.zeros_like(t)], axis=1),
@@ -167,7 +148,7 @@ def _quasigeodesic_curve(cfg: ExperimentConfig):
     return traj.base, cfg.table, model_H
 
 
-def _run_quasigeodesic(cfg: ExperimentConfig):
+def _run_quasigeodesic(cfg: ExperimentConfig, out_dir: Path):
     p = cfg.parameters
     curve, table, model_H = _quasigeodesic_curve(cfg)
     kappa = p.get("kappa", DEFAULT_KAPPA[cfg.model.kind])
@@ -176,9 +157,10 @@ def _run_quasigeodesic(cfg: ExperimentConfig):
     else:
         refs = analysis.reference_points_for_table(cfg.table, cfg.model, seed=cfg.seed)
     rep = analysis.quasigeodesic_residual(curve, model_H, table, kappa, refs,
-                                          tol=p.get("tol"))
+                                          **_given(p, "tol"))
     rows = list(enumerate(rep.residual_per_point))
-    return rep.verdict, rep.passed, rep.to_dict(), rows, {}
+    return (rep.verdict, rep.passed, rep.to_dict(), ("reference_index", "residual"),
+            rows, [])
 
 
 def _trajectory_csv_rows(curve: dynamics.SampledCurve, bounce_times=None):
@@ -203,16 +185,13 @@ def _run_trajectory(cfg: ExperimentConfig, out_dir: Path):
     T, dt = p["T"], p["dt"]
     x0 = np.asarray(p["x0"], dtype=float)
     model_H = model_on_table(cfg.table, cfg.model)
-    extra = {}
     if target == "billiard":
         v0 = _normalized(model_H, x0, p["v0"])
         traj = dynamics.billiard_trajectory(cfg.table, cfg.model, x0, v0, T, dt)
         name = "trajectory_billiard.csv"
-        header = ("t", *(f"x_{i+1}" for i in range(cfg.table.n)), "bounce_flag")
-        _write_csv(out_dir / name,
-                   header,
+        coords = tuple(f"x_{i+1}" for i in range(cfg.table.n))
+        _write_csv(out_dir / name, ("t", *coords, "bounce_flag"),
                    _trajectory_csv_rows(traj.base, [b.t for b in traj.bounces]))
-        extra[name] = True
         bounces = [{
             "t": b.t,
             "x": [float(v) for v in b.x],
@@ -222,12 +201,13 @@ def _run_trajectory(cfg: ExperimentConfig, out_dir: Path):
         } for b in traj.bounces]
         result = {"n_samples": len(traj.base.times), "n_bounces": len(bounces),
                   "bounces": bounces}
-        return None, True, result, [(b["t"], *b["x"], b["grazing"]) for b in bounces], extra
+        rows = [(b["t"], *b["x"], b["grazing"]) for b in bounces]
+        return None, True, result, ("t", *coords, "grazing"), rows, [name]
     if target == "fold-geodesic":
         fld = Fold(table=cfg.table, model=cfg.model, lam=p["lam"])
         v0 = _normalized(cfg.model, x0, p["v0"])
         crv = dynamics.integrate_fold_geodesic(fld, x0, v0, T, dt,
-                                               two_sided=p.get("two_sided", True))
+                                               **_given(p, "two_sided"))
         name = "trajectory_fold_geodesic.csv"
     elif target == "table-geodesic":
         v0 = _normalized(model_H, x0, p["v0"])
@@ -240,48 +220,18 @@ def _run_trajectory(cfg: ExperimentConfig, out_dir: Path):
     dim = crv.points.shape[1]
     _write_csv(out_dir / name, ("t", *(f"x_{i+1}" for i in range(dim))),
                _trajectory_csv_rows(crv))
-    extra[name] = True
     result = {"n_samples": len(crv.times), "truncated": crv.truncated,
               "t_min": float(crv.times[0]), "t_max": float(crv.times[-1])}
     summary = [(result["t_min"], result["t_max"], result["n_samples"],
                 int(result["truncated"]))]
-    return None, True, result, summary, extra
-
-
-TRAJECTORY_SUMMARY_COLUMNS = {
-    "billiard": ("t", "x", "grazing"),
-}
+    return None, True, result, ("t_min", "t_max", "n_samples", "truncated"), summary, [name]
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
-    extra_artifacts = {}
-    if cfg.experiment == "curvature-scan":
-        verdict, passed, result, rows, extra_artifacts = _run_scan(cfg)
-        header = CSV_COLUMNS["curvature-scan"]
-    elif cfg.experiment == "hausdorff":
-        verdict, passed, result, rows, extra_artifacts = _run_hausdorff(cfg)
-        header = CSV_COLUMNS["hausdorff"]
-    elif cfg.experiment == "fold-convergence":
-        verdict, passed, result, rows, extra_artifacts = _run_fold_convergence(cfg)
-        header = CSV_COLUMNS["fold-convergence"]
-    elif cfg.experiment == "boundary-geodesic":
-        verdict, passed, result, rows, extra_artifacts = _run_boundary_geodesic(cfg)
-        header = CSV_COLUMNS["boundary-geodesic"]
-    elif cfg.experiment == "quasigeodesic-check":
-        verdict, passed, result, rows, extra_artifacts = _run_quasigeodesic(cfg)
-        header = CSV_COLUMNS["quasigeodesic-check"]
-    elif cfg.experiment == "trajectory":
-        verdict, passed, result, rows, extra_artifacts = _run_trajectory(cfg, out_dir)
-        n = cfg.table.n
-        if cfg.parameters["target"] == "billiard":
-            header = ("t", *(f"x_{i+1}" for i in range(n)), "grazing")
-        else:
-            header = ("t_min", "t_max", "n_samples", "truncated")
-    else:  # pragma: no cover - schema rejects unknown experiments
-        raise PreconditionError(f"unknown experiment {cfg.experiment}")
+    verdict, passed, result, header, rows, extra_artifacts = cfg.spec.run(cfg, out_dir)
 
     report = {
         "experiment": cfg.experiment,
@@ -291,7 +241,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
     }
     _write_json(out_dir / "report.json", report)
     _write_csv(out_dir / "report.csv", header, rows)
-    artifacts = ["report.json", "report.csv", *extra_artifacts.keys()]
+    artifacts = ["report.json", "report.csv", *extra_artifacts]
     manifest = {
         "config": cfg.raw,
         "experiment": cfg.experiment,

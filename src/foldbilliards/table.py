@@ -8,7 +8,8 @@ so the same code serves the Euclidean, hyperbolic and spherical cases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -163,48 +164,6 @@ class PolynomialShape(Shape):
 
 
 @dataclass(frozen=True)
-class FiniteDifferenceShape(Shape):
-    """Wraps a bare f callable; derivatives by central differences.
-
-    Fallback for exotic defining functions.  step = 1e-5 keeps the
-    second-derivative truncation and roundoff balanced near 1e-6.
-    """
-
-    fn: object
-    step: float = 1e-5
-
-    def f(self, x):
-        return float(self.fn(np.asarray(x, dtype=float)))
-
-    def grad(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(len(x))
-        for i in range(len(x)):
-            e = np.zeros(len(x))
-            e[i] = self.step
-            out[i] = (self.f(x + e) - self.f(x - e)) / (2 * self.step)
-        return out
-
-    def hess(self, x):
-        x = np.asarray(x, dtype=float)
-        n = len(x)
-        out = np.zeros((n, n))
-        f0 = self.f(x)
-        h = self.step
-        for i in range(n):
-            ei = np.zeros(n)
-            ei[i] = h
-            out[i, i] = (self.f(x + ei) - 2 * f0 + self.f(x - ei)) / h**2
-            for j in range(i + 1, n):
-                ej = np.zeros(n)
-                ej[j] = h
-                val = (self.f(x + ei + ej) - self.f(x + ei - ej)
-                       - self.f(x - ei + ej) + self.f(x - ei - ej)) / (4 * h**2)
-                out[i, j] = out[j, i] = val
-        return out
-
-
-@dataclass(frozen=True)
 class Region:
     """Coordinate patch U: metric ball around center intersected with
     polynomial strip constraints lo < p(x) < hi."""
@@ -301,10 +260,27 @@ def spherical_halfspace_table(n: int = 3) -> TableSpec:
         p0=(0.0,) * n)
 
 
+@dataclass(frozen=True)
+class BuiltinTable:
+    """A named table family: its builder and a one-line description.
+
+    Calling the entry calls the builder, whose keyword arguments are the
+    options a config may set for this kind."""
+
+    build: Callable[..., TableSpec]
+    description: str
+
+    def __call__(self, *args, **kwargs) -> TableSpec:
+        return self.build(*args, **kwargs)
+
+
 BUILTIN_TABLES = {
-    "disk": disk_table,
-    "half-space": half_space_table,
-    "parabola": parabola_table,
+    "disk": BuiltinTable(disk_table, "f = 1 - |x|^2, the closed unit disk"),
+    "half-space": BuiltinTable(half_space_table, "f = x_1, a flat wall"),
+    "parabola": BuiltinTable(parabola_table,
+                             "f = x_1^2 - x_2, region outside a parabola (nonconvex)"),
+    "spherical-halfspace": BuiltinTable(spherical_halfspace_table,
+                                        "f = x_1 on a strip patch, n = 3"),
 }
 
 
@@ -329,6 +305,34 @@ def model_on_table(table: TableSpec, model: AmbientModel) -> AmbientModel:
         f"nor its ambient space ({table.n + 1})")
 
 
+def _orthonormal_complement(g: np.ndarray, normal: np.ndarray,
+                            alignment: np.ndarray) -> np.ndarray | None:
+    """g-orthonormal basis (rows) of the g-complement of the unit normal.
+
+    Gram-Schmidt in g over the coordinate axes, taken in increasing order of
+    |alignment| (a vector or covector along the normal), so the basis is
+    deterministic.  None when the axes do not span the complement.
+    """
+    d = len(normal)
+    basis = []
+    order = np.argsort(np.abs(alignment) / np.linalg.norm(alignment))
+    for idx in order:
+        v = np.zeros(d)
+        v[idx] = 1.0
+        v = v - (v @ g @ normal) * normal
+        for b in basis:
+            v = v - (v @ g @ b) * b
+        nrm = np.sqrt(max(v @ g @ v, 0.0))
+        if nrm < 1e-10:
+            continue
+        basis.append(v / nrm)
+        if len(basis) == d - 1:
+            break
+    if len(basis) != d - 1:
+        return None
+    return np.array(basis)
+
+
 def boundary_frame(table: TableSpec, model: AmbientModel, x0) -> BoundaryFrame:
     """Frame of the boundary {f = 0} at x0 in the induced metric g on H.
 
@@ -348,25 +352,10 @@ def boundary_frame(table: TableSpec, model: AmbientModel, x0) -> BoundaryFrame:
     metric = ambient.metric_tensor(model_on_table(table, model), x0)
     nu = metric.g_inv @ df
     nu = nu / np.sqrt(nu @ metric.g @ nu)
-
-    basis = []
-    # seeds ordered by increasing alignment with the normal direction
-    order = np.argsort(np.abs(df) / np.linalg.norm(df))
-    for idx in order:
-        v = np.zeros(table.n)
-        v[idx] = 1.0
-        v = v - (v @ metric.g @ nu) * nu
-        for b in basis:
-            v = v - (v @ metric.g @ b) * b
-        nrm = np.sqrt(max(v @ metric.g @ v, 0.0))
-        if nrm < 1e-10:
-            continue
-        basis.append(v / nrm)
-        if len(basis) == table.n - 1:
-            break
-    if len(basis) != table.n - 1:
+    basis = _orthonormal_complement(metric.g, nu, df)
+    if basis is None:
         raise DegenerateBoundaryError("could not build a tangent basis")
-    return BoundaryFrame(x0=x0, nu=nu, tangent_basis=np.array(basis), metric=metric)
+    return BoundaryFrame(x0=x0, nu=nu, tangent_basis=basis, metric=metric)
 
 
 def _check_unit_cone(frame: BoundaryFrame, v: np.ndarray, label: str) -> None:

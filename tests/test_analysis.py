@@ -166,6 +166,13 @@ class TestFoldConvergence:
         assert d["verdict"] == "pass"
         assert len(d["rows"]) == 3
 
+    def test_workers_do_not_change_the_result(self, disk):
+        kw = dict(lambdas=[0.5, 0.25, 0.125], T=0.2, dt=1e-2,
+                  scan_grid=6, scan_planes=2)
+        serial = an.fold_convergence_experiment(disk, am.euclidean(3), workers=1, **kw)
+        pooled = an.fold_convergence_experiment(disk, am.euclidean(3), workers=2, **kw)
+        assert serial.to_json() == pooled.to_json()
+
     def test_single_lambda_is_inconclusive(self, disk):
         rep = an.fold_convergence_experiment(disk, am.euclidean(3),
                                              lambdas=[0.9], T=0.2, dt=DT)

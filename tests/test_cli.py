@@ -8,7 +8,9 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from foldbilliards.ambient import MODEL_KINDS
 from foldbilliards.cli import main as cli_main
+from foldbilliards.table import BUILTIN_TABLES
 
 CONFIG_DIR = resources.files("foldbilliards") / "configs"
 
@@ -130,6 +132,15 @@ class TestInterface:
                        "parabola-euclidean", "disk-hyperbolic"):
             assert needle in text
 
+    def test_list_builtins_covers_the_registries(self, capsys):
+        assert cli_main(["list-builtins"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for kind, entry in BUILTIN_TABLES.items():
+            assert any(line.split() == [kind, *entry.description.split()]
+                       for line in lines)
+        models = next(line for line in lines if line.startswith("ambient models:"))
+        assert models.split(":")[1].replace(",", " ").split() == list(MODEL_KINDS)
+
     def test_env_worker_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FOLDBILLIARDS_WORKERS", "2")
         out = tmp_path / "env"
@@ -161,3 +172,26 @@ class TestInterface:
         # random-plane witness moves with the seed
         assert ra["result"]["argmin_point"] != rb["result"]["argmin_point"]
         assert json.loads((b / "manifest.json").read_text())["seed"] == 1
+        # the report echoes the config as run, so it can be re-run from it
+        assert rb["config"]["seed"] == 1
+        assert json.loads((b / "manifest.json").read_text())["config"]["seed"] == 1
+
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
+        assert run("disk-euclidean-scan", tmp_path / "neg", "--seed", "-1") == 2
+        assert "config.seed" in capsys.readouterr().err
+
+    def test_parameters_reach_the_report_unchanged(self, tmp_path):
+        cfg = tmp_path / "int-kappa.json"
+        cfg.write_text(json.dumps({
+            "experiment": "curvature-scan",
+            "table": {"kind": "disk"},
+            "model": {"kind": "euclidean"},
+            "parameters": {"lambdas": [0.5], "kappa": 0, "n_grid": 6,
+                           "n_random_planes": 1},
+        }))
+        out = tmp_path / "out"
+        assert cli_main(["run", str(cfg), "--out-dir", str(out)]) == 0
+        result = json.loads((out / "report.json").read_text())["result"]
+        assert result["kappa"] == 0 and isinstance(result["kappa"], int)
+        # defaults come from the scan_curvature signature
+        assert result["tol"] == 1e-6

@@ -137,6 +137,35 @@ class TestValidate:
         assert cfg.table.name == "mirror-halfplane"
         assert cfg.table.f([0.0, -1.0]) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("experiment, parameters", [
+        ("fold-convergence", {"lambdas": [0.5, 0.25], "T": 0.2, "dt": 1e-2}),
+        ("boundary-geodesic", {"angles": [0.1, 0.05], "T": 0.3, "dt": 1e-2}),
+    ])
+    def test_tangent_launch_needs_two_table_dimensions(self, experiment, parameters):
+        raw = {
+            "experiment": experiment,
+            "table": {"kind": "disk", "n": 1},
+            "model": {"kind": "euclidean"},
+            "parameters": parameters,
+        }
+        with pytest.raises(ConfigError, match=r"table\.n"):
+            cf.validate_config(raw)
+        raw["table"]["n"] = 2
+        assert cf.validate_config(raw).table.n == 2
+
+    def test_builtin_table_options_come_from_the_builder(self):
+        raw = scan_config()
+        raw["table"] = {"kind": "disk", "n": 3, "radius_U": 1.5}
+        cfg = cf.validate_config(raw)
+        assert cfg.table.n == 3
+        assert cfg.table.region.radius == 1.5
+        # the spherical half-space patch is fixed
+        raw["table"] = {"kind": "spherical-halfspace", "radius_U": 1.5}
+        with pytest.raises(ConfigError, match=r"table\.radius_U"):
+            cf.validate_config(raw)
+        raw["table"] = {"kind": "spherical-halfspace"}
+        assert cf.validate_config(raw).table.n == 3
+
     def test_non_dict_input_rejected(self):
         with pytest.raises(ConfigError):
             cf.validate_config([1, 2, 3])
@@ -167,3 +196,10 @@ class TestLoad:
         for name in names:
             cfg = cf.load_config(str(pkg / name))
             assert cfg.experiment in cf.EXPERIMENTS
+
+    def test_every_experiment_has_a_shipped_config(self):
+        import importlib.resources as res
+        pkg = res.files("foldbilliards") / "configs"
+        shipped = {json.loads(p.read_text())["experiment"]
+                   for p in pkg.iterdir() if p.name.endswith(".json")}
+        assert shipped == set(cf.EXPERIMENTS)
