@@ -291,16 +291,6 @@ def alpha_kappa(kappa: float) -> float:
     return float("inf")
 
 
-def induced_metric_on_H(model: AmbientModel, x) -> MetricAt:
-    """Induced metric of the hyperplane H = {x_dim = 0} at (x, 0).
-
-    For all three models the mixed terms g_{i,dim} vanish on H, and the
-    restriction equals the same model in dimension dim - 1.
-    """
-    x = _check_point(x, model.dim - 1)
-    return metric_tensor(model.restricted(), x)
-
-
 def geodesic_between(model: AmbientModel, p, q, num: int = 33) -> np.ndarray:
     """Points of the connecting geodesic from p to q (num samples, endpoints
     included), via the totally geodesic embeddings."""

@@ -318,18 +318,6 @@ def _patch_holds_ball(table: TableSpec, model_H: AmbientModel, p0, radius, dt) -
     return True
 
 
-def _split_two_sided(curve: SampledCurve):
-    """Forward and backward halves of a [-T, T] curve, both as t >= 0."""
-    i0 = int(np.argmin(np.abs(curve.times)))
-    if abs(curve.times[i0]) > 1e-12:
-        raise InvalidInputError("two-sided curve has no t = 0 sample")
-    fwd_p = curve.points[i0:]
-    fwd_v = curve.velocities[i0:]
-    bwd_p = curve.points[:i0 + 1][::-1]
-    bwd_v = curve.velocities[:i0 + 1][::-1]
-    return fwd_p, fwd_v, bwd_p, bwd_v
-
-
 def _angle_g(g: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
     c = (u @ g @ v) / np.sqrt((u @ g @ u) * (v @ g @ v))
     return float(np.arccos(np.clip(c, -1.0, 1.0)))
@@ -339,8 +327,9 @@ def _fold_convergence_row(args):
     (table, model_amb, model_H, lam, q0, v0, T, dt, bil_p_pts, bil_m_pts,
      frame_g, frame_nu, t_probe_cap, refs, kappa, tol_qg) = args
     fld = Fold(table=table, model=model_amb, lam=lam)
-    crv = integrate_fold_geodesic(fld, q0, v0, T, dt, two_sided=True)
-    fwd_p, fwd_v, bwd_p, bwd_v = _split_two_sided(crv)
+    fwd = integrate_fold_geodesic(fld, q0, v0, T, dt, two_sided=False)
+    bwd = integrate_fold_geodesic(fld, q0, -v0, T, dt, two_sided=False)
+    fwd_p, fwd_v, bwd_p, bwd_v = fwd.points, fwd.velocities, bwd.points, bwd.velocities
     n = table.n
     nf = min(len(fwd_p), len(bil_p_pts))
     nb = min(len(bwd_p), len(bil_m_pts))
@@ -351,7 +340,7 @@ def _fold_convergence_row(args):
     t_probe = min(max(25 * dt, 4 * lam * lam), t_probe_cap)
     ip = min(int(round(t_probe / dt)), min(nf, nb) - 1)
     u_est_p = fwd_v[ip, :n]
-    u_est_m = -bwd_v[ip, :n]
+    u_est_m = bwd_v[ip, :n]
     u_est_p = u_est_p / np.sqrt(u_est_p @ frame_g @ u_est_p)
     u_est_m = u_est_m / np.sqrt(u_est_m @ frame_g @ u_est_m)
     # mirror law at the pinch passage: reversed incoming and outgoing
@@ -371,7 +360,7 @@ def _fold_convergence_row(args):
     return ConvergenceRow(param_name="lambda", param=lam,
                           sup_distance=max(sup_f, sup_b),
                           angle_error=angle_err, residual=res,
-                          truncated=crv.truncated), u_est_p, u_est_m
+                          truncated=fwd.truncated or bwd.truncated), u_est_p, u_est_m
 
 
 def fold_convergence_experiment(table: TableSpec, model: AmbientModel,

@@ -7,16 +7,19 @@ normal forcing term:
     x'' = -Gamma(x', x') + mu grad F,   mu = -Hess F(x', x') / |grad F|^2,
 
 and each step ends with a Newton projection back onto the level set plus a
-tangential re-projection and renormalization of the velocity.
+tangential re-projection and renormalization of the velocity.  A level set
+is passed as the triple (value, Euclidean gradient, Euclidean Hessian).
 
 A fold curls up with extrinsic curvature of order 1/lam^2 where it crosses
 the pinch set {f = 0}, so a fixed step cannot resolve that layer for small
 lam.  Steps are therefore refined recursively (step-doubling error control)
 inside each fixed output interval; sample times stay on the uniform grid.
 
-Billiard trajectories are table geodesics with event detection on f: sign
-changes are bracketed by re-integration within the step and bisected to
-|f| <= 1e-10, then the velocity reflects by the mirror law.
+All integrators share one sampling loop over that grid; they differ only in
+the step they hand it.  The billiard step is a table-geodesic step with
+event detection on f: the first sign change inside the step is bracketed by
+re-integration from the step start, bisected to |f| <= 1e-10, and the
+velocity reflects by the mirror law.
 """
 
 from __future__ import annotations
@@ -78,34 +81,18 @@ class BilliardTrajectory:
     bounces: list[Bounce] = field(default_factory=list)
 
 
-class LevelSetConstraint:
-    """Callable bundle (value, Euclidean gradient/Hessian) of a level set."""
-
-    def __init__(self, value, egrad, ehess):
-        self.value = value
-        self.egrad = egrad
-        self.ehess = ehess
-
-
-def fold_constraint(fold) -> LevelSetConstraint:
-    return LevelSetConstraint(fold.value, fold.euclid_grad, fold.euclid_hess)
-
-
-def table_constraint(table: TableSpec) -> LevelSetConstraint:
-    return LevelSetConstraint(lambda x: table.f(x), table.grad_f, table.hess_f)
-
-
 def _acceleration(model: AmbientModel, constraint, x, v):
     gamma_vv = ambient.christoffel_quadratic(model, x, v)
     acc = -gamma_vv
     if constraint is not None:
-        df = constraint.egrad(x)
+        _, egrad, ehess = constraint
+        df = egrad(x)
         g_inv = ambient.metric_tensor(model, x).g_inv
         grad = g_inv @ df
         gn2 = df @ grad
         if gn2 < 1e-20:
             raise NumericError("constraint gradient vanished during integration")
-        hess_vv = v @ constraint.ehess(x) @ v - df @ gamma_vv
+        hess_vv = v @ ehess(x) @ v - df @ gamma_vv
         acc = acc - (hess_vv / gn2) * grad
     return acc
 
@@ -114,18 +101,19 @@ def _project(model: AmbientModel, constraint, x, v, speed):
     """Newton-project x onto the level set along grad F, make v tangent and
     rescale it to the prescribed speed."""
     if constraint is not None:
+        value, egrad, _ = constraint
         for _ in range(3):
-            val = constraint.value(x)
+            val = value(x)
             if abs(val) < 1e-14:
                 break
-            df = constraint.egrad(x)
+            df = egrad(x)
             g_inv = ambient.metric_tensor(model, x).g_inv
             grad = g_inv @ df
             denom = df @ grad
             if denom < 1e-20:
                 raise NumericError("projection failed: vanishing gradient")
             x = x - (val / denom) * grad
-        df = constraint.egrad(x)
+        df = egrad(x)
         g_inv = ambient.metric_tensor(model, x).g_inv
         grad = g_inv @ df
         denom = df @ grad
@@ -164,7 +152,7 @@ def _refined_step(model, constraint, x, v, h, speed, refine_tol, depth=0):
     return _refined_step(model, constraint, xm, vm, 0.5 * h, speed, refine_tol, depth + 1)
 
 
-def _advance(model, constraint, x, v, h, refine_tol):
+def _advance(model, constraint, x, v, h, refine_tol=REFINE_TOL):
     """Advance by h; exact for free Euclidean motion."""
     if constraint is None and model.kind == "euclidean":
         return x + h * v, v
@@ -181,33 +169,50 @@ def _grid(T: float, dt: float) -> np.ndarray:
     return np.linspace(0.0, T, n + 1)
 
 
-def _integrate_one_direction(model, constraint, x0, v0, T, dt, refine_tol,
-                             patch=None, project_for_patch=None):
-    """Integrate forward on [0, T]; returns times, points, velocities and the
-    exit time if the patch was left."""
+def _integrate_one_direction(x0, v0, T, dt, step, inside=None):
+    """Sample the flow of step(x, v, t, h) on the uniform grid of [0, T].
+
+    When inside(x) fails at a sample, the curve stops before that sample
+    and its time is returned as the exit time (None otherwise).
+    """
     times = _grid(T, dt)
     pts = [np.array(x0, dtype=float)]
     vels = [np.array(v0, dtype=float)]
     exit_time = None
     x, v = pts[0], vels[0]
     for i in range(1, len(times)):
-        h = times[i] - times[i - 1]
-        x, v = _advance(model, constraint, x, v, h, refine_tol)
-        if patch is not None:
-            probe = x if project_for_patch is None else project_for_patch(x)
-            if not patch.contains(probe):
-                exit_time = float(times[i])
-                break
+        x, v = step(x, v, times[i - 1], times[i] - times[i - 1])
+        if inside is not None and not inside(x):
+            exit_time = float(times[i])
+            break
         pts.append(x)
         vels.append(v)
     n = len(pts)
     return times[:n], np.array(pts), np.array(vels), exit_time
 
 
+def _geodesic_step(model, constraint, refine_tol=REFINE_TOL):
+    return lambda x, v, t, h: _advance(model, constraint, x, v, h, refine_tol)
+
+
 def _check_unit(model, x, v, label="v0"):
     nrm = ambient.norm(model, x, v)
     if abs(nrm - 1.0) > 1e-8:
         raise PreconditionError(f"{label} must be a unit vector (got |v| = {nrm})")
+
+
+def _check_start(model, constraint, x0, v0, point: str, surface: str):
+    """x0 on the level set with a non-singular gradient, v0 tangent and of
+    unit norm in the model."""
+    value, egrad, _ = constraint
+    if abs(value(x0)) > 1e-8:
+        raise PreconditionError(f"{point} is not on the {surface}")
+    df = egrad(x0)
+    if np.linalg.norm(df) < 1e-10:
+        raise PreconditionError(f"the {surface} is singular at {point}")
+    if abs(df @ v0) > 1e-8 * max(1.0, float(np.linalg.norm(df))):
+        raise PreconditionError(f"v0 is not tangent to the {surface}")
+    _check_unit(model, x0, v0)
 
 
 def integrate_fold_geodesic(fold, q0, v0, T, dt, two_sided: bool = True,
@@ -217,29 +222,21 @@ def integrate_fold_geodesic(fold, q0, v0, T, dt, two_sided: bool = True,
     Integrates on [-T, T] when two_sided (the default), else on [0, T].
     Requires q0 on the fold, v0 tangent and of unit ambient norm.  If the
     projected base point leaves the patch U the curve is truncated on that
-    side and flagged.
+    side and flagged.  refine_tol=None takes fixed RK4 steps of size dt.
     """
     q0 = np.asarray(q0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
-    if abs(fold.value(q0)) > 1e-8:
-        raise PreconditionError("q0 is not on the fold")
-    df = fold.euclid_grad(q0)
-    if np.linalg.norm(df) < 1e-10:
-        raise PreconditionError("fold is singular at q0")
-    if abs(df @ v0) > 1e-8 * max(1.0, float(np.linalg.norm(df))):
-        raise PreconditionError("v0 is not tangent to the fold")
-    _check_unit(fold.model, q0, v0)
-    constraint = fold_constraint(fold)
-    patch = fold.table.region
-    proj = lambda q: q[:-1]
+    constraint = (fold.value, fold.euclid_grad, fold.euclid_hess)
+    _check_start(fold.model, constraint, q0, v0, "q0", "fold")
+    step = _geodesic_step(fold.model, constraint, refine_tol)
+    region = fold.table.region
+    inside = lambda q: region.contains(q[:-1])
 
-    t_f, p_f, v_f, exit_f = _integrate_one_direction(
-        fold.model, constraint, q0, v0, T, dt, refine_tol, patch, proj)
+    t_f, p_f, v_f, exit_f = _integrate_one_direction(q0, v0, T, dt, step, inside)
     if not two_sided or T == 0:
         return SampledCurve(times=t_f, points=p_f, velocities=v_f,
                             truncated=exit_f is not None, exit_forward=exit_f)
-    t_b, p_b, v_b, exit_b = _integrate_one_direction(
-        fold.model, constraint, q0, -v0, T, dt, refine_tol, patch, proj)
+    t_b, p_b, v_b, exit_b = _integrate_one_direction(q0, -v0, T, dt, step, inside)
     times = np.concatenate([-t_b[::-1][:-1], t_f])
     points = np.concatenate([p_b[::-1][:-1], p_f])
     vels = np.concatenate([-v_b[::-1][:-1], v_f])
@@ -249,8 +246,7 @@ def integrate_fold_geodesic(fold, q0, v0, T, dt, two_sided: bool = True,
                         exit_backward=None if exit_b is None else -exit_b)
 
 
-def integrate_table_geodesic(model: AmbientModel, x0, v0, T, dt,
-                             refine_tol: float | None = REFINE_TOL) -> SampledCurve:
+def integrate_table_geodesic(model: AmbientModel, x0, v0, T, dt) -> SampledCurve:
     """Unconstrained geodesic of the model through (x0, v0) on [0, T].
 
     model is the geometry the curve lives in (for a table, the induced
@@ -260,29 +256,25 @@ def integrate_table_geodesic(model: AmbientModel, x0, v0, T, dt,
     x0 = np.asarray(x0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
     _check_unit(model, x0, v0)
-    t, p, v, _ = _integrate_one_direction(model, None, x0, v0, T, dt, refine_tol)
+    t, p, v, _ = _integrate_one_direction(x0, v0, T, dt, _geodesic_step(model, None))
     return SampledCurve(times=t, points=p, velocities=v)
 
 
 def integrate_boundary_geodesic(table: TableSpec, model: AmbientModel, x0, v0,
-                                T, dt, refine_tol: float | None = REFINE_TOL) -> SampledCurve:
+                                T, dt) -> SampledCurve:
     """Geodesic of the boundary hypersurface {f = 0} inside (H, g).
 
     model is the ambient model; the curve runs in the induced geometry on H
-    constrained to the table boundary.  v0 must be tangent to the boundary.
+    constrained to the table boundary.  Requires x0 on the boundary with a
+    non-singular gradient of f, and v0 tangent to it and of unit norm.
     """
     x0 = np.asarray(x0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
     model_H = model_on_table(table, model)
-    if abs(table.f(x0)) > 1e-8:
-        raise PreconditionError("x0 is not on the table boundary")
-    df = table.grad_f(x0)
-    if abs(df @ v0) > 1e-8 * max(1.0, float(np.linalg.norm(df))):
-        raise PreconditionError("v0 is not tangent to the boundary")
-    _check_unit(model_H, x0, v0)
-    constraint = table_constraint(table)
+    constraint = (table.f, table.grad_f, table.hess_f)
+    _check_start(model_H, constraint, x0, v0, "x0", "table boundary")
     t, p, v, exit_t = _integrate_one_direction(
-        model_H, constraint, x0, v0, T, dt, refine_tol, table.region, None)
+        x0, v0, T, dt, _geodesic_step(model_H, constraint), table.region.contains)
     return SampledCurve(times=t, points=p, velocities=v,
                         truncated=exit_t is not None, exit_forward=exit_t)
 
@@ -294,16 +286,74 @@ def _flow_f_curvature_bound(table, model_H, x, v):
     return abs(v @ table.hess_f(x) @ v) + abs(table.grad_f(x) @ acc)
 
 
-def billiard_trajectory(table: TableSpec, model: AmbientModel, x0, v0, T, dt,
-                        delta_min: float = DELTA_MIN,
-                        grazing_tol: float = GRAZING_TOL,
-                        refine_tol: float | None = REFINE_TOL) -> BilliardTrajectory:
+def _first_dip(f_after, h, n_scan):
+    """First bracket (prev, d_j) of the scan d_j = h j / n_scan, j = 1..n_scan,
+    at which f_after(d_j) < -1e-12; None when no probe is outside."""
+    prev = 0.0
+    for j in range(1, n_scan + 1):
+        d_j = h * j / n_scan
+        if f_after(d_j) < -1e-12:
+            return prev, d_j
+        prev = d_j
+    return None
+
+
+def _bisect_crossing(table, advance, x, v, lo, hi, h):
+    """Bisect the bracket [lo, hi] of the first crossing to |f| <= BISECT_F_TOL.
+
+    Returns (delta, x, v) at the crossing; when f there is still outside the
+    tolerance, falls back to the inside bracket end lo.
+    """
+    for _ in range(90):
+        mid = 0.5 * (lo + hi)
+        xs, _ = advance(x, v, mid)
+        if table.f(xs) < -1e-12:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo < 1e-16 * max(1.0, h):
+            break
+    delta = 0.5 * (lo + hi)
+    xb, vb = advance(x, v, delta)
+    if abs(table.f(xb)) > BISECT_F_TOL:
+        xb, vb = advance(x, v, lo)
+        delta = lo
+    return delta, xb, vb
+
+
+def _bounce(table, model, t, xb, vb) -> Bounce:
+    """Mirror reflection of the unit velocity at a located crossing; grazing
+    contacts continue unreflected.  The point is settled onto the boundary
+    so the next step does not re-trigger on residual negative f."""
+    frame = boundary_frame(table, model, xb)
+    g = frame.metric.g
+    w_in = vb / np.sqrt(vb @ g @ vb)
+    normal_speed = w_in @ g @ frame.nu
+    if normal_speed > GRAZING_TOL:
+        raise NumericError("crossing detected with inward velocity")
+    if abs(normal_speed) <= GRAZING_TOL:
+        w_out = w_in
+        grazing = True
+    else:
+        w_out = reflect(frame, w_in)
+        grazing = False
+    for _ in range(3):
+        val = table.f(xb)
+        if abs(val) < 1e-14:
+            break
+        dfb = table.grad_f(xb)
+        xb = xb - (val / (dfb @ dfb)) * dfb
+    return Bounce(t=t, x=xb.copy(), w_in=w_in, w_out=w_out, grazing=grazing)
+
+
+def billiard_trajectory(table: TableSpec, model: AmbientModel, x0, v0, T,
+                        dt) -> BilliardTrajectory:
     """Billiard trajectory in (K, g) from x0 with unit velocity v0 on [0, T].
 
     Follows table geodesics, bisects boundary crossings of f to
     |f| <= 1e-10 and applies the mirror reflection law.  Grazing impacts
-    (normal velocity below grazing_tol) continue unreflected and are
-    flagged.  Two bounces closer than delta_min in time abort the run.
+    (normal velocity below GRAZING_TOL) continue unreflected and are
+    flagged.  Two bounces closer than DELTA_MIN in time abort the run.
     """
     x0 = np.asarray(x0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
@@ -319,20 +369,16 @@ def billiard_trajectory(table: TableSpec, model: AmbientModel, x0, v0, T, dt,
         if v0 @ frame.metric.g @ frame.nu < -1e-10:
             raise PreconditionError("x0 is on the boundary and v0 leaves the table")
 
-    times = _grid(T, dt)
-    pts = [x0]
-    vels = [v0]
     bounces: list[Bounce] = []
-    max_bounces = int(np.ceil(T / delta_min)) + 4
-    x, v = x0, v0
-    t_abs = 0.0
-    scan_res = 0.5 * delta_min
+    max_bounces = int(np.ceil(T / DELTA_MIN)) + 4
+    scan_res = 0.5 * DELTA_MIN
 
     def advance(xc, vc, h):
-        return _advance(model_H, None, xc, vc, h, refine_tol)
+        return _advance(model_H, None, xc, vc, h)
 
-    for i in range(1, len(times)):
-        remaining = times[i] - times[i - 1]
+    def step(x, v, t, h):
+        """Advance by h, reflecting at every boundary crossing on the way."""
+        remaining = h
         guard = 0
         while remaining > 1e-14:
             guard += 1
@@ -347,103 +393,44 @@ def billiard_trajectory(table: TableSpec, model: AmbientModel, x0, v0, T, dt,
                 m2 = 2.0 * max(_flow_f_curvature_bound(table, model_H, x, v),
                                _flow_f_curvature_bound(table, model_H, x1, v1))
                 if min(f_start, f_end) > 0.15 * m2 * remaining**2 + 1e-12:
-                    x, v = x1, v1
-                    remaining = 0.0
-                    continue
-                # scan for a dip at sub-bounce resolution
-                n_scan = max(2, int(np.ceil(remaining / scan_res)))
-                dip_found = False
-                prev = 0.0
-                for j in range(1, n_scan + 1):
-                    d_j = remaining * j / n_scan
-                    xs, _ = advance(x, v, d_j)
-                    if table.f(xs) < -1e-12:
-                        crossed = True
-                        lo, hi = prev, d_j
-                        dip_found = True
-                        break
-                    prev = d_j
-                if not dip_found:
-                    x, v = x1, v1
-                    remaining = 0.0
-                    continue
-            else:
-                # endpoint crossing; bracket from the start of the step,
-                # scanning so the first crossing is the one refined
-                n_scan = max(2, int(np.ceil(remaining / scan_res)))
-                lo, hi = 0.0, remaining
-                prev = 0.0
-                for j in range(1, n_scan + 1):
-                    d_j = remaining * j / n_scan
-                    xs, _ = advance(x, v, d_j)
-                    if table.f(xs) < -1e-12:
-                        lo, hi = prev, d_j
-                        break
-                    prev = d_j
-            # bisect the first crossing to |f| <= BISECT_F_TOL
-            for _ in range(90):
-                mid = 0.5 * (lo + hi)
-                xs, _ = advance(x, v, mid)
-                if table.f(xs) < -1e-12:
-                    hi = mid
-                else:
-                    lo = mid
-                if hi - lo < 1e-16 * max(1.0, remaining):
-                    break
-            delta = 0.5 * (lo + hi)
-            xb, vb = advance(x, v, delta)
-            if abs(table.f(xb)) > BISECT_F_TOL:
-                # fall back to the inside bracket end
-                xb, vb = advance(x, v, lo)
-                delta = lo
-            t_bounce = t_abs + delta
-            if bounces and t_bounce - bounces[-1].t < delta_min:
+                    return x1, v1
+            # scan at sub-bounce resolution so the first crossing is the one
+            # refined; an endpoint crossing brackets the whole step if the
+            # scan misses it
+            n_scan = max(2, int(np.ceil(remaining / scan_res)))
+            bracket = _first_dip(lambda d: table.f(advance(x, v, d)[0]), remaining, n_scan)
+            if bracket is None:
+                if not crossed:
+                    return x1, v1
+                bracket = (0.0, remaining)
+            delta, xb, vb = _bisect_crossing(table, advance, x, v, *bracket, remaining)
+            t += delta
+            if bounces and t - bounces[-1].t < DELTA_MIN:
                 raise BounceAccumulationError(
-                    f"bounces at t = {bounces[-1].t} and {t_bounce} are closer than {delta_min}")
+                    f"bounces at t = {bounces[-1].t} and {t} are closer than {DELTA_MIN}")
             if len(bounces) >= max_bounces:
-                raise BounceAccumulationError("bounce count exceeded T / delta_min")
-            frame = boundary_frame(table, model, xb)
-            g = frame.metric.g
-            w_in = vb / np.sqrt(vb @ g @ vb)
-            normal_speed = w_in @ g @ frame.nu
-            if normal_speed > grazing_tol:
-                raise NumericError("crossing detected with inward velocity")
-            if abs(normal_speed) <= grazing_tol:
-                w_out = w_in
-                grazing = True
-            else:
-                w_out = reflect(frame, w_in)
-                grazing = False
-            # settle the bounce point onto the boundary so the next step
-            # does not re-trigger on residual negative f
-            for _ in range(3):
-                val = table.f(xb)
-                if abs(val) < 1e-14:
-                    break
-                dfb = table.grad_f(xb)
-                xb = xb - (val / (dfb @ dfb)) * dfb
-            bounces.append(Bounce(t=t_bounce, x=xb.copy(), w_in=w_in,
-                                  w_out=w_out, grazing=grazing))
-            x, v = xb, w_out
-            t_abs += delta
+                raise BounceAccumulationError("bounce count exceeded T / DELTA_MIN")
+            bounces.append(_bounce(table, model, t, xb, vb))
+            x, v = bounces[-1].x, bounces[-1].w_out
             remaining -= delta
-        t_abs = times[i]
-        pts.append(x)
-        vels.append(v)
+        return x, v
+
+    times, pts, vels, _ = _integrate_one_direction(x0, v0, T, dt, step)
+    x, v = pts[-1], vels[-1]
 
     # terminal boundary hit with outward velocity counts as a bounce
-    # (periodic orbits close up there)
+    # (periodic orbits close up there); its point is left unsettled
     if len(times) > 1 and abs(table.f(x)) <= 1e-9:
         try:
             frame = boundary_frame(table, model, x)
             g = frame.metric.g
             n_speed = v @ g @ frame.nu / np.sqrt(v @ g @ v)
-            if n_speed < -grazing_tol and (not bounces or T - bounces[-1].t >= delta_min):
+            if n_speed < -GRAZING_TOL and (not bounces or T - bounces[-1].t >= DELTA_MIN):
                 w_in = v / np.sqrt(v @ g @ v)
                 bounces.append(Bounce(t=float(times[-1]), x=x.copy(), w_in=w_in,
                                       w_out=reflect(frame, w_in), grazing=False))
         except PreconditionError:
             pass
 
-    base = SampledCurve(times=times, points=np.array(pts), velocities=np.array(vels))
+    base = SampledCurve(times=times, points=pts, velocities=vels)
     return BilliardTrajectory(base=base, bounces=bounces)

@@ -60,12 +60,14 @@ class TestMetric:
                 assert np.allclose(gs[i], am.metric_tensor(model, x).g)
 
     def test_hyperplane_restriction_is_lower_model(self, rng):
-        # H = {x_dim = 0} carries the same model one dimension down
+        # H = {x_dim = 0} carries the same model one dimension down, and the
+        # mixed terms g_{i,dim} vanish on H
         for model in MODELS3:
             x = rng.uniform(-1, 1, 2)
-            g_res = am.induced_metric_on_H(model, x).g
+            g_amb = am.metric_tensor(model, [*x, 0.0]).g
             g_low = am.metric_tensor(model.restricted(), x).g
-            assert np.allclose(g_res, g_low, atol=1e-14)
+            assert np.allclose(g_amb[:-1, :-1], g_low, atol=1e-14)
+            assert np.allclose(g_amb[:-1, -1], 0.0, atol=1e-14)
 
     def test_dimension_check(self):
         with pytest.raises(InvalidInputError):

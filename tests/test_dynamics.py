@@ -218,6 +218,16 @@ class TestTableGeodesic:
             dy.integrate_table_geodesic(am.euclidean(2), np.zeros(2),
                                         np.array([2.0, 0.0]), 1.0, 1e-3)
 
+    @pytest.mark.parametrize("x0, v0", [
+        ([0.5, 0.0], [0.0, 1.0]),  # start off the boundary
+        ([1.0, 0.0], [S2, S2]),    # v0 not tangent to the boundary
+        ([1.0, 0.0], [0.0, 2.0]),  # v0 not of unit norm
+    ], ids=["off-boundary", "not-tangent", "not-unit"])
+    def test_boundary_geodesic_preconditions(self, x0, v0):
+        with pytest.raises(PreconditionError):
+            dy.integrate_boundary_geodesic(tb.disk_table(), am.euclidean(2),
+                                           np.array(x0), np.array(v0), 1.0, 1e-3)
+
 
 class TestBilliard:
     def test_diameter_orbit(self):
@@ -293,15 +303,33 @@ class TestBilliard:
             straddle[max(0, i - 2):i + 1] = True
         assert np.abs(d[~straddle] - dt).max() <= 5 * dt**2
 
-    def test_time_reversibility(self):
+    @pytest.mark.parametrize("model", [am.euclidean(2), am.hyperbolic(2), am.spherical(2)],
+                             ids=lambda m: m.kind)
+    def test_time_reversibility(self, model):
         disk = tb.disk_table()
-        m = am.euclidean(2)
         x0 = np.array([0.3, -0.2])
-        v0 = np.array([np.cos(0.7), np.sin(0.7)])
-        fwd = dy.billiard_trajectory(disk, m, x0, v0, 3.0, 1e-3)
-        back = dy.billiard_trajectory(disk, m, fwd.base.points[-1],
+        v0 = am.normalize(model, x0, np.array([np.cos(0.7), np.sin(0.7)]))
+        fwd = dy.billiard_trajectory(disk, model, x0, v0, 3.0, 1e-3)
+        back = dy.billiard_trajectory(disk, model, fwd.base.points[-1],
                                       -fwd.base.velocities[-1], 3.0, 1e-3)
         assert np.linalg.norm(back.base.points[-1] - x0) < 1e-5
+        # reflection preserves unit speed in g
+        for b in fwd.bounces + back.bounces:
+            assert abs(am.norm(model, b.x, b.w_in) - 1.0) <= 1e-9
+            assert abs(am.norm(model, b.x, b.w_out) - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize("dt", [2.0, 1e-3])
+    def test_bounce_inside_a_step_on_a_nonconvex_table(self, dt):
+        # f = 0.99 at both ends of the run, so with dt = 2 only the scan for
+        # a dip inside the step can find the crossing at x_1 = -0.1
+        tr = dy.billiard_trajectory(tb.parabola_table(), am.euclidean(2),
+                                    np.array([-1.0, 0.01]), np.array([1.0, 0.0]),
+                                    2.0, dt)
+        assert len(tr.bounces) == 1
+        b = tr.bounces[0]
+        assert b.t == pytest.approx(0.9, abs=1e-9)
+        assert np.allclose(b.x, [-0.1, 0.01], atol=1e-9)
+        assert not b.grazing
 
     def test_hyperbolic_disk_billiard(self):
         disk = tb.disk_table()
