@@ -16,6 +16,7 @@ route lives in the test suite as an independent oracle.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,9 @@ MODEL_KINDS = ("euclidean", "hyperbolic", "spherical")
 
 # Allowed roundoff slack when clamping inverse-trig arguments to their domain.
 CLAMP_SLACK = 1e-12
+
+# Output bytes of one distance_blocks block (184 rows against 11,353 columns).
+BLOCK_BYTES = 16 * 2**20
 
 
 def _check_point(x, dim: int) -> np.ndarray:
@@ -241,32 +245,39 @@ def distance_rowwise(model: AmbientModel, A: np.ndarray, B: np.ndarray) -> np.nd
     return 2.0 * np.arcsin(np.clip(half, 0.0, 1.0))
 
 
-def distance_cross(model: AmbientModel, A: np.ndarray, B: np.ndarray,
-                   chunk: int = 1024) -> np.ndarray:
-    """Full distance matrix d(A_i, B_j), computed in row chunks."""
+def distance_cross(model: AmbientModel, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Distance matrix d(A_i, B_j), clamped and transformed in place.
+
+    It allocates one len(A) x len(B) output, so large sample sets go through
+    distance_blocks instead of one call."""
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
-    out = np.empty((A.shape[0], B.shape[0]))
     if model.kind == "hyperbolic":
         A_emb = hyperboloid_embedding(A)
         B_emb = hyperboloid_embedding(B)
-        for i in range(0, A.shape[0], chunk):
-            blk = A_emb[i:i + chunk]
-            # Minkowski pairing: cosh d = -<P, Q>
-            coshd = blk[:, :-1] @ B_emb[:, :-1].T - np.outer(blk[:, -1], B_emb[:, -1])
-            out[i:i + chunk] = np.arccosh(np.maximum(-coshd, 1.0))
-        return out
+        # Minkowski pairing: cosh d = -<P, Q>
+        out = A_emb[:, :-1] @ B_emb[:, :-1].T
+        out -= np.outer(A_emb[:, -1], B_emb[:, -1])
+        np.negative(out, out=out)
+        np.maximum(out, 1.0, out=out)
+        return np.arccosh(out, out=out)
     if model.kind == "spherical":
-        A_emb = sphere_embedding(A)
-        B_emb = sphere_embedding(B)
-        for i in range(0, A.shape[0], chunk):
-            dots = A_emb[i:i + chunk] @ B_emb.T
-            out[i:i + chunk] = np.arccos(np.clip(dots, -1.0, 1.0))
-        return out
-    for i in range(0, A.shape[0], chunk):
-        diff = A[i:i + chunk, None, :] - B[None, :, :]
-        out[i:i + chunk] = np.sqrt(np.einsum("nmk,nmk->nm", diff, diff))
-    return out
+        out = sphere_embedding(A) @ sphere_embedding(B).T
+        np.clip(out, -1.0, 1.0, out=out)
+        return np.arccos(out, out=out)
+    diff = A[:, None, :] - B[None, :, :]
+    out = np.einsum("nmk,nmk->nm", diff, diff)
+    return np.sqrt(out, out=out)
+
+
+def distance_blocks(model: AmbientModel, A: np.ndarray,
+                    B: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (first row, distance_cross block) over consecutive row blocks
+    of A; each block holds at most BLOCK_BYTES (and at least one row), so
+    memory depends on the block, not on len(A) x len(B)."""
+    rows = max(1, BLOCK_BYTES // (8 * max(1, len(B))))
+    for lo in range(0, len(A), rows):
+        yield lo, distance_cross(model, A[lo:lo + rows], B)
 
 
 def rho_kappa(kappa: float, r) -> np.ndarray | float:

@@ -221,8 +221,7 @@ def _segment_project(p, a, b):
     s = np.clip((p - a) @ ab / den, 0.0, 1.0)
     return a + s * ab
 
-def curve_to_set_sup(model: AmbientModel, points, ref_points,
-                     chunk: int = 256) -> float:
+def curve_to_set_sup(model: AmbientModel, points, ref_points) -> float:
     """Sup over points of the distance to a densely sampled reference curve.
 
     Nearest reference vertex first, then projection onto the two adjacent
@@ -231,12 +230,10 @@ def curve_to_set_sup(model: AmbientModel, points, ref_points,
     P = np.asarray(points, dtype=float)
     R = np.asarray(ref_points, dtype=float)
     sup = 0.0
-    for lo in range(0, len(P), chunk):
-        blk = P[lo:lo + chunk]
-        D = ambient.distance_cross(model, blk, R)
+    for lo, D in ambient.distance_blocks(model, P, R):
         nearest = D.argmin(axis=1)
         for r, j in enumerate(nearest):
-            p = blk[r]
+            p = P[lo + r]
             best = D[r, j]
             for jj in (j - 1, j):
                 if 0 <= jj < len(R) - 1:

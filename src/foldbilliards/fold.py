@@ -412,16 +412,9 @@ class HausdorffResult:
         return self.d_max * self.lam * self.c_model
 
 
-def hausdorff_distance(fold: Fold, n_grid: int = 121,
-                       max_points: int = 200_000) -> HausdorffResult:
-    """Estimate both one-sided Hausdorff distances between the fold and
-    K n U (as subsets of the ambient model) on matching lattice grids.
-
-    The fold samples are the lifts (both signs) of the table grid, so each
-    fold point has its own footpoint among the table samples and the
-    estimates are grid-consistent.  n_grid is points per axis; the lattice
-    is centered on the patch so the center is always sampled.
-    """
+def _hausdorff_samples(fold: Fold, n_grid: int, max_points: int):
+    """Fold and table sample points of hausdorff_distance, plus f on the
+    table samples."""
     table = fold.table
     if n_grid % 2 == 0:
         n_grid += 1
@@ -444,14 +437,35 @@ def hausdorff_distance(fold: Fold, n_grid: int = 121,
         np.concatenate([tbl, z[:, None]], axis=1),
         np.concatenate([tbl[z > 0], -z[z > 0, None]], axis=1),
     ], axis=0)
+    return fold_pts, table_pts, fvals
 
-    dmat = ambient.distance_cross(fold.model, fold_pts, table_pts)
-    sup_fold = float(dmat.min(axis=1).max())
-    sup_table = float(dmat.min(axis=0).max())
+
+def hausdorff_distance(fold: Fold, n_grid: int = 121,
+                       max_points: int = 200_000) -> HausdorffResult:
+    """Estimate both one-sided Hausdorff distances between the fold and
+    K n U (as subsets of the ambient model) on matching lattice grids.
+
+    The fold samples are the lifts (both signs) of the table grid, so each
+    fold point has its own footpoint among the table samples and the
+    estimates are grid-consistent.  n_grid is points per axis; the lattice
+    is centered on the patch so the center is always sampled.
+
+    The fold samples stream through ambient.distance_blocks, keeping the
+    running max of the row minima and the running column minima, so memory
+    depends on the block size and not on the N x M sample product;
+    max_points only bounds the time.
+    """
+    fold_pts, table_pts, fvals = _hausdorff_samples(fold, n_grid, max_points)
+    sup_fold = -np.inf
+    col_min = np.full(len(table_pts), np.inf)
+    for _, dist in ambient.distance_blocks(fold.model, fold_pts, table_pts):
+        sup_fold = np.maximum(sup_fold, dist.min(axis=1).max())
+        np.minimum(col_min, dist.min(axis=0), out=col_min)
 
     gs = ambient.metric_many(fold.model, np.concatenate([fold_pts, table_pts]))
     eig_max = np.linalg.eigvalsh(gs)[:, -1].max()
     return HausdorffResult(
-        lam=fold.lam, sup_fold_to_table=sup_fold, sup_table_to_fold=sup_table,
+        lam=fold.lam, sup_fold_to_table=float(sup_fold),
+        sup_table_to_fold=float(col_min.max()),
         d_max=float(np.sqrt(fvals.max())), c_model=float(np.sqrt(eig_max)),
         n_fold_samples=len(fold_pts), n_table_samples=len(table_pts))

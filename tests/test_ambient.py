@@ -169,6 +169,18 @@ class TestDistance:
             R = am.distance_rowwise(model, A[:4], B)
             assert np.allclose(R, np.diagonal(D[:4]), atol=1e-12)
 
+    @pytest.mark.parametrize("model", MODELS3, ids=lambda m: m.kind)
+    def test_cross_clamps_in_place_without_touching_inputs(self, model, rng):
+        # self-distances push cos / cosh d across the clamp by roundoff
+        A = rng.uniform(-1.5, 1.5, (40, 3))
+        B = rng.uniform(-1.5, 1.5, (30, 3))
+        A0, B0 = A.copy(), B.copy()
+        D = am.distance_cross(model, A, A)
+        assert np.all(np.isfinite(D))
+        assert np.diagonal(D).max() <= 1e-7
+        assert np.all(np.isfinite(am.distance_cross(model, A, B)))
+        assert np.array_equal(A, A0) and np.array_equal(B, B0)
+
     def test_embeddings_land_on_models(self, rng):
         X = rng.uniform(-2, 2, (10, 3))
         S = am.sphere_embedding(X)

@@ -151,6 +151,17 @@ class TestSupDistance:
             an.sup_distance(c, short, m2)
 
 
+class TestCurveToSetSup:
+    def test_row_blocks_do_not_change_the_sup(self, m2, monkeypatch):
+        ref = arc_curve().points
+        ts = np.linspace(0.0, np.pi, 701)
+        pts = 1.1 * np.stack([np.cos(ts), np.sin(ts)], 1)
+        whole = an.curve_to_set_sup(m2, pts, ref)
+        assert whole == pytest.approx(0.1, abs=1e-6)
+        monkeypatch.setattr(am, "BLOCK_BYTES", 8 * len(ref) * 100)
+        assert an.curve_to_set_sup(m2, pts, ref) == whole
+
+
 class TestFoldConvergence:
     def test_disk_supremum_decreases_with_thickness(self, disk):
         rep = an.fold_convergence_experiment(

@@ -6,6 +6,8 @@ sphere as the disk fold at thickness 1, and the rational curvature defect of
 the spherical half-space family.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -245,3 +247,40 @@ class TestHausdorff:
             for lam in (0.4, 0.2, 0.1)]
         assert sups[0] / sups[1] == pytest.approx(2.0, rel=1e-2)
         assert sups[1] / sups[2] == pytest.approx(2.0, rel=1e-2)
+
+    @pytest.mark.parametrize("table, model", [
+        pytest.param(tb.disk_table(), am.euclidean(3), id="euclidean"),
+        pytest.param(tb.disk_table(), am.hyperbolic(3), id="hyperbolic"),
+        pytest.param(tb.spherical_halfspace_table(), am.spherical(4), id="spherical"),
+    ])
+    def test_streamed_sups_equal_the_dense_matrix(self, table, model, monkeypatch):
+        fold = fd.Fold(table, model, 0.2)
+        fold_pts, table_pts, _ = fd._hausdorff_samples(fold, 21, 200_000)
+        dense = am.distance_cross(model, fold_pts, table_pts)
+        rows = len(fold_pts) // 3 - 1
+        assert len(fold_pts) % rows != 0  # ragged last block
+        monkeypatch.setattr(am, "BLOCK_BYTES", 8 * len(table_pts) * rows)
+        blocks = []
+        cross = am.distance_cross
+
+        def counted(*args):
+            blocks.append(len(args[1]))
+            return cross(*args)
+
+        monkeypatch.setattr(am, "distance_cross", counted)
+        hd = fd.hausdorff_distance(fold, n_grid=21)
+        assert len(blocks) >= 4 and max(blocks) == rows and sum(blocks) == len(fold_pts)
+        assert hd.sup_fold_to_table == dense.min(axis=1).max()
+        assert hd.sup_table_to_fold == dense.min(axis=0).max()
+
+    def test_memory_does_not_grow_with_the_sample_product(self):
+        # the dense 22,085 x 11,353 matrix of this grid alone is 2,005,848,040 bytes
+        fold = fd.Fold(tb.spherical_halfspace_table(), am.spherical(4), 0.05)
+        tracemalloc.start()
+        try:
+            hd = fd.hausdorff_distance(fold, n_grid=41)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert hd.n_fold_samples * hd.n_table_samples * 8 == 2_005_848_040
+        assert peak < 128 * 2**20
