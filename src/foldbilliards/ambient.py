@@ -16,6 +16,7 @@ route lives in the test suite as an independent oracle.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -33,12 +34,41 @@ BLOCK_BYTES = 16 * 2**20
 
 
 def _check_point(x, dim: int) -> np.ndarray:
+    """x as a float array of points, shape (..., dim), all finite."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (dim,):
-        raise InvalidInputError(f"expected a point of dimension {dim}, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
+    if x.shape[-1:] != (dim,):
+        raise InvalidInputError(f"expected points of dimension {dim}, got shape {x.shape}")
+    if not np.isfinite(x).all():
         raise InvalidInputError("non-finite coordinates")
     return x
+
+
+def _check_single(x, dim: int) -> np.ndarray:
+    x = _check_point(x, dim)
+    if x.ndim != 1:
+        raise InvalidInputError(f"expected one point of dimension {dim}, got shape {x.shape}")
+    return x
+
+
+# Batched products over the last axes.  Stacked matmul runs the same BLAS
+# kernel per row as the 1-D ``@`` of a single point, so a batch and a loop of
+# single-point calls give bit-identical results; einsum and sum() reductions
+# do not.
+def _dot(u, v):
+    """u . v, as ``u @ v`` row by row."""
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def _form(u, a, v):
+    """u^T a v, as ``u @ a @ v`` row by row."""
+    return (u[..., None, :] @ a @ v[..., :, None])[..., 0, 0]
+
+
+@functools.cache
+def _identity(d: int) -> np.ndarray:
+    eye = np.eye(d)
+    eye.flags.writeable = False
+    return eye
 
 
 @dataclass(frozen=True)
@@ -83,7 +113,7 @@ def spherical(dim: int) -> AmbientModel:
 
 @dataclass(frozen=True)
 class MetricAt:
-    """Metric tensor and its inverse at a point, both symmetric positive."""
+    """Metric tensors and their inverses at points, both symmetric positive."""
 
     point: np.ndarray
     g: np.ndarray
@@ -91,35 +121,27 @@ class MetricAt:
 
 
 def metric_tensor(model: AmbientModel, x) -> MetricAt:
-    """Metric tensor of the model at x, with closed-form inverse."""
+    """Metric tensor of the model at the points x, shape (..., dim), with
+    closed-form inverse; g and g_inv have shape (..., dim, dim)."""
     x = _check_point(x, model.dim)
-    d = model.dim
+    eye = _identity(model.dim)
     if model.kind == "euclidean":
-        g = np.eye(d)
-        g_inv = np.eye(d)
+        g = g_inv = eye * np.ones(x.shape[:-1] + (1, 1))
     elif model.kind == "hyperbolic":
-        s = 1.0 + x @ x
-        g = np.eye(d) - np.outer(x, x) / s
-        g_inv = np.eye(d) + np.outer(x, x)
+        s = 1.0 + _dot(x, x)
+        xx = x[..., :, None] * x[..., None, :]
+        g = eye - xx / s[..., None, None]
+        g_inv = eye + xx
     else:
-        c = 4.0 / (1.0 + x @ x) ** 2
-        g = c * np.eye(d)
-        g_inv = np.eye(d) / c
+        c = (4.0 / (1.0 + _dot(x, x)) ** 2)[..., None, None]
+        g = c * eye
+        g_inv = eye / c
     return MetricAt(point=x, g=g, g_inv=g_inv)
 
 
 def metric_many(model: AmbientModel, X: np.ndarray) -> np.ndarray:
     """Metric tensors at each row of X, shape (N, dim, dim)."""
-    X = np.asarray(X, dtype=float)
-    n, d = X.shape
-    eye = np.eye(d)
-    if model.kind == "euclidean":
-        return np.broadcast_to(eye, (n, d, d)).copy()
-    r2 = np.einsum("ni,ni->n", X, X)
-    if model.kind == "hyperbolic":
-        return eye[None] - np.einsum("ni,nj->nij", X, X) / (1.0 + r2)[:, None, None]
-    c = 4.0 / (1.0 + r2) ** 2
-    return c[:, None, None] * eye[None]
+    return metric_tensor(model, X).g
 
 
 def inner(model: AmbientModel, x, u, v) -> float:
@@ -143,7 +165,8 @@ def normalize(model: AmbientModel, x, v) -> np.ndarray:
 
 
 def christoffel(model: AmbientModel, x) -> np.ndarray:
-    """Christoffel symbols Gamma[k, i, j] of the model metric at x.
+    """Christoffel symbols Gamma[..., k, i, j] of the model metric at the
+    points x, shape (..., dim).
 
     Closed forms:
       euclidean   Gamma = 0
@@ -153,14 +176,14 @@ def christoffel(model: AmbientModel, x) -> np.ndarray:
     x = _check_point(x, model.dim)
     d = model.dim
     if model.kind == "euclidean":
-        return np.zeros((d, d, d))
+        return np.zeros(x.shape + (d, d))
     if model.kind == "hyperbolic":
         g = metric_tensor(model, x).g
-        return -np.multiply.outer(x, g)
-    c = -2.0 / (1.0 + x @ x)
-    eye = np.eye(d)
-    a = np.einsum("ki,j->kij", eye, x)
-    return c * (a + a.transpose(0, 2, 1) - np.multiply.outer(x, eye))
+        return -(x[..., :, None, None] * g[..., None, :, :])
+    c = -2.0 / (1.0 + _dot(x, x))
+    eye = _identity(d)
+    a = np.einsum("ki,...j->...kij", eye, x)
+    return c[..., None, None, None] * (a + a.swapaxes(-1, -2) - x[..., :, None, None] * eye)
 
 
 def christoffel_quadratic(model: AmbientModel, x: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -206,8 +229,8 @@ def distance(model: AmbientModel, p, q) -> float:
     hyperboloid images, evaluated in the cancellation-free arcsinh form.
     Spherical: great-circle distance of the stereographic preimages.
     """
-    p = _check_point(p, model.dim)
-    q = _check_point(q, model.dim)
+    p = _check_single(p, model.dim)
+    q = _check_single(q, model.dim)
     if model.kind == "euclidean":
         return float(np.linalg.norm(p - q))
     if model.kind == "hyperbolic":
@@ -305,8 +328,8 @@ def alpha_kappa(kappa: float) -> float:
 def geodesic_between(model: AmbientModel, p, q, num: int = 33) -> np.ndarray:
     """Points of the connecting geodesic from p to q (num samples, endpoints
     included), via the totally geodesic embeddings."""
-    p = _check_point(p, model.dim)
-    q = _check_point(q, model.dim)
+    p = _check_single(p, model.dim)
+    q = _check_single(q, model.dim)
     if num < 2:
         raise InvalidInputError("need at least two samples")
     t = np.linspace(0.0, 1.0, num)

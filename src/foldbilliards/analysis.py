@@ -94,11 +94,11 @@ def _visible(model: AmbientModel, table: TableSpec, p: np.ndarray,
     if model.kind == "euclidean":
         s = np.linspace(0.0, 1.0, 11)[1:-1]
         segs = p[None, None, :] + s[None, :, None] * (pts[idx][:, None, :] - p[None, None, :])
-        vals = table.f_many(segs.reshape(-1, table.n))
+        vals = table.f(segs.reshape(-1, table.n))
         return bool(vals.min() >= -VISIBILITY_F_TOL)
     for i in idx:
         chain = ambient.geodesic_between(model, p, pts[i], num=11)
-        if table.f_many(chain[1:-1]).min() < -VISIBILITY_F_TOL:
+        if table.f(chain[1:-1]).min() < -VISIBILITY_F_TOL:
             return False
     return True
 
@@ -416,8 +416,7 @@ def fold_convergence_experiment(table: TableSpec, model: AmbientModel,
         raise PreconditionError("the 2T-ball around p0 is not contained in the patch U")
 
     scan = scan_curvature(table, model_amb, lambdas, kappa=kappa,
-                          n_grid=scan_grid, n_random_planes=scan_planes,
-                          seed=seed, workers=workers)
+                          n_grid=scan_grid, n_random_planes=scan_planes, seed=seed)
     certified = scan.verdict == "certified"
 
     # lifted initial data: vertical and horizontal directions are

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ambient
-from .ambient import AmbientModel
+from .ambient import AmbientModel, _dot, _form
 from .errors import (
     ConfigError,
     DegeneratePlaneError,
@@ -42,7 +42,9 @@ EDGE_EXCLUSION_F = 1e-6
 
 @dataclass(frozen=True)
 class Fold:
-    """The fold hypersurface of a table at a fixed thickness lam > 0."""
+    """The fold hypersurface of a table at a fixed thickness lam > 0.
+
+    F and its derivatives take points of shape (..., n + 1)."""
 
     table: TableSpec
     model: AmbientModel
@@ -54,91 +56,103 @@ class Fold:
         if self.model.dim != self.table.n + 1:
             raise InvalidInputError("ambient model dimension must be table n + 1")
 
-    def value(self, q: np.ndarray) -> float:
+    def value(self, q: np.ndarray) -> np.ndarray:
         q = np.asarray(q, dtype=float)
-        return float(q[-1] ** 2 - self.lam**2 * self.table.f(q[:-1]))
+        return q[..., -1] ** 2 - self.lam**2 * self.table.f(q[..., :-1])
 
     def euclid_grad(self, q: np.ndarray) -> np.ndarray:
         q = np.asarray(q, dtype=float)
-        out = np.empty(len(q))
-        out[:-1] = -self.lam**2 * self.table.grad_f(q[:-1])
-        out[-1] = 2.0 * q[-1]
+        out = np.empty(q.shape)
+        out[..., :-1] = -self.lam**2 * self.table.grad_f(q[..., :-1])
+        out[..., -1] = 2.0 * q[..., -1]
         return out
 
     def euclid_hess(self, q: np.ndarray) -> np.ndarray:
         q = np.asarray(q, dtype=float)
-        d = len(q)
-        out = np.zeros((d, d))
-        out[:-1, :-1] = -self.lam**2 * self.table.hess_f(q[:-1])
-        out[-1, -1] = 2.0
+        out = np.zeros(q.shape + q.shape[-1:])
+        out[..., :-1, :-1] = -self.lam**2 * self.table.hess_f(q[..., :-1])
+        out[..., -1, -1] = 2.0
         return out
 
 
 @dataclass
 class FoldPointFrame:
-    """Differential data of the fold at one of its points."""
+    """Differential data of the fold at its points q, shape (..., n+1)."""
 
     q: np.ndarray
     grad_F: np.ndarray          # ambient Riemannian gradient g^{-1} dF
-    grad_norm: float            # |grad F| in the ambient metric
+    grad_norm: np.ndarray       # |grad F| in the ambient metric
     unit_normal: np.ndarray
-    tangent_basis: np.ndarray   # (n, n+1), g-orthonormal
+    tangent_basis: np.ndarray   # (..., n, n+1), g-orthonormal
     h: np.ndarray               # second fundamental form in tangent_basis
     hessian: np.ndarray         # covariant Hessian of F (full ambient matrix)
     metric: ambient.MetricAt
+    defined: np.ndarray         # (...,) points where the frame exists
 
 
 def lift(fold: Fold, x, sign: int = 1) -> np.ndarray:
-    """Point (x, sign * lam * sqrt(f(x))) of the fold above a table point."""
+    """Points (x, sign * lam * sqrt(f(x))) of the fold above the table
+    points x, shape (..., n); every point must lie in K n U."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (fold.table.n,):
+    if x.shape[-1:] != (fold.table.n,):
         raise InvalidInputError("table point has wrong dimension")
     if sign not in (1, -1):
         raise InvalidInputError("sign must be +1 or -1")
     fx = fold.table.f(x)
-    if fx < -1e-12:
-        raise OutsideTableError(f"f(x) = {fx} < 0; no fold point above x")
-    if not fold.table.region.contains(x):
+    if np.any(fx < -1e-12):
+        raise OutsideTableError(f"f(x) = {np.min(fx)} < 0; no fold point above x")
+    if not np.all(fold.table.region.contains(x)):
         raise OutsideTableError("x lies outside the patch U")
-    return np.concatenate([x, [sign * fold.lam * np.sqrt(max(fx, 0.0))]])
+    z = sign * fold.lam * np.sqrt(np.where(fx < 0.0, 0.0, fx))
+    return np.concatenate([x, z[..., None]], axis=-1)
 
 
 def riemannian_hessian(fold: Fold, q: np.ndarray) -> np.ndarray:
-    """Covariant Hessian of F at q: D^2F_ij - Gamma^k_ij dF_k."""
+    """Covariant Hessian of F at the points q: D^2F_ij - Gamma^k_ij dF_k."""
     df = fold.euclid_grad(q)
     hess = fold.euclid_hess(q)
     if fold.model.kind == "euclidean":
         return hess
     gamma = ambient.christoffel(fold.model, q)
-    return hess - np.einsum("k,kij->ij", df, gamma)
+    return hess - np.einsum("...k,...kij->...ij", df, gamma)
 
 
 def frame_at(fold: Fold, q) -> FoldPointFrame:
-    """Normal/tangent frame and second fundamental form of the fold at q."""
+    """Normal/tangent frame and second fundamental form of the fold at the
+    points q, shape (..., n+1).
+
+    The frame exists where q is on the fold, dF does not vanish and the
+    coordinate axes span the tangent space; ``defined`` marks those points
+    and the other rows hold no meaningful values.  For a single point
+    where the frame does not exist it raises instead.
+    """
     q = np.asarray(q, dtype=float)
-    if q.shape != (fold.model.dim,):
+    if q.shape[-1:] != (fold.model.dim,):
         raise InvalidInputError("fold point has wrong dimension")
-    if abs(fold.value(q)) > ON_FOLD_TOL:
-        raise PreconditionError(f"q is not on the fold: F(q) = {fold.value(q)}")
+    value = fold.value(q)
     df = fold.euclid_grad(q)
-    if np.linalg.norm(df) < SINGULAR_GRAD_TOL:
-        raise SingularPointError("defining gradient vanishes at q")
+    off_fold = np.abs(value) > ON_FOLD_TOL
+    singular = np.sqrt(_dot(df, df)) < SINGULAR_GRAD_TOL
     metric = ambient.metric_tensor(fold.model, q)
-    grad_F = metric.g_inv @ df
-    grad_norm2 = float(df @ grad_F)
-    grad_norm = float(np.sqrt(grad_norm2))
-    unit_normal = grad_F / grad_norm
-
+    grad_F = (metric.g_inv @ df[..., None])[..., 0]
+    grad_norm = np.sqrt(_dot(df, grad_F))
     hess = riemannian_hessian(fold, q)
-
-    tangent = _orthonormal_complement(metric.g, unit_normal, grad_F)
-    if tangent is None:
-        raise SingularPointError("could not build a tangent basis")
-    h = tangent @ hess @ tangent.T / grad_norm
-    h = 0.5 * (h + h.T)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        unit_normal = grad_F / grad_norm[..., None]
+        tangent, spanned = _orthonormal_complement(metric.g, unit_normal, grad_F)
+        h = tangent @ hess @ tangent.swapaxes(-1, -2) / grad_norm[..., None, None]
+    h = 0.5 * (h + h.swapaxes(-1, -2))
+    if q.ndim == 1:
+        if off_fold:
+            raise PreconditionError(f"q is not on the fold: F(q) = {value}")
+        if singular:
+            raise SingularPointError("defining gradient vanishes at q")
+        if not spanned:
+            raise SingularPointError("could not build a tangent basis")
     return FoldPointFrame(q=q, grad_F=grad_F, grad_norm=grad_norm,
                           unit_normal=unit_normal, tangent_basis=tangent,
-                          h=h, hessian=hess, metric=metric)
+                          h=h, hessian=hess, metric=metric,
+                          defined=~off_fold & ~singular & spanned)
 
 
 def second_fundamental_form(fold: Fold, q, v, w) -> float:
@@ -147,20 +161,20 @@ def second_fundamental_form(fold: Fold, q, v, w) -> float:
     return float(np.asarray(v) @ frame.hessian @ np.asarray(w) / frame.grad_norm)
 
 
-def _sectional_from_frame(frame: FoldPointFrame, kappa_ambient: float,
-                          v: np.ndarray, w: np.ndarray) -> float:
-    g = frame.metric.g
-    gvv = v @ g @ v
-    gww = w @ g @ w
-    gvw = v @ g @ w
+def _gauss_equation(g, hessian, grad_norm, kappa_ambient: float, v, w):
+    """Sectional curvatures of the planes span{v, w}, shape (..., d), and
+    their Gram determinants; g, hessian and grad_norm broadcast against
+    them."""
+    gvv = _form(v, g, v)
+    gww = _form(w, g, w)
+    gvw = _form(v, g, w)
     gram = gvv * gww - gvw * gvw
-    if gram < 1e-12:
-        raise DegeneratePlaneError("tangent vectors do not span a 2-plane")
-    hv = frame.hessian @ v
-    hvv = (v @ hv) / frame.grad_norm
-    hvw = (w @ hv) / frame.grad_norm
-    hww = (w @ frame.hessian @ w) / frame.grad_norm
-    return float(kappa_ambient + (hvv * hww - hvw * hvw) / gram)
+    hv = (hessian @ v[..., None])[..., 0]
+    hvv = _dot(v, hv) / grad_norm
+    hvw = _dot(w, hv) / grad_norm
+    hww = _form(w, hessian, w) / grad_norm
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return kappa_ambient + (hvv * hww - hvw * hvw) / gram, gram
 
 
 def sectional_curvature(fold: Fold, q, v, w) -> float:
@@ -177,7 +191,11 @@ def sectional_curvature(fold: Fold, q, v, w) -> float:
         scale = max(1.0, float(np.linalg.norm(vec)))
         if abs(df @ vec) > 1e-8 * scale * max(1.0, frame.grad_norm):
             raise PreconditionError(f"{label} is not tangent to the fold")
-    return _sectional_from_frame(frame, fold.model.kappa, v, w)
+    sec, gram = _gauss_equation(frame.metric.g, frame.hessian, frame.grad_norm,
+                                fold.model.kappa, v, w)
+    if gram < 1e-12:
+        raise DegeneratePlaneError("tangent vectors do not span a 2-plane")
+    return float(sec)
 
 
 @dataclass
@@ -231,7 +249,7 @@ def sample_table_points(table: TableSpec, n_grid: int, seed: int = 0,
     r = table.region.radius
     axes = [np.linspace(ci - r, ci + r, n_grid) for ci in c]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, table.n)
-    keep = table.region.contains_many(mesh) & (table.f_many(mesh) > EDGE_EXCLUSION_F)
+    keep = table.region.contains_many(mesh) & (table.f(mesh) > EDGE_EXCLUSION_F)
     pts = [mesh[keep]]
 
     from .table import sample_boundary_points
@@ -240,19 +258,13 @@ def sample_table_points(table: TableSpec, n_grid: int, seed: int = 0,
                                       n_boundary, seed=seed)
     except ConfigError:
         bpts = np.empty((0, table.n))
-    near = []
-    for x0 in bpts:
-        df = table.grad_f(x0)
-        nrm = np.linalg.norm(df)
-        if nrm < 1e-10:
-            continue
-        d = df / nrm
-        for off in edge_offsets:
-            x = x0 + off * d
-            if table.region.contains(x) and table.f(x) > EDGE_EXCLUSION_F:
-                near.append(x)
-    if near:
-        pts.append(np.array(near))
+    df = table.grad_f(bpts)
+    nrm = np.sqrt(_dot(df, df))
+    regular = ~(nrm < 1e-10)
+    steps = df[regular] / nrm[regular, None]
+    near = (bpts[regular, None, :]
+            + np.asarray(edge_offsets)[:, None] * steps[:, None, :]).reshape(-1, table.n)
+    pts.append(near[table.region.contains(near) & (table.f(near) > EDGE_EXCLUSION_F)])
     out = np.concatenate(pts, axis=0)
     if len(out) == 0:
         raise ConfigError("no sample points found in K n U")
@@ -261,57 +273,57 @@ def sample_table_points(table: TableSpec, n_grid: int, seed: int = 0,
 
 def _scan_one_lambda(fold: Fold, points: np.ndarray, n_random_planes: int,
                      seed: int) -> tuple[float, np.ndarray | None, np.ndarray | None, int, int]:
+    """Minimum sampled sectional curvature of one fold, its point and plane,
+    and the counts of evaluated and skipped samples.
+
+    Frames run over (point, sheet) in order, the lower sheet only away from
+    the pinch.  Each frame tests its tangent basis pairs, then random
+    g-orthonormal pairs drawn in frame order; the first minimum wins."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, int(1e6 * fold.lam)]))
-    best = np.inf
-    best_q = None
-    best_plane = None
-    n_eval = 0
-    n_skip = 0
-    kap = fold.model.kappa
     n = fold.table.n
-    for x in points:
-        for sign in (1, -1):
-            if sign == -1 and fold.table.f(x) <= EDGE_EXCLUSION_F:
-                continue
-            try:
-                q = lift(fold, x, sign)
-                frame = frame_at(fold, q)
-            except (OutsideTableError, SingularPointError, PreconditionError):
-                n_skip += 1
-                continue
-            planes = []
-            for i in range(n):
-                for j in range(i + 1, n):
-                    planes.append((frame.tangent_basis[i], frame.tangent_basis[j]))
-            g = frame.metric.g
-            for _ in range(n_random_planes):
-                # random planes as g-orthonormal pairs: near-parallel spans
-                # amplify roundoff in the Gauss-equation numerator
-                a = rng.normal(size=n) @ frame.tangent_basis
-                a = a / np.sqrt(a @ g @ a)
-                b = rng.normal(size=n) @ frame.tangent_basis
-                b = b - (b @ g @ a) * a
-                nb = np.sqrt(b @ g @ b)
-                if nb < 1e-8:
-                    continue
-                planes.append((a, b / nb))
-            for v, w in planes:
-                try:
-                    sec = _sectional_from_frame(frame, kap, v, w)
-                except DegeneratePlaneError:
-                    n_skip += 1
-                    continue
-                n_eval += 1
-                if sec < best:
-                    best = sec
-                    best_q = q
-                    best_plane = np.array([v, w])
-    return best, best_q, best_plane, n_eval, n_skip
+    lower = ~(fold.table.f(points) <= EDGE_EXCLUSION_F)
+    sheets = np.stack([np.ones(len(points), dtype=bool), lower], axis=1)
+    q = np.stack([lift(fold, points, 1), lift(fold, points, -1)], axis=1)[sheets]
+    frame = frame_at(fold, q)
+    ok = frame.defined
+    n_skip = int(np.count_nonzero(~ok))
+    q = q[ok]
+    tangent = frame.tangent_basis[ok]
+    g = frame.metric.g[ok][:, None]
+    hessian = frame.hessian[ok][:, None]
+    grad_norm = frame.grad_norm[ok][:, None]
+
+    # random planes as g-orthonormal pairs: near-parallel spans amplify
+    # roundoff in the Gauss-equation numerator
+    normals = rng.normal(size=(len(q), n_random_planes, 2, n))
+    draws = (normals[..., None, :] @ tangent[:, None, None])[..., 0, :]
+    a, b = draws[:, :, 0], draws[:, :, 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = a / np.sqrt(_form(a, g, a))[..., None]
+        b = b - _form(b, g, a)[..., None] * a
+        nb = np.sqrt(_form(b, g, b))
+        b = b / nb[..., None]
+    i, j = np.triu_indices(n, 1)
+    v = np.concatenate([tangent[:, i], a], axis=1)
+    w = np.concatenate([tangent[:, j], b], axis=1)
+    planes = np.concatenate([np.ones((len(q), len(i)), dtype=bool), ~(nb < 1e-8)], axis=1)
+
+    sec, gram = _gauss_equation(g, hessian, grad_norm, fold.model.kappa, v, w)
+    flat = gram < 1e-12
+    n_skip += int(np.count_nonzero(planes & flat))
+    evaluated = planes & ~flat
+    n_eval = int(np.count_nonzero(evaluated))
+    sec = np.where(evaluated & ~np.isnan(sec), sec, np.inf)
+    best = float(sec.min(initial=np.inf))
+    if not best < np.inf:
+        return best, None, None, n_eval, n_skip
+    k, p = np.unravel_index(np.argmin(sec), sec.shape)
+    return best, q[k], np.array([v[k, p], w[k, p]]), n_eval, n_skip
 
 
 def scan_curvature(table: TableSpec, model: AmbientModel, lambdas, kappa: float,
                    n_grid: int = 24, n_random_planes: int = 8, seed: int = 0,
-                   tol: float = 1e-6, workers: int = 1) -> CurvatureScanReport:
+                   tol: float = 1e-6) -> CurvatureScanReport:
     """Sample sectional curvatures of the folds at each lam and compare the
     minimum against the declared lower bound kappa.
 
@@ -319,19 +331,14 @@ def scan_curvature(table: TableSpec, model: AmbientModel, lambdas, kappa: float,
     "violated" when some sample dips below, "inconclusive" when any fold
     produced no valid sample.  Certification is sampled evidence over the
     interior of K n U; behavior at the edge dU is reported as unverified.
+    Each lam is one batch: all its frames and planes are evaluated at once.
     """
     lambdas = [float(l) for l in lambdas]
     if not lambdas or any(l <= 0 for l in lambdas):
         raise ConfigError("lambda grid must be nonempty and positive")
     points = sample_table_points(table, n_grid, seed=seed)
-    folds = [Fold(table, model, l) for l in lambdas]
-    jobs = [(f, points, n_random_planes, seed) for f in folds]
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(_scan_one_lambda_star, jobs))
-    else:
-        results = [_scan_one_lambda(*j) for j in jobs]
+    results = [_scan_one_lambda(Fold(table, model, l), points, n_random_planes, seed)
+               for l in lambdas]
 
     mins = [r[0] for r in results]
     n_samples = sum(r[3] for r in results)
@@ -356,10 +363,6 @@ def scan_curvature(table: TableSpec, model: AmbientModel, lambdas, kappa: float,
         n_samples=n_samples, n_skipped=n_skipped, verdict=verdict)
 
 
-def _scan_one_lambda_star(args):
-    return _scan_one_lambda(*args)
-
-
 @dataclass
 class SufficientConditionReport:
     """Outcome of the closed-form lower-bound conditions on f."""
@@ -380,12 +383,8 @@ def check_h_sufficient_conditions(table: TableSpec, model: AmbientModel,
     if model.kind == "spherical":
         raise PreconditionError("no closed-form sufficient condition for the spherical model")
     pts = sample_table_points(table, n_grid, seed=seed)
-    max_eig = -np.inf
-    min_defect = np.inf
-    for x in pts:
-        eigs = np.linalg.eigvalsh(table.hess_f(x))
-        max_eig = max(max_eig, float(eigs[-1]))
-        min_defect = min(min_defect, float(2.0 * table.f(x) - x @ table.grad_f(x)))
+    max_eig = float(np.linalg.eigvalsh(table.hess_f(pts))[:, -1].max())
+    min_defect = float((2.0 * table.f(pts) - _dot(pts, table.grad_f(pts))).min())
     hess_ok = max_eig <= 1e-9
     defect_ok = min_defect >= -1e-9
     passed = hess_ok and (defect_ok if model.kind == "hyperbolic" else True)
@@ -426,11 +425,11 @@ def _hausdorff_samples(fold: Fold, n_grid: int, max_points: int):
     r = table.region.radius
     axes = [np.linspace(ci - r, ci + r, n_grid) for ci in c]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, table.n)
-    keep = table.region.contains_many(mesh) & (table.f_many(mesh) >= 0.0)
+    keep = table.region.contains_many(mesh) & (table.f(mesh) >= 0.0)
     tbl = mesh[keep]
     if len(tbl) == 0:
         raise ConfigError("empty table sample; patch and table do not intersect")
-    fvals = table.f_many(tbl)
+    fvals = table.f(tbl)
     z = fold.lam * np.sqrt(np.maximum(fvals, 0.0))
     table_pts = np.concatenate([tbl, np.zeros((len(tbl), 1))], axis=1)
     fold_pts = np.concatenate([

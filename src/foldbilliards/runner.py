@@ -76,8 +76,7 @@ def _given(p: dict, *keys) -> dict:
 
 
 def _run_scan(cfg: ExperimentConfig, out_dir: Path):
-    rep = scan_curvature(cfg.table, cfg.model, seed=cfg.seed, workers=cfg.workers,
-                         **cfg.parameters)
+    rep = scan_curvature(cfg.table, cfg.model, seed=cfg.seed, **cfg.parameters)
     rows = list(zip(rep.lambdas, rep.min_sec_per_lambda))
     return rep.verdict, True, rep.to_dict(), ("lambda", "min_sec"), rows, []
 

@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from . import ambient
-from .ambient import AmbientModel
+from .ambient import AmbientModel, _dot, _form, _identity
 from .errors import (
     ConfigError,
     DegenerateBoundaryError,
@@ -34,9 +34,13 @@ CONE_TOL = 1e-10
 
 
 class Shape:
-    """Defining function f of a table, with analytic derivatives."""
+    """Defining function f of a table, with analytic derivatives.
 
-    def f(self, x: np.ndarray) -> float:
+    f, grad and hess take a float array of points, shape (..., n), and
+    return shapes (...), (..., n) and (..., n, n); a single point and a
+    batch run the same arithmetic."""
+
+    def f(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def grad(self, x: np.ndarray) -> np.ndarray:
@@ -46,7 +50,7 @@ class Shape:
         raise NotImplementedError
 
     def f_many(self, X: np.ndarray) -> np.ndarray:
-        return np.array([self.f(x) for x in np.atleast_2d(X)])
+        return self.f(X)
 
 
 @dataclass(frozen=True)
@@ -54,17 +58,13 @@ class DiskShape(Shape):
     """f(x) = 1 - |x|^2, the closed unit ball of H."""
 
     def f(self, x):
-        return 1.0 - float(x @ x)
+        return 1.0 - _dot(x, x)
 
     def grad(self, x):
-        return -2.0 * np.asarray(x, dtype=float)
+        return -2.0 * x
 
     def hess(self, x):
-        return -2.0 * np.eye(len(x))
-
-    def f_many(self, X):
-        X = np.atleast_2d(X)
-        return 1.0 - np.einsum("ni,ni->n", X, X)
+        return -2.0 * _identity(x.shape[-1]) * np.ones(x.shape[:-1] + (1, 1))
 
 
 @dataclass(frozen=True)
@@ -72,18 +72,15 @@ class HalfSpaceShape(Shape):
     """f(x) = x_1."""
 
     def f(self, x):
-        return float(x[0])
+        return x[..., 0].copy()
 
     def grad(self, x):
-        g = np.zeros(len(x))
-        g[0] = 1.0
+        g = np.zeros(x.shape)
+        g[..., 0] = 1.0
         return g
 
     def hess(self, x):
-        return np.zeros((len(x), len(x)))
-
-    def f_many(self, X):
-        return np.atleast_2d(X)[:, 0].astype(float)
+        return np.zeros(x.shape + x.shape[-1:])
 
 
 @dataclass(frozen=True)
@@ -91,76 +88,55 @@ class ParabolaComplementShape(Shape):
     """f(x) = x_1^2 - x_2, the complement of an open parabolic region."""
 
     def f(self, x):
-        return float(x[0] * x[0] - x[1])
+        return x[..., 0] * x[..., 0] - x[..., 1]
 
     def grad(self, x):
-        g = np.zeros(len(x))
-        g[0] = 2.0 * x[0]
-        g[1] = -1.0
+        g = np.zeros(x.shape)
+        g[..., 0] = 2.0 * x[..., 0]
+        g[..., 1] = -1.0
         return g
 
     def hess(self, x):
-        h = np.zeros((len(x), len(x)))
-        h[0, 0] = 2.0
+        h = np.zeros(x.shape + x.shape[-1:])
+        h[..., 0, 0] = 2.0
         return h
-
-    def f_many(self, X):
-        X = np.atleast_2d(X)
-        return X[:, 0] ** 2 - X[:, 1]
 
 
 @dataclass(frozen=True)
 class PolynomialShape(Shape):
-    """f as a finite sum of monomials: terms ((e_1, ..., e_n), coeff)."""
+    """f as a finite sum of monomials: terms ((e_1, ..., e_n), coeff).
+
+    The derivatives are monomial sums too: d/dx_i of c x^e is c e_i
+    x^(e - 1_i), and d2/dx_i dx_j is c e_i (e_j - delta_ij) x^(e - 1_i - 1_j).
+    Exponents that would go negative belong to zero coefficients and are
+    clipped to 0, so x = 0 stays finite."""
 
     terms: tuple[tuple[tuple[int, ...], float], ...]
 
+    def __post_init__(self):
+        exps = np.array([e for e, _ in self.terms], dtype=int)
+        if exps.ndim != 2 or exps.size == 0:
+            raise InvalidInputError("a polynomial needs terms with one exponent per coordinate")
+        coef = np.array([c for _, c in self.terms], dtype=float)
+        eye = np.eye(exps.shape[1], dtype=int)
+        d1 = exps[:, None, :] - eye            # [term, i] = e - 1_i
+        d2 = d1[:, :, None, :] - eye           # [term, i, j] = e - 1_i - 1_j
+        c1 = coef[:, None] * exps              # c e_i
+        c2 = c1[:, :, None] * d1               # c e_i (e_j - delta_ij)
+        for name, value in (("_exps", exps), ("_coef", coef), ("_c1", c1), ("_c2", c2),
+                            ("_d1", np.maximum(d1, 0)), ("_d2", np.maximum(d2, 0))):
+            object.__setattr__(self, name, value)
+
     def f(self, x):
-        return float(sum(c * np.prod(np.asarray(x, dtype=float) ** np.array(e))
-                         for e, c in self.terms))
+        return sum(c * np.prod(x ** e, axis=-1) for e, c in zip(self._exps, self._coef))
 
     def grad(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(len(x))
-        for e, c in self.terms:
-            for i, ei in enumerate(e):
-                if ei == 0:
-                    continue
-                mono = c * ei
-                for j, ej in enumerate(e):
-                    p = ej - 1 if j == i else ej
-                    mono *= x[j] ** p
-                out[i] += mono
-        return out
+        mono = np.prod(x[..., None, None, :] ** self._d1, axis=-1)
+        return (self._c1 * mono).sum(axis=-2)
 
     def hess(self, x):
-        x = np.asarray(x, dtype=float)
-        n = len(x)
-        out = np.zeros((n, n))
-        for e, c in self.terms:
-            for i in range(n):
-                for j in range(n):
-                    ei = e[i] - (1 if i == j else 0)
-                    if e[i] == 0 or (i == j and e[i] < 2) or e[j] == 0:
-                        continue
-                    factor = c * e[i] * (e[i] - 1 if i == j else e[j])
-                    mono = factor
-                    for k, ek in enumerate(e):
-                        p = ek
-                        if k == i:
-                            p -= 1
-                        if k == j:
-                            p -= 1
-                        mono *= x[k] ** p
-                    out[i, j] += mono
-        return out
-
-    def f_many(self, X):
-        X = np.atleast_2d(X)
-        out = np.zeros(X.shape[0])
-        for e, c in self.terms:
-            out += c * np.prod(X ** np.array(e)[None, :], axis=1)
-        return out
+        mono = np.prod(x[..., None, None, None, :] ** self._d2, axis=-1)
+        return (self._c2 * mono).sum(axis=-3)
 
 
 @dataclass(frozen=True)
@@ -172,19 +148,18 @@ class Region:
     radius: float
     constraints: tuple[tuple[PolynomialShape, float, float], ...] = ()
 
-    def contains(self, x) -> bool:
+    def contains(self, x) -> np.ndarray:
+        """Whether the points x, shape (..., n), lie in U; a point with a
+        non-finite coordinate never does."""
         x = np.asarray(x, dtype=float)
-        if np.linalg.norm(x - np.asarray(self.center)) >= self.radius:
-            return False
-        return all(lo < poly.f(x) < hi for poly, lo, hi in self.constraints)
-
-    def contains_many(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(X)
-        ok = np.linalg.norm(X - np.asarray(self.center)[None], axis=1) < self.radius
+        r = x - np.asarray(self.center)
+        ok = np.sqrt(_dot(r, r)) < self.radius
         for poly, lo, hi in self.constraints:
-            vals = poly.f_many(X)
-            ok &= (vals > lo) & (vals < hi)
+            val = poly.f(x)
+            ok = ok & (lo < val) & (val < hi)
         return ok
+
+    contains_many = contains
 
 
 @dataclass(frozen=True)
@@ -212,7 +187,8 @@ class TableSpec:
     def p0_array(self) -> np.ndarray:
         return np.asarray(self.p0, dtype=float)
 
-    def f(self, x) -> float:
+    def f(self, x) -> np.ndarray:
+        """f at the points x, shape (..., n); a float for one point."""
         return self.shape.f(np.asarray(x, dtype=float))
 
     def grad_f(self, x) -> np.ndarray:
@@ -220,9 +196,6 @@ class TableSpec:
 
     def hess_f(self, x) -> np.ndarray:
         return self.shape.hess(np.asarray(x, dtype=float))
-
-    def f_many(self, X) -> np.ndarray:
-        return self.shape.f_many(np.asarray(X, dtype=float))
 
 
 def disk_table(n: int = 2, radius_U: float = 2.5) -> TableSpec:
@@ -306,31 +279,33 @@ def model_on_table(table: TableSpec, model: AmbientModel) -> AmbientModel:
 
 
 def _orthonormal_complement(g: np.ndarray, normal: np.ndarray,
-                            alignment: np.ndarray) -> np.ndarray | None:
-    """g-orthonormal basis (rows) of the g-complement of the unit normal.
+                            alignment: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """g-orthonormal bases (rows, shape (..., d - 1, d)) of the g-complements
+    of unit normals, and whether the coordinate axes spanned each one.
 
-    Gram-Schmidt in g over the coordinate axes, taken in increasing order of
-    |alignment| (a vector or covector along the normal), so the basis is
-    deterministic.  None when the axes do not span the complement.
+    Gram-Schmidt in g over the axes, taken in increasing order of
+    |alignment| (a vector or covector along the normal), so each basis is
+    deterministic; an axis whose remainder has g-norm below 1e-10 is skipped.
     """
-    d = len(normal)
-    basis = []
-    order = np.argsort(np.abs(alignment) / np.linalg.norm(alignment))
-    for idx in order:
-        v = np.zeros(d)
-        v[idx] = 1.0
-        v = v - (v @ g @ normal) * normal
-        for b in basis:
-            v = v - (v @ g @ b) * b
-        nrm = np.sqrt(max(v @ g @ v, 0.0))
-        if nrm < 1e-10:
-            continue
-        basis.append(v / nrm)
-        if len(basis) == d - 1:
-            break
-    if len(basis) != d - 1:
-        return None
-    return np.array(basis)
+    batch, d = normal.shape[:-1], normal.shape[-1]
+    g = g.reshape(-1, d, d)
+    normal = normal.reshape(-1, d)
+    a = np.abs(alignment.reshape(-1, d))
+    order = np.argsort(a / np.sqrt(_dot(a, a))[:, None], axis=-1)
+    basis = np.zeros((len(normal), d - 1, d))
+    count = np.zeros(len(normal), dtype=int)
+    rows = np.arange(len(normal))
+    for axis in order.T:
+        v = _identity(d)[axis]
+        v = v - _form(v, g, normal)[:, None] * normal
+        for k in range(d - 1):
+            b = basis[:, k]
+            v = np.where((k < count)[:, None], v - _form(v, g, b)[:, None] * b, v)
+        nrm = np.sqrt(np.maximum(_form(v, g, v), 0.0))
+        take = ~(nrm < 1e-10) & (count < d - 1)
+        basis[rows[take], count[take]] = v[take] / nrm[take, None]
+        count += take
+    return basis.reshape(batch + (d - 1, d)), (count == d - 1).reshape(batch)
 
 
 def boundary_frame(table: TableSpec, model: AmbientModel, x0) -> BoundaryFrame:
@@ -352,8 +327,8 @@ def boundary_frame(table: TableSpec, model: AmbientModel, x0) -> BoundaryFrame:
     metric = ambient.metric_tensor(model_on_table(table, model), x0)
     nu = metric.g_inv @ df
     nu = nu / np.sqrt(nu @ metric.g @ nu)
-    basis = _orthonormal_complement(metric.g, nu, df)
-    if basis is None:
+    basis, spanned = _orthonormal_complement(metric.g, nu, df)
+    if not spanned:
         raise DegenerateBoundaryError("could not build a tangent basis")
     return BoundaryFrame(x0=x0, nu=nu, tangent_basis=basis, metric=metric)
 

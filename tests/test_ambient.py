@@ -57,7 +57,18 @@ class TestMetric:
         for model in MODELS3:
             gs = am.metric_many(model, X)
             for i, x in enumerate(X):
-                assert np.allclose(gs[i], am.metric_tensor(model, x).g)
+                assert (gs[i] == am.metric_tensor(model, x).g).all()
+
+    @pytest.mark.parametrize("model", MODELS3, ids=lambda m: m.kind)
+    def test_batch_equals_rows(self, model):
+        X = np.random.default_rng(1).uniform(-1.5, 1.5, (50, 3))
+        for fn in (lambda x: am.metric_tensor(model, x).g,
+                   lambda x: am.metric_tensor(model, x).g_inv,
+                   lambda x: am.christoffel(model, x)):
+            assert (fn(X) == np.array([fn(x) for x in X])).all()
+            assert (fn(X[:1])[0] == fn(X[0])).all()
+        assert (am.metric_many(model, X[:1])[0] == am.metric_tensor(model, X[0]).g).all()
+        assert am.metric_tensor(model, X.reshape(5, 10, 3)).g.shape == (5, 10, 3, 3)
 
     def test_hyperplane_restriction_is_lower_model(self, rng):
         # H = {x_dim = 0} carries the same model one dimension down, and the
@@ -72,6 +83,10 @@ class TestMetric:
     def test_dimension_check(self):
         with pytest.raises(InvalidInputError):
             am.metric_tensor(am.euclidean(3), [1.0, 2.0])
+        with pytest.raises(InvalidInputError):
+            am.metric_tensor(am.euclidean(3), [[0.0, 0.0, 0.0], [np.nan, 0.0, 0.0]])
+        with pytest.raises(InvalidInputError):
+            am.distance(am.euclidean(3), np.zeros((2, 3)), np.ones((2, 3)))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidInputError):

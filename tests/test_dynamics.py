@@ -286,7 +286,7 @@ class TestBilliard:
         tr = dy.billiard_trajectory(disk, am.euclidean(2), np.array([0.3, -0.2]),
                                     np.array([np.cos(0.7), np.sin(0.7)]),
                                     5.0, 1e-3)
-        fvals = disk.f_many(tr.base.points)
+        fvals = disk.f(tr.base.points)
         assert fvals.min() >= -1e-9
 
     def test_consecutive_distance_on_smooth_spans(self):

@@ -17,7 +17,7 @@ from foldbilliards import fold as fd
 from foldbilliards import table as tb
 from foldbilliards.errors import (ConfigError, DegeneratePlaneError,
                                   InvalidInputError, OutsideTableError,
-                                  PreconditionError)
+                                  PreconditionError, SingularPointError)
 
 
 def xi_defect(lam, x):
@@ -71,6 +71,35 @@ class TestFoldBasics:
             # tangent vectors annihilate dF
             dF = f.euclid_grad(q)
             assert np.abs(fr.tangent_basis @ dF).max() < 1e-9
+
+
+    @pytest.mark.parametrize("table, model", [
+        pytest.param(tb.disk_table(), am.euclidean(3), id="disk-euclidean"),
+        pytest.param(tb.disk_table(), am.hyperbolic(3), id="disk-hyperbolic"),
+        pytest.param(tb.parabola_table(), am.euclidean(3), id="parabola-euclidean"),
+        pytest.param(tb.spherical_halfspace_table(), am.spherical(4), id="spherical-halfspace"),
+    ])
+    def test_batch_equals_rows(self, table, model):
+        f = fd.Fold(table, model, 0.3)
+        pts = fd.sample_table_points(table, 12)
+        X = pts[np.random.default_rng(1).choice(len(pts), 50, replace=False)]
+        for sign in (1, -1):
+            Q = fd.lift(f, X, sign)
+            assert (Q == np.array([fd.lift(f, x, sign) for x in X])).all()
+        fr = fd.frame_at(f, Q)
+        assert fr.defined.all()
+        rows = [fd.frame_at(f, q) for q in Q]
+        one = fd.frame_at(f, Q[:1])
+        for name in ("tangent_basis", "h", "hessian", "grad_norm"):
+            assert (getattr(fr, name) == np.array([getattr(r, name) for r in rows])).all()
+            assert (getattr(one, name)[0] == getattr(rows[0], name)).all()
+
+    def test_batch_frame_marks_points_off_the_fold(self):
+        f = fd.Fold(tb.disk_table(), am.euclidean(3), 0.5)
+        Q = np.array([fd.lift(f, [0.6, 0.0]), [0.0, 0.0, 0.3], fd.lift(f, [0.0, 0.2], -1)])
+        assert fd.frame_at(f, Q).defined.tolist() == [True, False, True]
+        with pytest.raises(OutsideTableError):
+            fd.lift(f, [[0.6, 0.0], [1.5, 0.0]])
 
 
 class TestCurvatureOracles:
@@ -157,7 +186,77 @@ class TestCurvatureOracles:
             assert fd.sectional_curvature(f, q, vj, vk) >= 1.0 - 1e-9
 
 
+def _reference_scan_one_lambda(fold, points, n_random_planes, seed):
+    """Point-by-point scan loop, kept as the reference for the batched scan."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, int(1e6 * fold.lam)]))
+    best, best_q, best_plane, n_eval, n_skip = np.inf, None, None, 0, 0
+    n = fold.table.n
+    for x in points:
+        for sign in (1, -1):
+            if sign == -1 and fold.table.f(x) <= fd.EDGE_EXCLUSION_F:
+                continue
+            try:
+                q = fd.lift(fold, x, sign)
+                frame = fd.frame_at(fold, q)
+            except (OutsideTableError, SingularPointError, PreconditionError):
+                n_skip += 1
+                continue
+            planes = [(frame.tangent_basis[i], frame.tangent_basis[j])
+                      for i in range(n) for j in range(i + 1, n)]
+            g = frame.metric.g
+            for _ in range(n_random_planes):
+                a = rng.normal(size=n) @ frame.tangent_basis
+                a = a / np.sqrt(a @ g @ a)
+                b = rng.normal(size=n) @ frame.tangent_basis
+                b = b - (b @ g @ a) * a
+                nb = np.sqrt(b @ g @ b)
+                if nb < 1e-8:
+                    continue
+                planes.append((a, b / nb))
+            for v, w in planes:
+                gram = (v @ g @ v) * (w @ g @ w) - (v @ g @ w) ** 2
+                if gram < 1e-12:
+                    n_skip += 1
+                    continue
+                hv = frame.hessian @ v
+                hvv = (v @ hv) / frame.grad_norm
+                hvw = (w @ hv) / frame.grad_norm
+                hww = (w @ frame.hessian @ w) / frame.grad_norm
+                sec = float(fold.model.kappa + (hvv * hww - hvw * hvw) / gram)
+                n_eval += 1
+                if sec < best:
+                    best, best_q, best_plane = sec, q, np.array([v, w])
+    return best, best_q, best_plane, n_eval, n_skip
+
+
 class TestScan:
+    @pytest.mark.parametrize("table, model, lambdas", [
+        pytest.param(tb.disk_table(), am.euclidean(3), [0.5, 0.2, 1e-9, 1e-11],
+                     id="disk-euclidean"),
+        pytest.param(tb.disk_table(), am.hyperbolic(3), [0.5, 0.05], id="disk-hyperbolic"),
+        pytest.param(tb.parabola_table(), am.euclidean(3), [0.3, 0.1], id="parabola-euclidean"),
+        pytest.param(tb.spherical_halfspace_table(), am.spherical(4), [0.5, 0.1],
+                     id="spherical-halfspace"),
+    ])
+    def test_batched_scan_equals_the_reference_loop(self, table, model, lambdas):
+        # dF is singular on most frames at lambda = 1e-9 and on all at 1e-11,
+        # so those frames are skipped
+        rep = fd.scan_curvature(table, model, lambdas, 0.0, n_grid=8, n_random_planes=4)
+        points = fd.sample_table_points(table, 8)
+        ref = [_reference_scan_one_lambda(fd.Fold(table, model, lam), points, 4, 0)
+               for lam in lambdas]
+        for lam, r in zip(lambdas, ref):
+            got = fd._scan_one_lambda(fd.Fold(table, model, lam), points, 4, 0)
+            assert got[0] == r[0] and got[3:] == r[3:]
+            assert (got[1] is None and r[1] is None) or (got[1] == r[1]).all()
+            assert (got[2] is None and r[2] is None) or (got[2] == r[2]).all()
+        k = int(np.argmin([r[0] for r in ref]))
+        assert rep.min_sec_per_lambda == [r[0] for r in ref]
+        assert rep.argmin_point == ref[k][1].tolist()
+        assert rep.argmin_plane == ref[k][2].tolist()
+        assert rep.n_samples == sum(r[3] for r in ref)
+        assert rep.n_skipped == sum(r[4] for r in ref)
+
     def test_euclidean_disk_certified_nonnegative(self):
         rep = fd.scan_curvature(tb.disk_table(), am.euclidean(3),
                                 [0.9, 0.5, 0.2, 0.05], kappa=0.0, n_grid=12)
@@ -187,14 +286,6 @@ class TestScan:
                               n_grid=8, seed=5)
         assert a.min_sec == b.min_sec
         assert a.to_json() == b.to_json()
-
-    def test_parallel_matches_serial(self):
-        a = fd.scan_curvature(tb.disk_table(), am.euclidean(3), [0.5, 0.2], 0.0,
-                              n_grid=8, seed=5, workers=1)
-        b = fd.scan_curvature(tb.disk_table(), am.euclidean(3), [0.5, 0.2], 0.0,
-                              n_grid=8, seed=5, workers=2)
-        assert a.min_sec == b.min_sec
-        assert a.min_sec_per_lambda == b.min_sec_per_lambda
 
     def test_empty_lambda_grid_rejected(self):
         with pytest.raises(ConfigError):

@@ -21,6 +21,25 @@ def halfplane_table():
     )
 
 
+def mixed_tables():
+    """Polynomial tables with mixed monomials:
+    x1^2 x2 - 3 x1 x2^3 + x2 + 2, with p0 = (0, -2), and
+    x1 x2 x3^2 - 2 x1^3 + x2^2 x3 - 1, with p0 = (0, 1, 1)."""
+    return [
+        tb.TableSpec(n=2, name="mixed-2", p0=(0.0, -2.0),
+                     region=tb.Region(center=(0.0, 0.0), radius=3.0),
+                     shape=tb.PolynomialShape(terms=(((2, 1), 1.0), ((1, 3), -3.0),
+                                                     ((0, 1), 1.0), ((0, 0), 2.0)))),
+        tb.TableSpec(n=3, name="mixed-3", p0=(0.0, 1.0, 1.0),
+                     region=tb.Region(center=(0.0, 0.0, 0.0), radius=3.0),
+                     shape=tb.PolynomialShape(terms=(((1, 1, 2), 1.0), ((3, 0, 0), -2.0),
+                                                     ((0, 2, 1), 1.0), ((0, 0, 0), -1.0)))),
+    ]
+
+
+ALL_TABLES = [build() for build in tb.BUILTIN_TABLES.values()] + mixed_tables()
+
+
 class TestTableSpec:
     def test_builtin_shapes(self):
         disk = tb.disk_table()
@@ -36,8 +55,7 @@ class TestTableSpec:
 
     def test_gradients_match_finite_differences(self, rng):
         h = 1e-6
-        for table in tb.BUILTIN_TABLES.values():
-            table = table()
+        for table in ALL_TABLES:
             x = table.p0_array + rng.uniform(-0.05, 0.05, table.n)
             grad = table.grad_f(x)
             hess = table.hess_f(x)
@@ -48,6 +66,20 @@ class TestTableSpec:
                 assert grad[i] == pytest.approx(fd, abs=1e-6)
                 fd2 = (table.grad_f(x + e) - table.grad_f(x - e)) / (2 * h)
                 assert np.allclose(hess[i], fd2, atol=1e-6)
+
+    @pytest.mark.parametrize("table", ALL_TABLES, ids=lambda t: f"{t.name}-{t.n}")
+    def test_batch_equals_rows(self, table):
+        X = np.random.default_rng(1).uniform(-1.5, 1.5, (50, table.n))
+        for fn in (table.f, table.grad_f, table.hess_f,
+                   table.region.contains, table.region.contains_many):
+            assert (fn(X) == np.array([fn(x) for x in X])).all()
+            assert (fn(X[:1])[0] == fn(X[0])).all()
+
+    def test_non_finite_points_lie_outside_the_patch(self):
+        region = tb.disk_table().region
+        assert not region.contains([np.nan, 0.0])
+        assert not region.contains_many(np.array([[np.nan, 0.0]]))[0]
+        assert not region.contains_many([np.inf, 0.0])
 
     def test_p0_off_boundary_rejected(self):
         with pytest.raises(InvalidInputError):
