@@ -11,7 +11,10 @@ Three models, all defined by explicit metric tensors on all of R^d:
   north pole, so the chart covers the sphere minus one point).
 
 Christoffel symbols and distances are closed-form; the finite-difference
-route lives in the test suite as an independent oracle.
+route lives in the test suite as an independent oracle.  ``distance`` is the
+one body for distance values: cancellation-free chord forms, the same bits
+for a pair, rows or a grid.  The curved ``distance_cross`` is a faster Gram
+form that only searches (nearest vertices, Hausdorff min / max).
 """
 
 from __future__ import annotations
@@ -40,13 +43,6 @@ def _check_point(x, dim: int) -> np.ndarray:
         raise InvalidInputError(f"expected points of dimension {dim}, got shape {x.shape}")
     if not np.isfinite(x).all():
         raise InvalidInputError("non-finite coordinates")
-    return x
-
-
-def _check_single(x, dim: int) -> np.ndarray:
-    x = _check_point(x, dim)
-    if x.ndim != 1:
-        raise InvalidInputError(f"expected one point of dimension {dim}, got shape {x.shape}")
     return x
 
 
@@ -198,79 +194,97 @@ def christoffel_quadratic(model: AmbientModel, x: np.ndarray, v: np.ndarray) -> 
     return c * (2.0 * (x @ v) * v - (v @ v) * x)
 
 
-def _clamped(value: float, lo: float, hi: float) -> float:
-    if value < lo - CLAMP_SLACK or value > hi + CLAMP_SLACK:
-        raise NumericError(f"argument {value} outside [{lo}, {hi}] beyond slack {CLAMP_SLACK}")
-    return min(max(value, lo), hi)
-
-
-def sphere_embedding(X: np.ndarray) -> np.ndarray:
-    """Inverse stereographic image (2x, |x|^2 - 1) / (1 + |x|^2) on S^dim."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    r2 = np.einsum("ni,ni->n", X, X)
-    out = np.empty((X.shape[0], X.shape[1] + 1))
-    out[:, :-1] = 2.0 * X
-    out[:, -1] = r2 - 1.0
-    out /= (1.0 + r2)[:, None]
+def sphere_embedding(X) -> np.ndarray:
+    """Inverse stereographic image (2x, |x|^2 - 1) / (1 + |x|^2) on S^dim of
+    points of shape (..., dim)."""
+    X = np.asarray(X, dtype=float)
+    r2 = np.einsum("...i,...i->...", X, X)[..., None]
+    out = np.concatenate([2.0 * X, r2 - 1.0], axis=-1)
+    out /= 1.0 + r2
     return out
 
 
-def hyperboloid_embedding(X: np.ndarray) -> np.ndarray:
-    """Graph chart (x, sqrt(1 + |x|^2)) onto the upper hyperboloid sheet."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    r2 = np.einsum("ni,ni->n", X, X)
-    return np.concatenate([X, np.sqrt(1.0 + r2)[:, None]], axis=1)
+def hyperboloid_embedding(X) -> np.ndarray:
+    """Graph chart (x, sqrt(1 + |x|^2)) onto the upper hyperboloid sheet, for
+    points of shape (..., dim)."""
+    X = np.asarray(X, dtype=float)
+    r2 = np.einsum("...i,...i->...", X, X)[..., None]
+    return np.concatenate([X, np.sqrt(1.0 + r2)], axis=-1)
 
 
-def distance(model: AmbientModel, p, q) -> float:
-    """Geodesic distance between p and q in the model.
+def _points(model: AmbientModel, p, q) -> tuple[np.ndarray, np.ndarray]:
+    """p and q as checked points whose batch shapes broadcast."""
+    p = _check_point(p, model.dim)
+    q = _check_point(q, model.dim)
+    try:
+        np.broadcast_shapes(p.shape[:-1], q.shape[:-1])
+    except ValueError:
+        raise InvalidInputError(f"point batches {p.shape} and {q.shape} do not broadcast") from None
+    return p, q
 
-    Euclidean: |p - q|.  Hyperbolic: arccosh of the Minkowski pairing of the
-    hyperboloid images, evaluated in the cancellation-free arcsinh form.
-    Spherical: great-circle distance of the stereographic preimages.
+
+def _coordinate_sum(p, q, plus: bool = False) -> np.ndarray:
+    """Sum over the last axis of (p_k - q_k)^2, or of (p_k - q_k)(p_k + q_k)
+    with plus, over the broadcast batch.  One coordinate at a time into one
+    reused temporary and no BLAS call, so a pair, rows and a grid round alike
+    and the temporaries stay the size of the output."""
+    shape = np.broadcast_shapes(p.shape[:-1], q.shape[:-1])
+    acc = np.zeros(shape)
+    tmp = np.empty(shape)
+    for k in range(p.shape[-1]):
+        np.subtract(p[..., k], q[..., k], out=tmp)
+        tmp *= (p[..., k] + q[..., k]) if plus else tmp
+        acc += tmp
+    return acc
+
+
+def _guard(x, lo: float, hi: float):
+    """x clipped to [lo, hi]; NumericError beyond CLAMP_SLACK of roundoff."""
+    if np.any((x < lo - CLAMP_SLACK) | (x > hi + CLAMP_SLACK)):
+        raise NumericError(f"argument outside [{lo}, {hi}] beyond slack {CLAMP_SLACK}")
+    return np.clip(x, lo, hi)
+
+
+def distance(model: AmbientModel, p, q):
+    """Geodesic distances between points p and q of shape (..., dim),
+    broadcast against each other; a float for one pair.  The one body for
+    distance values, in chord forms that do not cancel for nearby points
+    (e2 = |p - q|^2; dz = (p - q).(p + q) / (sqrt(1 + |p|^2) + sqrt(1 + |q|^2))
+    is the height difference of the hyperboloid images):
+      euclidean   sqrt(e2)
+      hyperbolic  2 arcsinh(sqrt(e2 - dz^2) / 2), the Minkowski chord
+      spherical   2 arcsin(sqrt(e2 / ((1 + |p|^2)(1 + |q|^2)))), the half
+                  chord of the stereographic preimages
     """
-    p = _check_single(p, model.dim)
-    q = _check_single(q, model.dim)
+    p, q = _points(model, p, q)
+    e2 = _coordinate_sum(p, q)
     if model.kind == "euclidean":
-        return float(np.linalg.norm(p - q))
+        return np.sqrt(e2)
+    p2, q2 = (_coordinate_sum(x, np.zeros(model.dim)) for x in (p, q))
     if model.kind == "hyperbolic":
-        sp = np.sqrt(1.0 + p @ p)
-        sq = np.sqrt(1.0 + q @ q)
-        # |P - Q|^2 in Minkowski signature; (sp - sq) written to avoid
-        # cancellation for nearby points.
-        dz = (p @ p - q @ q) / (sp + sq)
-        m2 = (p - q) @ (p - q) - dz * dz
-        m2 = _clamped(m2, 0.0, np.inf)
-        return float(2.0 * np.arcsinh(0.5 * np.sqrt(m2)))
-    xp = sphere_embedding(p)[0]
-    xq = sphere_embedding(q)[0]
-    half_chord = 0.5 * np.linalg.norm(xp - xq)
-    return float(2.0 * np.arcsin(_clamped(half_chord, 0.0, 1.0)))
+        dz = _coordinate_sum(p, q, plus=True) / (np.sqrt(1.0 + p2) + np.sqrt(1.0 + q2))
+        return 2.0 * np.arcsinh(0.5 * np.sqrt(_guard(e2 - dz * dz, 0.0, np.inf)))
+    half = np.sqrt(e2 / ((1.0 + p2) * (1.0 + q2)))
+    return 2.0 * np.arcsin(_guard(half, 0.0, 1.0))
 
 
 def distance_rowwise(model: AmbientModel, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Distances d(A_i, B_i) for matching rows."""
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if A.shape != B.shape:
+    if np.shape(A) != np.shape(B):
         raise InvalidInputError("row-wise distance needs equal shapes")
-    if model.kind == "euclidean":
-        return np.linalg.norm(A - B, axis=1)
-    if model.kind == "hyperbolic":
-        a2 = np.einsum("ni,ni->n", A, A)
-        b2 = np.einsum("ni,ni->n", B, B)
-        dz = (a2 - b2) / (np.sqrt(1.0 + a2) + np.sqrt(1.0 + b2))
-        m2 = np.einsum("ni,ni->n", A - B, A - B) - dz * dz
-        return 2.0 * np.arcsinh(0.5 * np.sqrt(np.maximum(m2, 0.0)))
-    xa = sphere_embedding(A)
-    xb = sphere_embedding(B)
-    half = 0.5 * np.linalg.norm(xa - xb, axis=1)
-    return 2.0 * np.arcsin(np.clip(half, 0.0, 1.0))
+    return distance(model, A, B)
 
 
 def distance_cross(model: AmbientModel, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Distance matrix d(A_i, B_j), clamped and transformed in place.
-
+    """Distance matrix d(A_i, B_j), the nearest-neighbour search kernel: it
+    gives the Hausdorff min / max and the candidate vertex of
+    curve_to_set_sup, while distance gives values.  The euclidean branch is
+    distance's arithmetic on the grid, equal to it bit for bit.  The curved
+    branches take arccos / arccosh of an embedded Gram product (one dgemm
+    per block, clamped and transformed in place), 3-5 times cheaper per pair
+    than the chord forms but with an absolute error of about sqrt(machine
+    epsilon) near coincident points; dgemm can also move the last
+    len(B) mod 8 columns by about 5e-16 with the number of rows per call.
     It allocates one len(A) x len(B) output, so large sample sets go through
     distance_blocks instead of one call."""
     A = np.asarray(A, dtype=float)
@@ -288,8 +302,7 @@ def distance_cross(model: AmbientModel, A: np.ndarray, B: np.ndarray) -> np.ndar
         out = sphere_embedding(A) @ sphere_embedding(B).T
         np.clip(out, -1.0, 1.0, out=out)
         return np.arccos(out, out=out)
-    diff = A[:, None, :] - B[None, :, :]
-    out = np.einsum("nmk,nmk->nm", diff, diff)
+    out = _coordinate_sum(A[:, None, :], B[None, :, :])
     return np.sqrt(out, out=out)
 
 
@@ -326,34 +339,30 @@ def alpha_kappa(kappa: float) -> float:
 
 
 def geodesic_between(model: AmbientModel, p, q, num: int = 33) -> np.ndarray:
-    """Points of the connecting geodesic from p to q (num samples, endpoints
-    included), via the totally geodesic embeddings."""
-    p = _check_single(p, model.dim)
-    q = _check_single(q, model.dim)
+    """num samples, endpoints included, of the connecting geodesics from p to
+    q, shape (..., dim) broadcast against each other; shape (..., num, dim).
+    A pair with coincident endpoints stays at p; NumericError when any pair is
+    antipodal or its geodesic crosses the stereographic pole."""
+    p, q = _points(model, p, q)
     if num < 2:
         raise InvalidInputError("need at least two samples")
-    t = np.linspace(0.0, 1.0, num)
+    t = np.linspace(0.0, 1.0, num)[:, None]
     if model.kind == "euclidean":
-        return p[None] + t[:, None] * (q - p)[None]
-    if model.kind == "hyperbolic":
-        P = hyperboloid_embedding(p)[0]
-        Q = hyperboloid_embedding(q)[0]
-        d = distance(model, p, q)
-        if d < 1e-14:
-            return np.tile(p, (num, 1))
-        W = (Q - np.cosh(d) * P) / np.sinh(d)
-        curve = np.outer(np.cosh(t * d), P) + np.outer(np.sinh(t * d), W)
-        return curve[:, :-1]
-    X = sphere_embedding(p)[0]
-    Y = sphere_embedding(q)[0]
-    d = distance(model, p, q)
-    if d < 1e-14:
-        return np.tile(p, (num, 1))
-    if d > np.pi - 1e-9:
+        return p[..., None, :] + t * (q - p)[..., None, :]
+    d = distance(model, p, q)[..., None, None]
+    if model.kind == "spherical" and np.any(d > np.pi - 1e-9):
         raise NumericError("endpoints are antipodal; connecting geodesic not unique")
-    W = (Y - np.cos(d) * X) / np.sin(d)
-    curve = np.outer(np.cos(t * d), X) + np.outer(np.sin(t * d), W)
-    denom = 1.0 - curve[:, -1]
-    if np.any(denom < 1e-12):
-        raise NumericError("geodesic passes through the stereographic pole")
-    return curve[:, :-1] / denom[:, None]
+    embed, cos, sin = ((hyperboloid_embedding, np.cosh, np.sinh) if model.kind == "hyperbolic"
+                       else (sphere_embedding, np.cos, np.sin))
+    P, Q = embed(p)[..., None, :], embed(q)[..., None, :]
+    still = d < 1e-14
+    # the great circle / hyperbola through the embedded endpoints; coincident
+    # pairs divide 0 by 0 and stay at p below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        curve = cos(t * d) * P + sin(t * d) * ((Q - cos(d) * P) / sin(d))
+        if model.kind == "spherical":
+            denom = 1.0 - curve[..., -1:]
+            if np.any(~still & (denom < 1e-12)):
+                raise NumericError("geodesic passes through the stereographic pole")
+            curve /= denom
+    return np.where(still, p[..., None, :], curve[..., :-1])

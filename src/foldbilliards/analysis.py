@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import ambient
-from .ambient import AmbientModel
+from .ambient import AmbientModel, _dot
 from .errors import ConfigError, InvalidInputError, PreconditionError
 from .table import (
     TableSpec,
@@ -91,16 +91,8 @@ def _visible(model: AmbientModel, table: TableSpec, p: np.ndarray,
     (f >= -1e-6 along them), checked on a subsample of the curve."""
     m = len(pts)
     idx = np.unique(np.linspace(0, m - 1, min(m, max_checks)).astype(int))
-    if model.kind == "euclidean":
-        s = np.linspace(0.0, 1.0, 11)[1:-1]
-        segs = p[None, None, :] + s[None, :, None] * (pts[idx][:, None, :] - p[None, None, :])
-        vals = table.f(segs.reshape(-1, table.n))
-        return bool(vals.min() >= -VISIBILITY_F_TOL)
-    for i in idx:
-        chain = ambient.geodesic_between(model, p, pts[i], num=11)
-        if table.f(chain[1:-1]).min() < -VISIBILITY_F_TOL:
-            return False
-    return True
+    chains = ambient.geodesic_between(model, p, pts[idx], num=11)
+    return bool(table.f(chains[:, 1:-1]).min() >= -VISIBILITY_F_TOL)
 
 
 def quasigeodesic_residual(curve: SampledCurve, model: AmbientModel,
@@ -134,7 +126,7 @@ def quasigeodesic_residual(curve: SampledCurve, model: AmbientModel,
     rejected = 0
     used = 0
     for p in refs:
-        d = ambient.distance_cross(model, p[None, :], pts)[0]
+        d = ambient.distance(model, p, pts)
         if d.min() < MIN_REFERENCE_DISTANCE or d.max() >= alpha - 1e-9:
             rejected += 1
             continue
@@ -213,34 +205,31 @@ def sup_distance(a: SampledCurve, b: SampledCurve, model: AmbientModel) -> float
     return float(ambient.distance_rowwise(model, a.points, b.points).max())
 
 
-def _segment_project(p, a, b):
-    ab = b - a
-    den = ab @ ab
-    if den < 1e-300:
-        return a
-    s = np.clip((p - a) @ ab / den, 0.0, 1.0)
-    return a + s * ab
-
 def curve_to_set_sup(model: AmbientModel, points, ref_points) -> float:
-    """Sup over points of the distance to a densely sampled reference curve.
-
-    Nearest reference vertex first, then projection onto the two adjacent
-    coordinate segments; segment spacing controls the residual error.
-    """
+    """Sup over points of the distance to a densely sampled reference curve:
+    the least distance to the nearest vertex (picked by distance_cross) and to
+    its projections onto the two adjacent coordinate segments, so segment
+    spacing controls the residual error."""
     P = np.asarray(points, dtype=float)
     R = np.asarray(ref_points, dtype=float)
+    last = len(R) - 1
     sup = 0.0
     for lo, D in ambient.distance_blocks(model, P, R):
-        nearest = D.argmin(axis=1)
-        for r, j in enumerate(nearest):
-            p = P[lo + r]
-            best = D[r, j]
-            for jj in (j - 1, j):
-                if 0 <= jj < len(R) - 1:
-                    q = _segment_project(p, R[jj], R[jj + 1])
-                    best = min(best, ambient.distance(model, p, q))
-            sup = max(sup, best)
-    return float(sup)
+        p = P[lo:lo + len(D), None, :]
+        j = D.argmin(axis=1)[:, None]
+        # segments j - 1 and j; one past either end has length zero, and a
+        # segment of length zero projects onto its first vertex
+        seg = j + np.array([-1, 0])
+        a = R[np.clip(seg, 0, last)]
+        ab = R[np.clip(seg + 1, 0, last)] - a
+        den = _dot(ab, ab)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = np.clip(_dot(p - a, ab) / den, 0.0, 1.0)
+        s[den < 1e-300] = 0.0
+        proj = a + s[..., None] * ab
+        cand = np.concatenate([R[j], proj], axis=1)
+        sup = max(sup, float(ambient.distance(model, p, cand).min(axis=1).max()))
+    return sup
 
 
 # --------------------------------------------------------------------------

@@ -36,6 +36,21 @@ def fd_christoffel(model, x, h=1e-5):
     return gamma
 
 
+def longdouble_distance(model, p, q):
+    """Oracle: the cancellation-free chord formulas in extended precision."""
+    p = p.astype(np.longdouble)
+    q = q.astype(np.longdouble)
+    e2 = np.sum((p - q) ** 2, axis=-1)
+    if model.kind == "euclidean":
+        return np.sqrt(e2)
+    p2 = np.sum(p * p, axis=-1)
+    q2 = np.sum(q * q, axis=-1)
+    if model.kind == "hyperbolic":
+        dz = np.sum((p - q) * (p + q), axis=-1) / (np.sqrt(1 + p2) + np.sqrt(1 + q2))
+        return 2 * np.arcsinh(np.sqrt(e2 - dz * dz) / 2)
+    return 2 * np.arcsin(np.sqrt(e2 / ((1 + p2) * (1 + q2))))
+
+
 class TestMetric:
     @pytest.mark.parametrize("model", MODELS3, ids=lambda m: m.kind)
     def test_inverse_is_exact(self, model, rng):
@@ -85,8 +100,13 @@ class TestMetric:
             am.metric_tensor(am.euclidean(3), [1.0, 2.0])
         with pytest.raises(InvalidInputError):
             am.metric_tensor(am.euclidean(3), [[0.0, 0.0, 0.0], [np.nan, 0.0, 0.0]])
+        # batches broadcast; non-broadcastable or wrong-dimension points raise
         with pytest.raises(InvalidInputError):
-            am.distance(am.euclidean(3), np.zeros((2, 3)), np.ones((2, 3)))
+            am.distance(am.euclidean(3), np.zeros((2, 3)), np.ones((3, 3)))
+        with pytest.raises(InvalidInputError):
+            am.distance(am.hyperbolic(3), np.zeros((2, 3)), np.ones((2, 2)))
+        with pytest.raises(InvalidInputError):
+            am.geodesic_between(am.spherical(3), np.zeros((2, 3)), np.ones((3, 3)))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -196,6 +216,34 @@ class TestDistance:
         assert np.all(np.isfinite(am.distance_cross(model, A, B)))
         assert np.array_equal(A, A0) and np.array_equal(B, B0)
 
+    @pytest.mark.parametrize("model", MODELS3, ids=lambda m: m.kind)
+    def test_pair_rows_and_grid_agree_bit_for_bit(self, model):
+        # one body for every shape; row counts off multiples of 8, where a
+        # BLAS kernel would switch to its tail loop
+        r = np.random.default_rng(11)
+        A = r.uniform(-1.5, 1.5, (13, 3))
+        B = r.uniform(-1.5, 1.5, (11, 3))
+        grid = am.distance(model, A[:, None, :], B[None, :, :])
+        assert grid.shape == (13, 11)
+        pairs = np.array([[am.distance(model, a, b) for b in B] for a in A])
+        assert np.array_equal(grid, pairs)
+        assert np.array_equal(am.distance_rowwise(model, A[:11], B), np.diagonal(grid))
+        assert np.array_equal(am.distance(model, A[5], B), grid[5])
+        if model.kind == "euclidean":
+            assert np.array_equal(am.distance_cross(model, A, B), grid)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="long double is plain double here")
+    @pytest.mark.parametrize("model", MODELS3, ids=lambda m: m.kind)
+    @pytest.mark.parametrize("sep", [1e-3, 1e-6, 1e-9])
+    def test_near_coincident_points_match_long_double(self, model, sep):
+        r = np.random.default_rng(5)
+        p = r.uniform(-1.0, 1.0, (200, 3))
+        u = r.normal(size=(200, 3))
+        q = p + sep * u / np.linalg.norm(u, axis=1)[:, None]
+        d = am.distance(model, p, q)
+        assert np.abs(d / longdouble_distance(model, p, q) - 1).max() <= 2e-15
+
     def test_embeddings_land_on_models(self, rng):
         X = rng.uniform(-2, 2, (10, 3))
         S = am.sphere_embedding(X)
@@ -260,9 +308,36 @@ class TestGeodesicBetween:
         pts = am.geodesic_between(am.hyperbolic(2), [0.3, 0.1], [0.3, 0.1], 7)
         assert np.allclose(pts, [0.3, 0.1])
 
+    @pytest.mark.parametrize("model", [am.euclidean(2), am.hyperbolic(2), am.spherical(2)],
+                             ids=lambda m: m.kind)
+    def test_batch_equals_single_calls(self, model):
+        r = np.random.default_rng(13)
+        p = r.uniform(-0.8, 0.8, (9, 2))
+        q = r.uniform(-0.8, 0.8, (9, 2))
+        q[4] = p[4]  # coincident endpoints stay at p
+        batch = am.geodesic_between(model, p, q, 7)
+        assert batch.shape == (9, 7, 2)
+        assert np.array_equal(batch, np.stack([am.geodesic_between(model, a, b, 7)
+                                               for a, b in zip(p, q)]))
+        assert np.array_equal(batch[4], np.tile(p[4], (7, 1)))
+        # one point against a batch broadcasts like the rows
+        assert np.array_equal(am.geodesic_between(model, p[0], q, 7),
+                              am.geodesic_between(model, np.tile(p[0], (9, 1)), q, 7))
+
     def test_antipodal_rejected(self):
         with pytest.raises(NumericError):
             am.geodesic_between(am.spherical(2), [1.0, 0.0], [-1.0, 0.0])
+
+    def test_any_bad_row_raises(self):
+        m = am.spherical(2)
+        p = np.array([[0.1, 0.2], [1.0, 0.0], [2.0, 0.0]])
+        fine = np.array([0.2, 0.1])
+        with pytest.raises(NumericError, match="antipodal"):
+            am.geodesic_between(m, p, [fine, [-1.0, 0.0], fine])
+        # (2, 0) and (-2, 0) are joined through the north pole, at t = 1/2
+        with pytest.raises(NumericError, match="pole"):
+            am.geodesic_between(m, p, [fine, fine, [-2.0, 0.0]])
+        am.geodesic_between(m, p, [fine, fine, fine])
 
 
 class TestNormsAndVectors:

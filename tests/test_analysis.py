@@ -19,6 +19,7 @@ from foldbilliards.errors import ConfigError, InvalidInputError, PreconditionErr
 from foldbilliards.fold import Fold
 
 DT = 1e-3
+MODELS2 = [am.euclidean(2), am.hyperbolic(2), am.spherical(2)]
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +125,25 @@ class TestQuasigeodesicResidual:
         assert rep.visibility_failures == 1
         assert rep.n_used == 1
 
+    @pytest.mark.parametrize("model", MODELS2, ids=lambda m: m.kind)
+    def test_visibility_equals_the_chain_loop(self, model):
+        # a curve up the far side of the parabola's notch: from a reference
+        # on the near side the first sight lines pass below the notch, later
+        # ones may cross it
+        parab = tb.parabola_table()
+        pts = np.stack([np.full(51, -0.6), np.linspace(-0.3, 0.2, 51)], 1)
+        verdicts = []
+        for p in np.stack(np.meshgrid(np.linspace(0.3, 0.7, 5),
+                                      np.linspace(-0.4, 0.2, 7)), -1).reshape(-1, 2):
+            loop = all(parab.f(am.geodesic_between(model, p, x, num=11)[1:-1]).min()
+                       >= -an.VISIBILITY_F_TOL for x in pts)
+            assert an._visible(model, parab, p, pts) == loop
+            verdicts.append((loop, parab.f(am.geodesic_between(model, p, pts[0], 11)).min()
+                             >= -an.VISIBILITY_F_TOL))
+        # blocked and clear references, and blocked ones whose first line is clear
+        assert {True, False} <= {v for v, _ in verdicts}
+        assert (False, True) in verdicts
+
     def test_nonuniform_grid_rejected(self, disk, m2):
         c = SampledCurve(times=np.array([0.0, 1e-3, 3e-3]),
                          points=np.zeros((3, 2)))
@@ -151,15 +171,58 @@ class TestSupDistance:
             an.sup_distance(c, short, m2)
 
 
+def segment_project(p, a, b):
+    ab = b - a
+    den = ab @ ab
+    if den < 1e-300:
+        return a
+    s = np.clip((p - a) @ ab / den, 0.0, 1.0)
+    return a + s * ab
+
+
+def reference_curve_to_set_sup(model, P, R):
+    """Oracle: the per-point loop over the same distance blocks, each point's
+    nearest vertex and its two adjacent segments."""
+    sup = 0.0
+    for lo, D in am.distance_blocks(model, P, R):
+        for r, j in enumerate(D.argmin(axis=1)):
+            p = P[lo + r]
+            best = am.distance(model, p, R[j])
+            for jj in (j - 1, j):
+                if 0 <= jj < len(R) - 1:
+                    best = min(best, am.distance(model, p, segment_project(p, R[jj], R[jj + 1])))
+            sup = max(sup, best)
+    return sup
+
+
 class TestCurveToSetSup:
-    def test_row_blocks_do_not_change_the_sup(self, m2, monkeypatch):
+    @pytest.mark.parametrize("model", MODELS2, ids=lambda m: m.kind)
+    def test_row_blocks_do_not_change_the_sup(self, model, monkeypatch):
         ref = arc_curve().points
         ts = np.linspace(0.0, np.pi, 701)
         pts = 1.1 * np.stack([np.cos(ts), np.sin(ts)], 1)
-        whole = an.curve_to_set_sup(m2, pts, ref)
-        assert whole == pytest.approx(0.1, abs=1e-6)
+        whole = an.curve_to_set_sup(model, pts, ref)
+        # the unit circle is a geodesic sphere about the origin in every model
+        radial = am.distance(model, [1.1, 0.0], [1.0, 0.0])
+        assert whole == pytest.approx(radial, abs=1e-6)
         monkeypatch.setattr(am, "BLOCK_BYTES", 8 * len(ref) * 100)
-        assert an.curve_to_set_sup(m2, pts, ref) == whole
+        assert an.curve_to_set_sup(model, pts, ref) == whole
+
+    @pytest.mark.parametrize("model", MODELS2, ids=lambda m: m.kind)
+    def test_batch_equals_the_reference_loop(self, model, monkeypatch):
+        # points on both sides of a polyline with uneven spacing, including
+        # points past its ends and a repeated vertex
+        r = np.random.default_rng(17)
+        ts = np.sort(np.concatenate([r.uniform(0.0, 2.0, 297), [0.7, 0.7]]))
+        ref = np.stack([ts - 1.0, 0.3 * np.sin(3 * ts)], 1)
+        pts = np.stack([r.uniform(-1.3, 1.3, 203), r.uniform(-0.6, 0.6, 203)], 1)
+        rows = 37
+        monkeypatch.setattr(am, "BLOCK_BYTES", 8 * len(ref) * rows)
+        assert len(pts) % rows != 0 and len(ref) % 8 != 0
+        assert an.curve_to_set_sup(model, pts, ref) == reference_curve_to_set_sup(model, pts, ref)
+        # point by point, so a sup set by one point cannot hide the others
+        for p in pts[::5, None]:
+            assert an.curve_to_set_sup(model, p, ref) == reference_curve_to_set_sup(model, p, ref)
 
 
 class TestFoldConvergence:

@@ -117,18 +117,24 @@ class TestCurvatureOracles:
         assert fd.second_fundamental_form(f, q0, [0, 0, 1], [0, 0, 1]) == pytest.approx(
             2.0 / lam**2)
 
-    def test_unit_sphere_has_curvature_one(self, rng):
-        # the disk fold at thickness 1 is the unit sphere
+    def test_unit_sphere_has_curvature_one(self):
+        # the disk fold at thickness 1 is the unit sphere; a local generator
+        # and g-orthonormal planes, as in the scan, so no other test's draws
+        # pick a near-parallel pair
+        r = np.random.default_rng(7)
         f = fd.Fold(tb.disk_table(), am.euclidean(3), 1.0)
         worst = 0.0
         for _ in range(50):
-            x = rng.uniform(-0.9, 0.9, 2)
+            x = r.uniform(-0.9, 0.9, 2)
             if tb.disk_table().f(x) < 0.05:
                 continue
-            q = fd.lift(f, x, 1 if rng.random() < 0.5 else -1)
+            q = fd.lift(f, x, 1 if r.random() < 0.5 else -1)
             fr = fd.frame_at(f, q)
-            v = rng.normal(size=2) @ fr.tangent_basis
-            w = rng.normal(size=2) @ fr.tangent_basis
+            g = fr.metric.g
+            v, w = r.normal(size=(2, 2)) @ fr.tangent_basis
+            v = v / np.sqrt(v @ g @ v)
+            w = w - (w @ g @ v) * v
+            w = w / np.sqrt(w @ g @ w)
             worst = max(worst, abs(fd.sectional_curvature(f, q, v, w) - 1.0))
         assert worst < 1e-9
 
@@ -364,9 +370,11 @@ class TestHausdorff:
         assert hd.sup_fold_to_table == dense.min(axis=1).max()
         assert hd.sup_table_to_fold == dense.min(axis=0).max()
 
-    def test_memory_does_not_grow_with_the_sample_product(self):
-        # the dense 22,085 x 11,353 matrix of this grid alone is 2,005,848,040 bytes
-        fold = fd.Fold(tb.spherical_halfspace_table(), am.spherical(4), 0.05)
+    @pytest.mark.parametrize("model", [am.spherical(4), am.euclidean(4)], ids=lambda m: m.kind)
+    def test_memory_does_not_grow_with_the_sample_product(self, model):
+        # the dense 22,085 x 11,353 matrix of this grid alone is 2,005,848,040
+        # bytes; a block's temporaries stay the size of its 16 MiB output
+        fold = fd.Fold(tb.spherical_halfspace_table(), model, 0.05)
         tracemalloc.start()
         try:
             hd = fd.hausdorff_distance(fold, n_grid=41)
@@ -374,4 +382,4 @@ class TestHausdorff:
         finally:
             tracemalloc.stop()
         assert hd.n_fold_samples * hd.n_table_samples * 8 == 2_005_848_040
-        assert peak < 128 * 2**20
+        assert peak < 64 * 2**20
