@@ -122,7 +122,7 @@ def metric_tensor(model: AmbientModel, x) -> MetricAt:
     x = _check_point(x, model.dim)
     eye = _identity(model.dim)
     if model.kind == "euclidean":
-        g = g_inv = eye * np.ones(x.shape[:-1] + (1, 1))
+        g = g_inv = np.broadcast_to(eye, x.shape[:-1] + eye.shape)
     elif model.kind == "hyperbolic":
         s = 1.0 + _dot(x, x)
         xx = x[..., :, None] * x[..., None, :]

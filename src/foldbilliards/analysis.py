@@ -34,6 +34,7 @@ from .table import (
 from .fold import Fold, check_h_sufficient_conditions, scan_curvature
 from .dynamics import (
     SampledCurve,
+    _grid,
     billiard_trajectory,
     integrate_boundary_geodesic,
     integrate_fold_geodesic,
@@ -212,6 +213,8 @@ def curve_to_set_sup(model: AmbientModel, points, ref_points) -> float:
     spacing controls the residual error."""
     P = np.asarray(points, dtype=float)
     R = np.asarray(ref_points, dtype=float)
+    if len(R) == 0:
+        raise InvalidInputError("curve_to_set_sup needs a non-empty reference")
     last = len(R) - 1
     sup = 0.0
     for lo, D in ambient.distance_blocks(model, P, R):
@@ -472,9 +475,10 @@ def boundary_geodesic_experiment(table: TableSpec, model: AmbientModel,
     geodesic from the same point and tangent.
 
     The headline distance per angle is the sup over billiard samples of the
-    distance to the boundary geodesic as a set (sampled at dt/ref_refine and
-    extended past T by a margin, since the billiard covers slightly more
-    boundary angle than arclength T); the same-grid sup is reported
+    distance to the boundary geodesic as a set (the cubic Hermite interpolant
+    of one run at ref_refine points per step, extended past T by a margin,
+    since the billiard covers slightly more boundary angle than arclength
+    T); the same-grid sup over the run's first samples is reported
     alongside.  The expected column is the flat sagitta 1 - cos(theta),
     exact for the unit disk in the Euclidean model.
     """
@@ -496,11 +500,20 @@ def boundary_geodesic_experiment(table: TableSpec, model: AmbientModel,
     t_hat = frame.tangent_basis[0]
     nu = frame.nu
 
-    ref_grid = integrate_boundary_geodesic(table, model, p0, t_hat, T, dt)
-    if ref_grid.truncated:
+    # one run on the output grid's own step, n_ext steps long; its first
+    # n + 1 samples are the same-grid reference
+    n = len(_grid(T, dt)) - 1
+    h = T / n
+    n_ext = int(np.ceil(n * (1 + extend)))
+    run = integrate_boundary_geodesic(table, model, p0, t_hat, n_ext * h, h)
+    if len(run) <= n:
         raise PreconditionError("boundary geodesic leaves the patch U before T")
-    ref_dense = integrate_boundary_geodesic(table, model, p0, t_hat,
-                                            T * (1 + extend), dt / ref_refine)
+    if run.truncated:
+        raise PreconditionError(
+            f"boundary geodesic leaves the patch U before T (1 + extend) = {n_ext * h}")
+    ref_grid = SampledCurve(times=run.times[:n + 1], points=run.points[:n + 1],
+                            velocities=run.velocities[:n + 1])
+    ref_set = run.hermite(ref_refine)
 
     rows = []
     for th in angles:
@@ -508,7 +521,7 @@ def boundary_geodesic_experiment(table: TableSpec, model: AmbientModel,
         v0 = v0 / ambient.norm(model_H, p0, v0)
         bil = billiard_trajectory(table, model_H, p0, v0, T, dt)
         same = sup_distance(bil.base, ref_grid, model_H)
-        c2s = curve_to_set_sup(model_H, bil.base.points, ref_dense.points)
+        c2s = curve_to_set_sup(model_H, bil.base.points, ref_set)
         expected = 1 - np.cos(th)
         rows.append(ConvergenceRow(param_name="theta", param=th,
                                    sup_distance=c2s, sup_samegrid=same,

@@ -65,6 +65,27 @@ class SampledCurve:
     def __len__(self) -> int:
         return len(self.times)
 
+    def hermite(self, refine: int) -> np.ndarray:
+        """Points of the cubic Hermite interpolant of (points, velocities) at
+        refine equal fractions of every step, shape ((len - 1) refine + 1, d).
+
+        This is the continuous extension of the sampled flow (Hairer, Norsett
+        & Wanner, Solving ODEs I, II.6); the samples themselves come back
+        bit for bit at every refine-th row.
+        """
+        if self.velocities is None:
+            raise InvalidInputError("Hermite interpolation needs the velocities")
+        if refine < 1:
+            raise InvalidInputError("refine must be at least 1")
+        p, v = self.points, self.velocities
+        h = np.diff(self.times)[:, None, None]
+        s = (np.arange(1, refine) / refine)[:, None]
+        s2, s3 = s * s, s * s * s
+        inner = ((2 * s3 - 3 * s2 + 1) * p[:-1, None] + (s3 - 2 * s2 + s) * h * v[:-1, None]
+                 + (3 * s2 - 2 * s3) * p[1:, None] + (s3 - s2) * h * v[1:, None])
+        steps = np.concatenate([p[:-1, None], inner], axis=1)
+        return np.concatenate([steps.reshape(-1, p.shape[1]), p[-1:]])
+
 
 @dataclass
 class Bounce:

@@ -85,6 +85,15 @@ class TestMetric:
         assert (am.metric_many(model, X[:1])[0] == am.metric_tensor(model, X[0]).g).all()
         assert am.metric_tensor(model, X.reshape(5, 10, 3)).g.shape == (5, 10, 3, 3)
 
+    @pytest.mark.parametrize("shape", [(3,), (4, 3)], ids=["point", "batch"])
+    def test_euclidean_identity_is_read_only(self, shape):
+        x = np.zeros(shape)
+        m = am.metric_tensor(am.euclidean(3), x)
+        old = np.eye(3) * np.ones(shape[:-1] + (1, 1))
+        for a in (m.g, m.g_inv):
+            assert a.shape == old.shape and (a == old).all()
+            assert not a.flags.writeable
+
     def test_hyperplane_restriction_is_lower_model(self, rng):
         # H = {x_dim = 0} carries the same model one dimension down, and the
         # mixed terms g_{i,dim} vanish on H

@@ -224,6 +224,10 @@ class TestCurveToSetSup:
         for p in pts[::5, None]:
             assert an.curve_to_set_sup(model, p, ref) == reference_curve_to_set_sup(model, p, ref)
 
+    def test_empty_reference_rejected(self, m2):
+        with pytest.raises(InvalidInputError):
+            an.curve_to_set_sup(m2, np.zeros((3, 2)), np.empty((0, 2)))
+
 
 class TestFoldConvergence:
     def test_disk_supremum_decreases_with_thickness(self, disk):
@@ -284,6 +288,38 @@ class TestBoundaryGeodesic:
             assert abs(row.sup_distance - e) / e <= 0.10
         # the same-grid column dominates the set distance
         assert all(r.sup_samegrid >= r.sup_distance - 1e-12 for r in rep.rows)
+
+    def test_integrates_the_boundary_geodesic_once(self, disk, m2, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return dy.integrate_boundary_geodesic(*args)
+
+        monkeypatch.setattr(an, "integrate_boundary_geodesic", counted)
+        rep = an.boundary_geodesic_experiment(disk, m2, angles=[0.2, 0.1],
+                                              T=0.3, dt=DT)
+        assert rep.verdict == "pass"
+        assert len(calls) == 1
+
+    def test_reference_leaving_the_patch_is_rejected(self, m2):
+        # the wall geodesic from the origin leaves U = B(0, 1) at t = 1,
+        # after T but before T (1 + extend)
+        wall = tb.half_space_table(radius_U=1.0)
+        with pytest.raises(PreconditionError, match="1.045"):
+            an.boundary_geodesic_experiment(wall, m2, angles=[0.1], T=0.95,
+                                            dt=DT, extend=0.1)
+        with pytest.raises(PreconditionError, match="before T$"):
+            an.boundary_geodesic_experiment(wall, m2, angles=[0.1], T=1.05,
+                                            dt=DT, extend=0.1)
+
+    @pytest.mark.parametrize("model", MODELS2, ids=lambda m: m.kind)
+    def test_disk_reference_stays_in_the_patch(self, model):
+        # radius_U 1.2 leaves room for the unit circle only; the curved
+        # verdicts are open, so only the run is checked
+        rep = an.boundary_geodesic_experiment(tb.disk_table(radius_U=1.2), model,
+                                              angles=[0.2, 0.1], T=0.3, dt=DT)
+        assert len(rep.rows) == 2
 
     def test_nonconvex_table_rejected(self, m2):
         with pytest.raises(PreconditionError):

@@ -13,7 +13,7 @@ import pytest
 from foldbilliards import ambient as am
 from foldbilliards import dynamics as dy
 from foldbilliards import table as tb
-from foldbilliards.errors import PreconditionError
+from foldbilliards.errors import InvalidInputError, PreconditionError
 from foldbilliards.fold import Fold
 
 S2 = np.sqrt(2.0) / 2.0
@@ -227,6 +227,43 @@ class TestTableGeodesic:
         with pytest.raises(PreconditionError):
             dy.integrate_boundary_geodesic(tb.disk_table(), am.euclidean(2),
                                            np.array(x0), np.array(v0), 1.0, 1e-3)
+
+
+def polar_angle(points):
+    return np.arctan2(points[:, 1], points[:, 0])
+
+
+class TestHermite:
+    @pytest.mark.parametrize("kind", am.MODEL_KINDS)
+    def test_unit_disk_boundary_matches_a_dt_over_8_run(self, kind):
+        # the unit circle is the boundary geodesic in all three models
+        disk, m = tb.disk_table(), am.AmbientModel(kind, 2)
+        p0 = np.array([1.0, 0.0])
+        t_hat = tb.boundary_frame(disk, m, p0).tangent_basis[0]
+        run = dy.integrate_boundary_geodesic(disk, m, p0, t_hat, 0.25, 1e-3)
+        dense = run.hermite(8)
+        assert np.abs(np.hypot(*dense.T) - 1.0).max() < 1e-13
+        fine = dy.integrate_boundary_geodesic(disk, m, p0, t_hat, 0.25, 1e-3 / 8)
+        assert dense.shape == fine.points.shape
+        assert np.abs(polar_angle(dense) - polar_angle(fine.points)).max() < 1e-12
+        # the samples come back unchanged at every refine-th row
+        assert (dense[::8] == run.points).all()
+
+    def test_refine_one_returns_the_samples(self):
+        crv = dy.integrate_table_geodesic(am.spherical(2), np.zeros(2),
+                                          np.array([0.5, 0.0]), 0.3, 1e-2)
+        out = crv.hermite(1)
+        assert out.shape == crv.points.shape
+        assert (out == crv.points).all()
+
+    def test_needs_velocities_and_a_positive_refine(self):
+        ts = np.linspace(0.0, 1.0, 5)
+        crv = dy.SampledCurve(times=ts, points=np.stack([ts, ts], 1))
+        with pytest.raises(InvalidInputError):
+            crv.hermite(8)
+        crv.velocities = np.ones((5, 2))
+        with pytest.raises(InvalidInputError):
+            crv.hermite(0)
 
 
 class TestBilliard:
