@@ -20,6 +20,7 @@ form that only searches (nearest vertices, Hausdorff min / max).
 from __future__ import annotations
 
 import functools
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -41,7 +42,9 @@ def _check_point(x, dim: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape[-1:] != (dim,):
         raise InvalidInputError(f"expected points of dimension {dim}, got shape {x.shape}")
-    if not np.isfinite(x).all():
+    # one point is checked on Python floats, several times faster than a ufunc
+    # and a reduction on a few coordinates
+    if not (all(map(math.isfinite, x.tolist())) if x.ndim == 1 else np.isfinite(x).all()):
         raise InvalidInputError("non-finite coordinates")
     return x
 
@@ -118,11 +121,12 @@ class MetricAt:
 
 def metric_tensor(model: AmbientModel, x) -> MetricAt:
     """Metric tensor of the model at the points x, shape (..., dim), with
-    closed-form inverse; g and g_inv have shape (..., dim, dim)."""
+    closed-form inverse; g and g_inv have shape (..., dim, dim).  The
+    euclidean tensors are read-only views of one cached identity."""
     x = _check_point(x, model.dim)
     eye = _identity(model.dim)
     if model.kind == "euclidean":
-        g = g_inv = np.broadcast_to(eye, x.shape[:-1] + eye.shape)
+        g = g_inv = eye if x.ndim == 1 else np.broadcast_to(eye, x.shape[:-1] + eye.shape)
     elif model.kind == "hyperbolic":
         s = 1.0 + _dot(x, x)
         xx = x[..., :, None] * x[..., None, :]
@@ -185,7 +189,7 @@ def christoffel(model: AmbientModel, x) -> np.ndarray:
 def christoffel_quadratic(model: AmbientModel, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Gamma^k_ij v^i v^j without building the full tensor (integrator path)."""
     if model.kind == "euclidean":
-        return np.zeros_like(v)
+        return np.zeros(np.shape(v))
     if model.kind == "hyperbolic":
         s = 1.0 + x @ x
         gvv = v @ v - (x @ v) ** 2 / s

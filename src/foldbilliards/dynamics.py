@@ -102,14 +102,21 @@ class BilliardTrajectory:
     bounces: list[Bounce] = field(default_factory=list)
 
 
+def _raise_index(model: AmbientModel, x, df):
+    """The gradient g^{-1} df.  In the euclidean model this is df + 0.0, the
+    identity product exactly: it only turns -0.0 into +0.0."""
+    if model.kind == "euclidean":
+        return df + 0.0
+    return ambient.metric_tensor(model, x).g_inv @ df
+
+
 def _acceleration(model: AmbientModel, constraint, x, v):
     gamma_vv = ambient.christoffel_quadratic(model, x, v)
     acc = -gamma_vv
     if constraint is not None:
         _, egrad, ehess = constraint
         df = egrad(x)
-        g_inv = ambient.metric_tensor(model, x).g_inv
-        grad = g_inv @ df
+        grad = _raise_index(model, x, df)
         gn2 = df @ grad
         if gn2 < 1e-20:
             raise NumericError("constraint gradient vanished during integration")
@@ -128,15 +135,13 @@ def _project(model: AmbientModel, constraint, x, v, speed):
             if abs(val) < 1e-14:
                 break
             df = egrad(x)
-            g_inv = ambient.metric_tensor(model, x).g_inv
-            grad = g_inv @ df
+            grad = _raise_index(model, x, df)
             denom = df @ grad
             if denom < 1e-20:
                 raise NumericError("projection failed: vanishing gradient")
             x = x - (val / denom) * grad
         df = egrad(x)
-        g_inv = ambient.metric_tensor(model, x).g_inv
-        grad = g_inv @ df
+        grad = _raise_index(model, x, df)
         denom = df @ grad
         v = v - ((df @ v) / denom) * grad
     nrm = ambient.norm(model, x, v)

@@ -64,7 +64,8 @@ class DiskShape(Shape):
         return -2.0 * x
 
     def hess(self, x):
-        return -2.0 * _identity(x.shape[-1]) * np.ones(x.shape[:-1] + (1, 1))
+        h = -2.0 * _identity(x.shape[-1])
+        return h if x.ndim == 1 else h * np.ones(x.shape[:-1] + (1, 1))
 
 
 @dataclass(frozen=True)

@@ -93,6 +93,9 @@ class TestMetric:
         for a in (m.g, m.g_inv):
             assert a.shape == old.shape and (a == old).all()
             assert not a.flags.writeable
+        if len(shape) == 1:
+            # one point gets the cached identity itself, not a fresh view
+            assert m.g is m.g_inv is am.metric_tensor(am.euclidean(3), x + 1.0).g
 
     def test_hyperplane_restriction_is_lower_model(self, rng):
         # H = {x_dim = 0} carries the same model one dimension down, and the

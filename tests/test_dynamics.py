@@ -57,6 +57,49 @@ def long_great_circle(sphere_fold):
                                       two_sided=False)
 
 
+def generic_raise_index(model, x, df):
+    return am.metric_tensor(model, x).g_inv @ df
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestEuclideanShortcut:
+    """The euclidean g^{-1} df skips the identity product and must give the
+    same bits as the generic formula, signed zeros included."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_raise_index_equals_the_identity_product(self, d):
+        rng = np.random.default_rng(21)
+        m = am.euclidean(d)
+        for _ in range(200):
+            x = rng.normal(size=d)
+            df = rng.normal(size=d) * 10.0 ** rng.integers(-300, 300, size=d)
+            df[rng.integers(d)] = rng.choice([0.0, -0.0])
+            assert same_bits(dy._raise_index(m, x, df), generic_raise_index(m, x, df))
+
+    @pytest.mark.parametrize("case", ["fold", "boundary"])
+    def test_acceleration_and_projection_equal_the_generic_formula(self, case, monkeypatch):
+        rng = np.random.default_rng(22)
+        if case == "fold":
+            fold = Fold(tb.disk_table(), am.euclidean(3), 0.3)
+            model, constraint = fold.model, (fold.value, fold.euclid_grad, fold.euclid_hess)
+        else:
+            disk = tb.disk_table()
+            model, constraint = am.euclidean(2), (disk.f, disk.grad_f, disk.hess_f)
+        states = [(rng.uniform(-0.9, 0.9, model.dim), rng.normal(size=model.dim))
+                  for _ in range(100)]
+        fast = [(dy._acceleration(model, constraint, x, v),
+                 *dy._project(model, constraint, x, v, 1.0)) for x, v in states]
+        monkeypatch.setattr(dy, "_raise_index", generic_raise_index)
+        for (x, v), want in zip(states, fast):
+            got = (dy._acceleration(model, constraint, x, v),
+                   *dy._project(model, constraint, x, v, 1.0))
+            assert all(same_bits(a, b) for a, b in zip(got, want))
+
+
 class TestFoldGeodesic:
     def test_flat_cylinder_pinch_crossing(self):
         # the half-space fold is flat; a geodesic crossing the pinch line
