@@ -489,6 +489,8 @@ def boundary_geodesic_experiment(table: TableSpec, model: AmbientModel,
         raise ConfigError("incidence angles must lie in (0, pi/2)")
     if sorted(angles, reverse=True) != angles:
         raise ConfigError("incidence angles must be strictly decreasing")
+    if not T > 0:
+        raise InvalidInputError(f"T must be positive (got {T})")
     conv = check_h_sufficient_conditions(table, ambient.euclidean(table.n + 1))
     if not conv.hess_ok:
         raise PreconditionError(

@@ -17,9 +17,12 @@ inside each fixed output interval; sample times stay on the uniform grid.
 
 All integrators share one sampling loop over that grid; they differ only in
 the step they hand it.  The billiard step is a table-geodesic step with
-event detection on f: the first sign change inside the step is bracketed by
-re-integration from the step start, bisected to |f| <= 1e-10, and the
-velocity reflects by the mirror law.
+event detection on f, on the step's dense output (the piecewise cubic
+Hermite interpolant through its accepted half steps; Hairer, Norsett &
+Wanner, Solving ODEs I, II.6): one batched scan brackets the first sign
+change, regula falsi finds its root on the interpolant, Newton steps of the
+real flow from the last node before it reach |f| <= 1e-10, and the velocity
+reflects by the mirror law.
 """
 
 from __future__ import annotations
@@ -73,18 +76,39 @@ class SampledCurve:
         & Wanner, Solving ODEs I, II.6); the samples themselves come back
         bit for bit at every refine-th row.
         """
-        if self.velocities is None:
-            raise InvalidInputError("Hermite interpolation needs the velocities")
+        self._need_velocities()
         if refine < 1:
             raise InvalidInputError("refine must be at least 1")
         p, v = self.points, self.velocities
         h = np.diff(self.times)[:, None, None]
         s = (np.arange(1, refine) / refine)[:, None]
-        s2, s3 = s * s, s * s * s
-        inner = ((2 * s3 - 3 * s2 + 1) * p[:-1, None] + (s3 - 2 * s2 + s) * h * v[:-1, None]
-                 + (3 * s2 - 2 * s3) * p[1:, None] + (s3 - s2) * h * v[1:, None])
+        inner = _hermite(p[:-1, None], v[:-1, None], p[1:, None], v[1:, None], h, s)
         steps = np.concatenate([p[:-1, None], inner], axis=1)
         return np.concatenate([steps.reshape(-1, p.shape[1]), p[-1:]])
+
+    def at(self, t) -> np.ndarray:
+        """Points of the same interpolant at times t (any shape) inside
+        [times[0], times[-1]], shape t.shape + (d,); the grid need not be
+        uniform."""
+        self._need_velocities()
+        t = np.asarray(t, dtype=float)
+        k = np.clip(np.searchsorted(self.times, t, side="right") - 1, 0, len(self.times) - 2)
+        h = (self.times[k + 1] - self.times[k])[..., None]
+        s = (t - self.times[k])[..., None] / h
+        p, v = self.points, self.velocities
+        return _hermite(p[k], v[k], p[k + 1], v[k + 1], h, s)
+
+    def _need_velocities(self):
+        if self.velocities is None:
+            raise InvalidInputError("Hermite interpolation needs the velocities")
+
+
+def _hermite(p0, v0, p1, v1, h, s):
+    """Cubic Hermite interpolant of (p0, v0) at s = 0 and (p1, v1) at s = 1
+    over a step of length h, at the step fractions s."""
+    s2, s3 = s * s, s * s * s
+    return ((2 * s3 - 3 * s2 + 1) * p0 + (s3 - 2 * s2 + s) * h * v0
+            + (3 * s2 - 2 * s3) * p1 + (s3 - s2) * h * v1)
 
 
 @dataclass
@@ -164,25 +188,39 @@ def _rk4_step(model, constraint, x, v, h, speed):
     return _project(model, constraint, xn, vn, speed)
 
 
-def _refined_step(model, constraint, x, v, h, speed, refine_tol, depth=0):
-    """One step of size h with recursive step-doubling error control."""
+def _refined_step(model, constraint, x, v, h, speed, refine_tol, depth=0, nodes=None, t=0.0):
+    """One step of size h with recursive step-doubling error control.
+
+    When nodes is a list, the state (t + offset, x, v) at the end of every
+    accepted half step is appended to it: the knots of the step's dense
+    output, so its error follows refine_tol rather than h."""
     x1, v1 = _rk4_step(model, constraint, x, v, h, speed)
     if refine_tol is None:
+        if nodes is not None:
+            nodes.append((t + h, x1, v1))
         return x1, v1
     xa, va = _rk4_step(model, constraint, x, v, 0.5 * h, speed)
     x2, v2 = _rk4_step(model, constraint, xa, va, 0.5 * h, speed)
     err = max(np.abs(x1 - x2).max(), np.abs(v1 - v2).max())
     if err <= refine_tol or depth >= MAX_REFINE_DEPTH:
+        if nodes is not None:
+            nodes += [(t + 0.5 * h, xa, va), (t + h, x2, v2)]
         return x2, v2
-    xm, vm = _refined_step(model, constraint, x, v, 0.5 * h, speed, refine_tol, depth + 1)
-    return _refined_step(model, constraint, xm, vm, 0.5 * h, speed, refine_tol, depth + 1)
+    xm, vm = _refined_step(model, constraint, x, v, 0.5 * h, speed, refine_tol, depth + 1,
+                           nodes, t)
+    return _refined_step(model, constraint, xm, vm, 0.5 * h, speed, refine_tol, depth + 1,
+                         nodes, t + 0.5 * h)
 
 
-def _advance(model, constraint, x, v, h, refine_tol=REFINE_TOL):
-    """Advance by h; exact for free Euclidean motion."""
+def _advance(model, constraint, x, v, h, refine_tol=REFINE_TOL, nodes=None):
+    """Advance by h; exact for free Euclidean motion.  nodes as in
+    _refined_step."""
     if constraint is None and model.kind == "euclidean":
-        return x + h * v, v
-    return _refined_step(model, constraint, x, v, h, 1.0, refine_tol)
+        x1 = x + h * v
+        if nodes is not None:
+            nodes.append((h, x1, v))
+        return x1, v
+    return _refined_step(model, constraint, x, v, h, 1.0, refine_tol, nodes=nodes)
 
 
 def _grid(T: float, dt: float) -> np.ndarray:
@@ -312,39 +350,51 @@ def _flow_f_curvature_bound(table, model_H, x, v):
     return abs(v @ table.hess_f(x) @ v) + abs(table.grad_f(x) @ acc)
 
 
-def _first_dip(f_after, h, n_scan):
-    """First bracket (prev, d_j) of the scan d_j = h j / n_scan, j = 1..n_scan,
-    at which f_after(d_j) < -1e-12; None when no probe is outside."""
-    prev = 0.0
-    for j in range(1, n_scan + 1):
-        d_j = h * j / n_scan
-        if f_after(d_j) < -1e-12:
-            return prev, d_j
-        prev = d_j
-    return None
+def _locate_crossing(table, advance, dense, lo, hi, f_lo, f_hi):
+    """The crossing of f = 0 in the bracket [lo, hi] of the dense output of a
+    step, where f_lo >= -1e-12 > f_hi.
 
-
-def _bisect_crossing(table, advance, x, v, lo, hi, h):
-    """Bisect the bracket [lo, hi] of the first crossing to |f| <= BISECT_F_TOL.
-
-    Returns (delta, x, v) at the crossing; when f there is still outside the
-    tolerance, falls back to the inside bracket end lo.
+    The root of f along the interpolant comes from regula falsi (Illinois
+    variant), one f probe each.  Safeguarded Newton steps of the real flow,
+    each started from the last node before it, then reach |f| <= BISECT_F_TOL.
+    Returns (delta, x, v) at the crossing; when no real probe gets there,
+    falls back to the inside bracket end lo.
     """
-    for _ in range(90):
-        mid = 0.5 * (lo + hi)
-        xs, _ = advance(x, v, mid)
-        if table.f(xs) < -1e-12:
-            hi = mid
+    d = lo
+    if f_lo > 0:
+        a, fa, b, fb, side = lo, f_lo, hi, f_hi, 0
+        for _ in range(60):
+            d = (a * fb - b * fa) / (fb - fa)
+            fd = table.f(dense.at(d))
+            if abs(fd) <= 1e-15 or not a < d < b:
+                break
+            if fd < 0:
+                b, fb = d, fd
+                fa = 0.5 * fa if side < 0 else fa
+                side = -1
+            else:
+                a, fa = d, fd
+                fb = 0.5 * fb if side > 0 else fb
+                side = 1
+
+    def probe(delta):
+        k = min(int(np.searchsorted(dense.times, delta, side="right")) - 1,
+                len(dense.times) - 2)
+        return advance(dense.points[k], dense.velocities[k], delta - dense.times[k])
+
+    for _ in range(8):
+        xs, vs = probe(d)
+        fs = table.f(xs)
+        if abs(fs) <= BISECT_F_TOL:
+            return d, xs, vs
+        if fs < -1e-12:
+            hi = d
         else:
-            lo = mid
-        if hi - lo < 1e-16 * max(1.0, h):
-            break
-    delta = 0.5 * (lo + hi)
-    xb, vb = advance(x, v, delta)
-    if abs(table.f(xb)) > BISECT_F_TOL:
-        xb, vb = advance(x, v, lo)
-        delta = lo
-    return delta, xb, vb
+            lo = d
+        slope = table.grad_f(xs) @ vs
+        d_new = d - fs / slope if slope < 0 else lo
+        d = d_new if lo < d_new < hi else 0.5 * (lo + hi)
+    return (lo, *probe(lo))
 
 
 def _bounce(table, model, t, xb, vb) -> Bounce:
@@ -376,10 +426,11 @@ def billiard_trajectory(table: TableSpec, model: AmbientModel, x0, v0, T,
                         dt) -> BilliardTrajectory:
     """Billiard trajectory in (K, g) from x0 with unit velocity v0 on [0, T].
 
-    Follows table geodesics, bisects boundary crossings of f to
-    |f| <= 1e-10 and applies the mirror reflection law.  Grazing impacts
-    (normal velocity below GRAZING_TOL) continue unreflected and are
-    flagged.  Two bounces closer than DELTA_MIN in time abort the run.
+    Follows table geodesics, locates boundary crossings of f on each step's
+    dense output to |f| <= 1e-10 and applies the mirror reflection law.
+    Grazing impacts (normal velocity below GRAZING_TOL) continue unreflected
+    and are flagged.  Two bounces closer than DELTA_MIN in time abort the
+    run.
     """
     x0 = np.asarray(x0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
@@ -398,38 +449,55 @@ def billiard_trajectory(table: TableSpec, model: AmbientModel, x0, v0, T,
     bounces: list[Bounce] = []
     max_bounces = int(np.ceil(T / DELTA_MIN)) + 4
     scan_res = 0.5 * DELTA_MIN
+    # (x, f(x), flow bound at x) at the end of the last step taken in full,
+    # where the next step starts
+    last_end = (None, None, None)
 
-    def advance(xc, vc, h):
-        return _advance(model_H, None, xc, vc, h)
+    def advance(xc, vc, h, nodes=None):
+        return _advance(model_H, None, xc, vc, h, nodes=nodes)
+
+    def bound(xc, vc):
+        return _flow_f_curvature_bound(table, model_H, xc, vc)
 
     def step(x, v, t, h):
         """Advance by h, reflecting at every boundary crossing on the way."""
+        nonlocal last_end
         remaining = h
         guard = 0
         while remaining > 1e-14:
             guard += 1
             if guard > 10000:
                 raise NumericError("billiard step did not terminate")
-            x1, v1 = advance(x, v, remaining)
+            nodes = [(0.0, x, v)]
+            x1, v1 = advance(x, v, remaining, nodes)
             f_end = table.f(x1)
-            f_start = table.f(x)
+            f_start, m_start = last_end[1:] if last_end[0] is x else (table.f(x), None)
             crossed = f_end < -1e-12
             if not crossed:
                 # rule out an excursion below f = 0 inside the step
-                m2 = 2.0 * max(_flow_f_curvature_bound(table, model_H, x, v),
-                               _flow_f_curvature_bound(table, model_H, x1, v1))
+                m_start = bound(x, v) if m_start is None else m_start
+                m_end = bound(x1, v1)
+                last_end = (x1, f_end, m_end)
+                m2 = 2.0 * max(m_start, m_end)
                 if min(f_start, f_end) > 0.15 * m2 * remaining**2 + 1e-12:
                     return x1, v1
-            # scan at sub-bounce resolution so the first crossing is the one
-            # refined; an endpoint crossing brackets the whole step if the
-            # scan misses it
+            # scan the step's dense output at sub-bounce resolution, with one
+            # f call, so the first crossing is the one located; an endpoint
+            # crossing brackets the whole step if the scan misses it
+            dense = SampledCurve(*map(np.array, zip(*nodes)))
             n_scan = max(2, int(np.ceil(remaining / scan_res)))
-            bracket = _first_dip(lambda d: table.f(advance(x, v, d)[0]), remaining, n_scan)
-            if bracket is None:
-                if not crossed:
-                    return x1, v1
-                bracket = (0.0, remaining)
-            delta, xb, vb = _bisect_crossing(table, advance, x, v, *bracket, remaining)
+            d = remaining * np.arange(1, n_scan + 1) / n_scan
+            f_scan = table.f(dense.at(d))
+            dips = np.flatnonzero(f_scan < -1e-12)
+            if dips.size:
+                j = dips[0]
+                lo, f_lo = (d[j - 1], f_scan[j - 1]) if j else (0.0, f_start)
+                bracket = (lo, d[j], f_lo, f_scan[j])
+            elif crossed:
+                bracket = (0.0, remaining, f_start, f_end)
+            else:
+                return x1, v1
+            delta, xb, vb = _locate_crossing(table, advance, dense, *bracket)
             t += delta
             if bounces and t - bounces[-1].t < DELTA_MIN:
                 raise BounceAccumulationError(

@@ -289,6 +289,12 @@ class TestBoundaryGeodesic:
         # the same-grid column dominates the set distance
         assert all(r.sup_samegrid >= r.sup_distance - 1e-12 for r in rep.rows)
 
+    @pytest.mark.parametrize("T", [0.0, -0.5, float("nan")])
+    def test_non_positive_duration_rejected_before_integrating(self, disk, m2, T, monkeypatch):
+        monkeypatch.setattr(an, "integrate_boundary_geodesic", None)
+        with pytest.raises(InvalidInputError, match="T must be positive"):
+            an.boundary_geodesic_experiment(disk, m2, angles=[0.2, 0.1], T=T, dt=DT)
+
     def test_integrates_the_boundary_geodesic_once(self, disk, m2, monkeypatch):
         calls = []
 

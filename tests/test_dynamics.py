@@ -299,17 +299,119 @@ class TestHermite:
         assert out.shape == crv.points.shape
         assert (out == crv.points).all()
 
+    def test_at_matches_hermite_and_returns_the_samples(self):
+        m, x0 = am.hyperbolic(2), np.array([0.2, -0.1])
+        crv = dy.integrate_table_geodesic(m, x0, am.normalize(m, x0, np.array([0.9, 0.4])),
+                                          0.3, 1e-2)
+        assert (crv.at(crv.times) == crv.points).all()
+        t = (crv.times[:-1, None] + crv.dt * np.arange(8) / 8).ravel()
+        assert np.abs(crv.at(t) - crv.hermite(8)[:-1]).max() <= 1e-15
+        assert crv.at(0.05).shape == (2,)
+
+    def test_at_on_an_uneven_grid(self):
+        # a circle sampled at uneven times: each piece is its own cubic
+        ts = np.array([0.0, 0.01, 0.015, 0.04, 0.05])
+        crv = dy.SampledCurve(times=ts, points=np.stack([np.cos(ts), np.sin(ts)], 1),
+                              velocities=np.stack([-np.sin(ts), np.cos(ts)], 1))
+        t = np.linspace(0.0, 0.05, 101)
+        exact = np.stack([np.cos(t), np.sin(t)], 1)
+        assert np.abs(crv.at(t) - exact).max() <= 0.025**4 / 384 * 1.01
+
     def test_needs_velocities_and_a_positive_refine(self):
         ts = np.linspace(0.0, 1.0, 5)
         crv = dy.SampledCurve(times=ts, points=np.stack([ts, ts], 1))
         with pytest.raises(InvalidInputError):
             crv.hermite(8)
+        with pytest.raises(InvalidInputError):
+            crv.at(0.5)
         crv.velocities = np.ones((5, 2))
         with pytest.raises(InvalidInputError):
             crv.hermite(0)
 
 
+def reintegrating_bounces(table, model, x0, v0, T, dt):
+    """Bounces from the former locator, kept as an oracle: every scan probe
+    and every bisection probe re-integrates from the step start."""
+    model_H = tb.model_on_table(table, model)
+    bounces = []
+
+    def advance(xc, vc, h):
+        return dy._advance(model_H, None, xc, vc, h)
+
+    def first_dip(f_after, h, n_scan):
+        prev = 0.0
+        for j in range(1, n_scan + 1):
+            d_j = h * j / n_scan
+            if f_after(d_j) < -1e-12:
+                return prev, d_j
+            prev = d_j
+        return None
+
+    def bisect_crossing(x, v, lo, hi, h):
+        for _ in range(90):
+            mid = 0.5 * (lo + hi)
+            if table.f(advance(x, v, mid)[0]) < -1e-12:
+                hi = mid
+            else:
+                lo = mid
+            if hi - lo < 1e-16 * max(1.0, h):
+                break
+        delta = 0.5 * (lo + hi)
+        xb, vb = advance(x, v, delta)
+        if abs(table.f(xb)) > dy.BISECT_F_TOL:
+            xb, vb = advance(x, v, lo)
+            delta = lo
+        return delta, xb, vb
+
+    def step(x, v, t, h):
+        remaining = h
+        while remaining > 1e-14:
+            x1, v1 = advance(x, v, remaining)
+            f_end, f_start = table.f(x1), table.f(x)
+            crossed = f_end < -1e-12
+            if not crossed:
+                m2 = 2.0 * max(dy._flow_f_curvature_bound(table, model_H, x, v),
+                               dy._flow_f_curvature_bound(table, model_H, x1, v1))
+                if min(f_start, f_end) > 0.15 * m2 * remaining**2 + 1e-12:
+                    return x1, v1
+            n_scan = max(2, int(np.ceil(remaining / (0.5 * dy.DELTA_MIN))))
+            bracket = first_dip(lambda d: table.f(advance(x, v, d)[0]), remaining, n_scan)
+            if bracket is None:
+                if not crossed:
+                    return x1, v1
+                bracket = (0.0, remaining)
+            delta, xb, vb = bisect_crossing(x, v, *bracket, remaining)
+            t += delta
+            bounces.append(dy._bounce(table, model, t, xb, vb))
+            x, v = bounces[-1].x, bounces[-1].w_out
+            remaining -= delta
+        return x, v
+
+    dy._integrate_one_direction(x0, v0, T, dt, step)
+    return bounces
+
+
 class TestBilliard:
+    @pytest.mark.parametrize("dt", [1e-2, 1e-3])
+    @pytest.mark.parametrize("model", [am.euclidean(2), am.hyperbolic(2), am.spherical(2)],
+                             ids=lambda m: m.kind)
+    def test_dense_output_locator_matches_the_reintegrating_one(self, model, dt):
+        disk = tb.disk_table()
+        rng = np.random.default_rng([31, model.dim, int(round(-np.log10(dt))),
+                                     am.MODEL_KINDS.index(model.kind)])
+        for _ in range(2):
+            r, phi, theta = 0.5 * np.sqrt(rng.uniform()), *rng.uniform(0, 2 * np.pi, 2)
+            x0 = r * np.array([np.cos(phi), np.sin(phi)])
+            v0 = am.normalize(model, x0, np.array([np.cos(theta), np.sin(theta)]))
+            got = dy.billiard_trajectory(disk, model, x0, v0, 3.0, dt).bounces
+            want = reintegrating_bounces(disk, model, x0, v0, 3.0, dt)
+            assert len(got) == len(want) >= 1
+            for a, b in zip(got, want):
+                assert a.grazing == b.grazing
+                assert abs(a.t - b.t) <= 1e-9
+                assert np.abs(a.x - b.x).max() <= 1e-9
+
+
     def test_diameter_orbit(self):
         tr = dy.billiard_trajectory(tb.disk_table(), am.euclidean(2),
                                     np.array([1.0, 0.0]), np.array([-1.0, 0.0]),
@@ -410,6 +512,25 @@ class TestBilliard:
         assert b.t == pytest.approx(0.9, abs=1e-9)
         assert np.allclose(b.x, [-0.1, 0.01], atol=1e-9)
         assert not b.grazing
+
+    def test_bounce_inside_a_long_curved_step(self):
+        # the hyperbolic geodesic from the same launch dips into the parabola
+        # and leaves it again within the one step of length 2; its bounce must
+        # be the one a fine grid finds
+        table, m = tb.parabola_table(), am.hyperbolic(2)
+        x0 = np.array([-1.0, 0.01])
+        v0 = am.normalize(m, x0, np.array([1.0, 0.0]))
+        coarse, fine = (dy.billiard_trajectory(table, m, x0, v0, 2.0, dt) for dt in (2.0, 1e-3))
+        assert len(coarse.base.times) == 2
+        assert len(coarse.bounces) == len(fine.bounces) == 1
+        a, b = coarse.bounces[0], fine.bounces[0]
+        assert abs(a.t - b.t) <= 1e-6
+        assert np.abs(a.x - b.x).max() <= 1e-6
+        assert not a.grazing and not b.grazing
+        # the unreflected geodesic ends inside the table: only the dip inside
+        # the step reveals the crossing
+        free = dy.integrate_table_geodesic(m, x0, v0, 2.0, 2.0)
+        assert table.f(free.points[-1]) > 0
 
     def test_hyperbolic_disk_billiard(self):
         disk = tb.disk_table()
