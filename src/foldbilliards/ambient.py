@@ -122,7 +122,8 @@ class MetricAt:
 def metric_tensor(model: AmbientModel, x) -> MetricAt:
     """Metric tensor of the model at the points x, shape (..., dim), with
     closed-form inverse; g and g_inv have shape (..., dim, dim).  The
-    euclidean tensors are read-only views of one cached identity."""
+    euclidean g and g_inv are the cached read-only identity itself for one
+    point and a broadcast view of it for a batch."""
     x = _check_point(x, model.dim)
     eye = _identity(model.dim)
     if model.kind == "euclidean":

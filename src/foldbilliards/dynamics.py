@@ -387,7 +387,7 @@ def _locate_crossing(table, advance, dense, lo, hi, f_lo, f_hi):
         fs = table.f(xs)
         if abs(fs) <= BISECT_F_TOL:
             return d, xs, vs
-        if fs < -1e-12:
+        if fs < 0:
             hi = d
         else:
             lo = d
