@@ -76,7 +76,8 @@ class SampledCurve:
         & Wanner, Solving ODEs I, II.6); the samples themselves come back
         bit for bit at every refine-th row.
         """
-        self._need_velocities()
+        if self.velocities is None:
+            raise InvalidInputError("Hermite interpolation needs the velocities")
         if refine < 1:
             raise InvalidInputError("refine must be at least 1")
         p, v = self.points, self.velocities
@@ -90,17 +91,14 @@ class SampledCurve:
         """Points of the same interpolant at times t (any shape) inside
         [times[0], times[-1]], shape t.shape + (d,); the grid need not be
         uniform."""
-        self._need_velocities()
+        if self.velocities is None:
+            raise InvalidInputError("Hermite interpolation needs the velocities")
         t = np.asarray(t, dtype=float)
         k = np.clip(np.searchsorted(self.times, t, side="right") - 1, 0, len(self.times) - 2)
         h = (self.times[k + 1] - self.times[k])[..., None]
         s = (t - self.times[k])[..., None] / h
         p, v = self.points, self.velocities
         return _hermite(p[k], v[k], p[k + 1], v[k + 1], h, s)
-
-    def _need_velocities(self):
-        if self.velocities is None:
-            raise InvalidInputError("Hermite interpolation needs the velocities")
 
 
 def _hermite(p0, v0, p1, v1, h, s):
