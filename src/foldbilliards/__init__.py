@@ -8,7 +8,8 @@ lam -> 0, and the convergence of fold geodesics to billiard trajectories.
 Layout:
 
 - ``ambient``: the three constant-curvature coordinate models (metric,
-  Christoffel symbols, closed-form distances, comparison profiles).
+  Christoffel symbols, closed-form distances and geodesic flow, comparison
+  profiles).
 - ``table``: table shapes, boundary frames, the reflection law and polarity.
 - ``fold``: fold geometry (second fundamental form, sectional curvature),
   curvature scans and fold-to-table Hausdorff distances.

@@ -10,8 +10,8 @@ Three models, all defined by explicit metric tensors on all of R^d:
   i.e. the round metric in stereographic coordinates (projection from the
   north pole, so the chart covers the sphere minus one point).
 
-Christoffel symbols and distances are closed-form; the finite-difference
-route lives in the test suite as an independent oracle.  ``distance`` is the
+Christoffel symbols, distances and the geodesic flow are closed-form; the
+finite-difference route lives in the test suite as an independent oracle.  ``distance`` is the
 one body for distance values: cancellation-free chord forms, the same bits
 for a pair, rows or a grid.  The curved ``distance_cross`` is a faster Gram
 form that only searches (nearest vertices, Hausdorff min / max).
@@ -42,11 +42,15 @@ def _check_point(x, dim: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape[-1:] != (dim,):
         raise InvalidInputError(f"expected points of dimension {dim}, got shape {x.shape}")
-    # one point is checked on Python floats, several times faster than a ufunc
-    # and a reduction on a few coordinates
-    if not (all(map(math.isfinite, x.tolist())) if x.ndim == 1 else np.isfinite(x).all()):
+    if not _all_finite(x):
         raise InvalidInputError("non-finite coordinates")
     return x
+
+
+def _all_finite(x: np.ndarray) -> bool:
+    # one point is checked on Python floats, several times faster than a ufunc
+    # and a reduction on a few coordinates
+    return all(map(math.isfinite, x.tolist())) if x.ndim == 1 else bool(np.isfinite(x).all())
 
 
 # Batched products over the last axes.  Stacked matmul runs the same BLAS
@@ -145,24 +149,35 @@ def metric_many(model: AmbientModel, X: np.ndarray) -> np.ndarray:
     return metric_tensor(model, X).g
 
 
-def inner(model: AmbientModel, x, u, v) -> float:
-    """Riemannian inner product g_x(u, v)."""
-    g = metric_tensor(model, x).g
-    return float(np.asarray(u) @ g @ np.asarray(v))
+def inner(model: AmbientModel, x, u, v):
+    """Riemannian inner products g_x(u, v) at the points x, shape (..., dim),
+    as ``u @ g @ v`` row by row; a float for one point.  One euclidean point
+    skips the metric: ``u @ v`` has the same bits as ``u @ I @ v`` except
+    that a zero keeps its sign."""
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if model.kind == "euclidean" and u.ndim == v.ndim == np.ndim(x) == 1:
+        return float(u @ v)
+    val = _form(u, metric_tensor(model, x).g, v)
+    return float(val) if val.ndim == 0 else val
 
 
-def norm(model: AmbientModel, x, v) -> float:
+def norm(model: AmbientModel, x, v):
+    """Riemannian norms |v|_g at the points x, shape (..., dim); a float for
+    one point."""
     val = inner(model, x, v, v)
-    if val < 0:
+    one = isinstance(val, float)
+    if val < 0 if one else (val < 0).any():
         raise NumericError("negative squared norm; metric evaluation failed")
-    return float(np.sqrt(val))
+    return math.sqrt(val) if one else np.sqrt(val)
 
 
 def normalize(model: AmbientModel, x, v) -> np.ndarray:
-    n = norm(model, x, v)
-    if n < 1e-14:
+    """v / |v|_g at the points x, shape (..., dim)."""
+    n = np.asarray(norm(model, x, v))
+    if (n < 1e-14).any():
         raise InvalidInputError("cannot normalize a (near-)zero vector")
-    return np.asarray(v, dtype=float) / n
+    return np.asarray(v, dtype=float) / n[..., None]
 
 
 def christoffel(model: AmbientModel, x) -> np.ndarray:
@@ -215,6 +230,56 @@ def hyperboloid_embedding(X) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     r2 = np.einsum("...i,...i->...", X, X)[..., None]
     return np.concatenate([X, np.sqrt(1.0 + r2)], axis=-1)
+
+
+def geodesic_flow(model: AmbientModel, x, v, t) -> tuple[np.ndarray, np.ndarray]:
+    """Point and velocity at time t of the geodesic through x with velocity v,
+    in closed form.  x and v have shape (..., dim) and t broadcasts against
+    their batch shape, so a whole scan of times is one call.  With the speed
+    s = |v|_g, the embedded point X and velocity V:
+      euclidean   x + t v, v
+      hyperbolic  the hyperbola cosh(s t) X + sinh(s t) V / s on the
+                  hyperboloid, read off the graph chart (its first dim
+                  coordinates)
+      spherical   the great circle cos(s t) X + sin(s t) V / s through the
+                  sphere_embedding of x, projected back stereographically
+    NumericError when the curve reaches the stereographic pole or a result
+    is not finite."""
+    x = _check_point(x, model.dim)
+    v = np.asarray(v, dtype=float)
+    t = np.asarray(t, dtype=float)[..., None]
+    if model.kind == "euclidean":
+        xt = x + t * v
+        vt = v if v.shape == xt.shape else np.broadcast_to(v, xt.shape).copy()
+    else:
+        # overflow and the 0 / 0 of speed 0 are caught below
+        with np.errstate(all="ignore"):
+            xt, vt = _curved_flow(model, x, v, t)
+    if not (_all_finite(xt) and _all_finite(vt)):
+        raise NumericError("geodesic flow is not finite")
+    return xt, vt
+
+
+def _curved_flow(model, x, v, t):
+    """The hyperbolic and spherical branches of geodesic_flow, for t of shape
+    (..., 1); speed 0 takes the limit t of sin(s t) / s."""
+    xv = _dot(x, v)[..., None]
+    if model.kind == "hyperbolic":
+        s = np.sqrt(_dot(v, v)[..., None] - (xv / hyperboloid_embedding(x)[..., -1:]) ** 2)
+        ch, sh = np.cosh(s * t), np.sinh(s * t)
+        return ch * x + np.where(s > 0, sh / s, t) * v, (s * sh) * x + ch * v
+    c = 2.0 / (1.0 + _dot(x, x)[..., None])
+    X = sphere_embedding(x)
+    V = np.concatenate([c * v - (c * c * xv) * x, c * c * xv], axis=-1)
+    s = c * np.sqrt(_dot(v, v)[..., None])
+    co, si = np.cos(s * t), np.sin(s * t)
+    Xt = co * X + np.where(s > 0, si / s, t) * V
+    Vt = co * V - (s * si) * X
+    w = 1.0 - Xt[..., -1:]
+    if (w < 1e-12).any():
+        raise NumericError("geodesic reaches the stereographic pole")
+    xt = Xt[..., :-1] / w
+    return xt, (Vt[..., :-1] + xt * Vt[..., -1:]) / w
 
 
 def _points(model: AmbientModel, p, q) -> tuple[np.ndarray, np.ndarray]:

@@ -1,8 +1,12 @@
 """Geodesic and billiard trajectory integration.
 
-Geodesics are integrated in ambient coordinates with classical RK4.  On a
-level set (a fold, or the table boundary) the geodesic equation gains a
-normal forcing term:
+A free geodesic of a model (a table geodesic, or a billiard between bounces)
+is the closed-form ambient.geodesic_flow: a straight line, a hyperbola of
+the hyperboloid or a great circle of the sphere, read in model coordinates.
+
+Only geodesics of a level set (a fold, or the table boundary) are integrated
+numerically, in ambient coordinates with classical RK4.  On the level set
+the geodesic equation gains a normal forcing term:
 
     x'' = -Gamma(x', x') + mu grad F,   mu = -Hess F(x', x') / |grad F|^2,
 
@@ -16,17 +20,15 @@ lam.  Steps are therefore refined recursively (step-doubling error control)
 inside each fixed output interval; sample times stay on the uniform grid.
 
 All integrators share one sampling loop over that grid; they differ only in
-the step they hand it.  The billiard step is a table-geodesic step with
-event detection on f, on the step's dense output (the piecewise cubic
-Hermite interpolant through its accepted half steps; Hairer, Norsett &
-Wanner, Solving ODEs I, II.6): one batched scan brackets the first sign
-change, regula falsi finds its root on the interpolant, Newton steps of the
-real flow from the last node before it reach |f| <= 1e-10, and the velocity
-reflects by the mirror law.
+the step they hand it.  The billiard step is a free flow step with event
+detection on f along the exact flow: one batched flow call and one f call
+scan the step for the first sign change, regula falsi on f(flow(s)) finds
+its root to |f| <= 1e-10, and the velocity reflects by the mirror law.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,30 +85,11 @@ class SampledCurve:
         p, v = self.points, self.velocities
         h = np.diff(self.times)[:, None, None]
         s = (np.arange(1, refine) / refine)[:, None]
-        inner = _hermite(p[:-1, None], v[:-1, None], p[1:, None], v[1:, None], h, s)
+        s2, s3 = s * s, s * s * s
+        inner = ((2 * s3 - 3 * s2 + 1) * p[:-1, None] + (s3 - 2 * s2 + s) * h * v[:-1, None]
+                 + (3 * s2 - 2 * s3) * p[1:, None] + (s3 - s2) * h * v[1:, None])
         steps = np.concatenate([p[:-1, None], inner], axis=1)
         return np.concatenate([steps.reshape(-1, p.shape[1]), p[-1:]])
-
-    def at(self, t) -> np.ndarray:
-        """Points of the same interpolant at times t (any shape) inside
-        [times[0], times[-1]], shape t.shape + (d,); the grid need not be
-        uniform."""
-        if self.velocities is None:
-            raise InvalidInputError("Hermite interpolation needs the velocities")
-        t = np.asarray(t, dtype=float)
-        k = np.clip(np.searchsorted(self.times, t, side="right") - 1, 0, len(self.times) - 2)
-        h = (self.times[k + 1] - self.times[k])[..., None]
-        s = (t - self.times[k])[..., None] / h
-        p, v = self.points, self.velocities
-        return _hermite(p[k], v[k], p[k + 1], v[k + 1], h, s)
-
-
-def _hermite(p0, v0, p1, v1, h, s):
-    """Cubic Hermite interpolant of (p0, v0) at s = 0 and (p1, v1) at s = 1
-    over a step of length h, at the step fractions s."""
-    s2, s3 = s * s, s * s * s
-    return ((2 * s3 - 3 * s2 + 1) * p0 + (s3 - 2 * s2 + s) * h * v0
-            + (3 * s2 - 2 * s3) * p1 + (s3 - s2) * h * v1)
 
 
 @dataclass
@@ -186,39 +169,31 @@ def _rk4_step(model, constraint, x, v, h, speed):
     return _project(model, constraint, xn, vn, speed)
 
 
-def _refined_step(model, constraint, x, v, h, speed, refine_tol, depth=0, nodes=None, t=0.0):
+def _refined_step(model, constraint, x, v, h, speed, refine_tol, depth=0):
     """One step of size h with recursive step-doubling error control.
-
-    When nodes is a list, the state (t + offset, x, v) at the end of every
-    accepted half step is appended to it: the knots of the step's dense
-    output, so its error follows refine_tol rather than h."""
+    NumericError when a step halved MAX_REFINE_DEPTH times still misses
+    refine_tol."""
     x1, v1 = _rk4_step(model, constraint, x, v, h, speed)
     if refine_tol is None:
-        if nodes is not None:
-            nodes.append((t + h, x1, v1))
         return x1, v1
     xa, va = _rk4_step(model, constraint, x, v, 0.5 * h, speed)
     x2, v2 = _rk4_step(model, constraint, xa, va, 0.5 * h, speed)
     err = max(np.abs(x1 - x2).max(), np.abs(v1 - v2).max())
-    if err <= refine_tol or depth >= MAX_REFINE_DEPTH:
-        if nodes is not None:
-            nodes += [(t + 0.5 * h, xa, va), (t + h, x2, v2)]
+    if err <= refine_tol:
         return x2, v2
-    xm, vm = _refined_step(model, constraint, x, v, 0.5 * h, speed, refine_tol, depth + 1,
-                           nodes, t)
-    return _refined_step(model, constraint, xm, vm, 0.5 * h, speed, refine_tol, depth + 1,
-                         nodes, t + 0.5 * h)
+    if depth >= MAX_REFINE_DEPTH:
+        raise NumericError(f"step of size {h} still has error {err} > refine_tol = "
+                           f"{refine_tol} after {depth} halvings")
+    xm, vm = _refined_step(model, constraint, x, v, 0.5 * h, speed, refine_tol, depth + 1)
+    return _refined_step(model, constraint, xm, vm, 0.5 * h, speed, refine_tol, depth + 1)
 
 
-def _advance(model, constraint, x, v, h, refine_tol=REFINE_TOL, nodes=None):
-    """Advance by h; exact for free Euclidean motion.  nodes as in
-    _refined_step."""
-    if constraint is None and model.kind == "euclidean":
-        x1 = x + h * v
-        if nodes is not None:
-            nodes.append((h, x1, v))
-        return x1, v
-    return _refined_step(model, constraint, x, v, h, 1.0, refine_tol, nodes=nodes)
+def _advance(model, constraint, x, v, h, refine_tol=REFINE_TOL):
+    """Advance by h: the closed-form geodesic flow of the model when free,
+    RK4 with step doubling on a level set."""
+    if constraint is None:
+        return ambient.geodesic_flow(model, x, v, h)
+    return _refined_step(model, constraint, x, v, h, 1.0, refine_tol)
 
 
 def _grid(T: float, dt: float) -> np.ndarray:
@@ -312,8 +287,8 @@ def integrate_table_geodesic(model: AmbientModel, x0, v0, T, dt) -> SampledCurve
     """Unconstrained geodesic of the model through (x0, v0) on [0, T].
 
     model is the geometry the curve lives in (for a table, the induced
-    model on H, i.e. ambient.restricted()).  Euclidean curves are exact
-    straight lines.
+    model on H, i.e. ambient.restricted()).  Each step is the closed-form
+    ambient.geodesic_flow from the previous sample.
     """
     x0 = np.asarray(x0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
@@ -348,51 +323,35 @@ def _flow_f_curvature_bound(table, model_H, x, v):
     return abs(v @ table.hess_f(x) @ v) + abs(table.grad_f(x) @ acc)
 
 
-def _locate_crossing(table, advance, dense, lo, hi, f_lo, f_hi):
-    """The crossing of f = 0 in the bracket [lo, hi] of the dense output of a
-    step, where f_lo >= -1e-12 > f_hi.
+def _locate_crossing(table, flow, t, lo, hi, f_lo, f_hi):
+    """The crossing of f = 0 along the exact flow s -> flow(s) of the step
+    that starts at time t, in the bracket [lo, hi] of step offsets, where
+    f_lo >= -1e-12 > f_hi.
 
-    The root of f along the interpolant comes from regula falsi (Illinois
-    variant), one f probe each.  Safeguarded Newton steps of the real flow,
-    each started from the last node before it, then reach |f| <= BISECT_F_TOL.
-    Returns (delta, x, v) at the crossing; when no real probe gets there,
-    falls back to the inside bracket end lo.
+    Regula falsi (Illinois variant), one f probe each, runs until |f| <= 1e-15
+    or the bracket stops shrinking, and its last probe must reach
+    |f| <= BISECT_F_TOL.  Returns (delta, x, v) at the crossing; NumericError,
+    naming t and the bracket, when f changes sign there without a root.
     """
-    d = lo
-    if f_lo > 0:
-        a, fa, b, fb, side = lo, f_lo, hi, f_hi, 0
-        for _ in range(60):
-            d = (a * fb - b * fa) / (fb - fa)
-            fd = table.f(dense.at(d))
-            if abs(fd) <= 1e-15 or not a < d < b:
-                break
-            if fd < 0:
-                b, fb = d, fd
-                fa = 0.5 * fa if side < 0 else fa
-                side = -1
-            else:
-                a, fa = d, fd
-                fb = 0.5 * fb if side > 0 else fb
-                side = 1
-
-    def probe(delta):
-        k = min(int(np.searchsorted(dense.times, delta, side="right")) - 1,
-                len(dense.times) - 2)
-        return advance(dense.points[k], dense.velocities[k], delta - dense.times[k])
-
-    for _ in range(8):
-        xs, vs = probe(d)
-        fs = table.f(xs)
-        if abs(fs) <= BISECT_F_TOL:
-            return d, xs, vs
-        if fs < 0:
-            hi = d
+    a, fa, b, fb, side = lo, f_lo, hi, f_hi, 0
+    for _ in range(100):
+        d = a if fa <= 0 else (a * fb - b * fa) / (fb - fa)
+        xd, vd = flow(d)
+        fd = table.f(xd)
+        if abs(fd) <= 1e-15 or not a < d < b:
+            break
+        if fd < 0:
+            b, fb = d, fd
+            fa = 0.5 * fa if side < 0 else fa
+            side = -1
         else:
-            lo = d
-        slope = table.grad_f(xs) @ vs
-        d_new = d - fs / slope if slope < 0 else lo
-        d = d_new if lo < d_new < hi else 0.5 * (lo + hi)
-    return (lo, *probe(lo))
+            a, fa = d, fd
+            fb = 0.5 * fb if side > 0 else fb
+            side = 1
+    if abs(fd) <= BISECT_F_TOL:
+        return d, xd, vd
+    raise NumericError(f"no root of f in the bracket [{t + lo}, {t + hi}] of the step from "
+                       f"t = {t}: f = {f_lo} and {f_hi} at its ends, {fd} at the last probe")
 
 
 def _bounce(table, model, t, xb, vb) -> Bounce:
@@ -424,8 +383,8 @@ def billiard_trajectory(table: TableSpec, model: AmbientModel, x0, v0, T,
                         dt) -> BilliardTrajectory:
     """Billiard trajectory in (K, g) from x0 with unit velocity v0 on [0, T].
 
-    Follows table geodesics, locates boundary crossings of f on each step's
-    dense output to |f| <= 1e-10 and applies the mirror reflection law.
+    Follows table geodesics in closed form, locates boundary crossings of f
+    along them to |f| <= 1e-10 and applies the mirror reflection law.
     Grazing impacts (normal velocity below GRAZING_TOL) continue unreflected
     and are flagged.  Two bounces closer than DELTA_MIN in time abort the
     run.
@@ -451,9 +410,6 @@ def billiard_trajectory(table: TableSpec, model: AmbientModel, x0, v0, T,
     # where the next step starts
     last_end = (None, None, None)
 
-    def advance(xc, vc, h, nodes=None):
-        return _advance(model_H, None, xc, vc, h, nodes=nodes)
-
     def bound(xc, vc):
         return _flow_f_curvature_bound(table, model_H, xc, vc)
 
@@ -466,8 +422,8 @@ def billiard_trajectory(table: TableSpec, model: AmbientModel, x0, v0, T,
             guard += 1
             if guard > 10000:
                 raise NumericError("billiard step did not terminate")
-            nodes = [(0.0, x, v)]
-            x1, v1 = advance(x, v, remaining, nodes)
+            flow = functools.partial(ambient.geodesic_flow, model_H, x, v)
+            x1, v1 = flow(remaining)
             f_end = table.f(x1)
             f_start, m_start = last_end[1:] if last_end[0] is x else (table.f(x), None)
             crossed = f_end < -1e-12
@@ -479,13 +435,12 @@ def billiard_trajectory(table: TableSpec, model: AmbientModel, x0, v0, T,
                 m2 = 2.0 * max(m_start, m_end)
                 if min(f_start, f_end) > 0.15 * m2 * remaining**2 + 1e-12:
                     return x1, v1
-            # scan the step's dense output at sub-bounce resolution, with one
-            # f call, so the first crossing is the one located; an endpoint
-            # crossing brackets the whole step if the scan misses it
-            dense = SampledCurve(*map(np.array, zip(*nodes)))
+            # scan the flow at sub-bounce resolution, with one flow call and
+            # one f call, so the first crossing is the one located; an
+            # endpoint crossing brackets the whole step if the scan misses it
             n_scan = max(2, int(np.ceil(remaining / scan_res)))
             d = remaining * np.arange(1, n_scan + 1) / n_scan
-            f_scan = table.f(dense.at(d))
+            f_scan = table.f(flow(d)[0])
             dips = np.flatnonzero(f_scan < -1e-12)
             if dips.size:
                 j = dips[0]
@@ -495,7 +450,7 @@ def billiard_trajectory(table: TableSpec, model: AmbientModel, x0, v0, T,
                 bracket = (0.0, remaining, f_start, f_end)
             else:
                 return x1, v1
-            delta, xb, vb = _locate_crossing(table, advance, dense, *bracket)
+            delta, xb, vb = _locate_crossing(table, flow, t, *bracket)
             t += delta
             if bounces and t - bounces[-1].t < DELTA_MIN:
                 raise BounceAccumulationError(

@@ -372,3 +372,27 @@ class TestNormsAndVectors:
     def test_zero_vector_rejected_by_normalize(self):
         with pytest.raises(InvalidInputError):
             am.normalize(am.euclidean(3), np.zeros(3), np.zeros(3))
+
+    @pytest.mark.parametrize("model", MODELS3, ids=lambda m: m.kind)
+    def test_batches_equal_single_points(self, model):
+        r = np.random.default_rng(41)
+        X, U, V = r.uniform(-1, 1, (6, 3)), r.normal(size=(6, 3)), r.normal(size=(6, 3))
+        ip, nrm, unit = (am.inner(model, X, U, V), am.norm(model, X, V),
+                         am.normalize(model, X, V))
+        assert ip.shape == nrm.shape == (6,) and unit.shape == (6, 3)
+        for i in range(6):
+            one = am.inner(model, X[i], U[i], V[i])
+            assert type(one) is float and type(am.norm(model, X[i], V[i])) is float
+            assert ip[i] == one
+            assert nrm[i] == am.norm(model, X[i], V[i])
+            assert (unit[i] == am.normalize(model, X[i], V[i])).all()
+
+    def test_euclidean_point_skips_the_metric(self, monkeypatch):
+        # u @ v has the bits of u @ I @ v up to the sign of a zero
+        r = np.random.default_rng(42)
+        pairs = [(r.normal(size=3) * 10.0 ** r.integers(-200, 200, 3), r.normal(size=3))
+                 for _ in range(200)]
+        want = [float(u @ np.eye(3) @ v) for u, v in pairs]
+        monkeypatch.setattr(am, "metric_tensor", None)
+        for (u, v), w in zip(pairs, want):
+            assert am.inner(am.euclidean(3), np.zeros(3), u, v) == w

@@ -13,7 +13,7 @@ import pytest
 from foldbilliards import ambient as am
 from foldbilliards import dynamics as dy
 from foldbilliards import table as tb
-from foldbilliards.errors import InvalidInputError, PreconditionError
+from foldbilliards.errors import InvalidInputError, NumericError, PreconditionError
 from foldbilliards.fold import Fold
 
 S2 = np.sqrt(2.0) / 2.0
@@ -221,6 +221,13 @@ class TestFoldGeodesic:
         assert errs[0.02] / errs[0.01] >= 3.5
         assert errs[0.01] / errs[0.005] >= 3.5
 
+    def test_refinement_cap_raises(self, sphere_fold):
+        # rounding alone keeps the step-doubling error above 1e-30
+        with pytest.raises(NumericError, match=f"after {dy.MAX_REFINE_DEPTH} halvings"):
+            dy.integrate_fold_geodesic(sphere_fold, np.array([0.0, 0.0, 1.0]),
+                                       np.array([1.0, 0.0, 0.0]), 0.1, 1e-2,
+                                       two_sided=False, refine_tol=1e-30)
+
 
 class TestTableGeodesic:
     def test_euclidean_straight_line_is_exact(self):
@@ -272,6 +279,88 @@ class TestTableGeodesic:
                                            np.array(x0), np.array(v0), 1.0, 1e-3)
 
 
+MODELS2 = [am.euclidean(2), am.hyperbolic(2), am.spherical(2)]
+
+
+def launch(model, seed, speed=1.0):
+    """A seeded point in the unit disk and a velocity of the given g-norm."""
+    r = np.random.default_rng(seed)
+    x = r.uniform(-0.7, 0.7, 2)
+    return x, speed * am.normalize(model, x, r.normal(size=2))
+
+
+class TestGeodesicFlow:
+    @pytest.mark.parametrize("model", MODELS2, ids=lambda m: m.kind)
+    def test_matches_fixed_step_rk4(self, model):
+        x0, v0 = launch(model, 51)
+        x, v, dt = x0, v0, 1e-3
+        for k in range(1, 801):
+            x, v = dy._refined_step(model, None, x, v, dt, 1.0, None)
+            if k % 100 == 0:
+                xt, vt = am.geodesic_flow(model, x0, v0, k * dt)
+                assert np.abs(xt - x).max() <= 1e-10
+                assert np.abs(vt - v).max() <= 1e-10
+
+    @pytest.mark.parametrize("model", MODELS2, ids=lambda m: m.kind)
+    def test_batch_equals_a_loop(self, model):
+        r = np.random.default_rng(52)
+        X = r.uniform(-0.7, 0.7, (5, 2))
+        V = r.normal(size=(5, 2))
+        T = r.uniform(-1.5, 1.5, 5)
+        xt, vt = am.geodesic_flow(model, X, V, T)
+        for i in range(5):
+            assert all(map(same_bits, (xt[i], vt[i]), am.geodesic_flow(model, X[i], V[i], T[i])))
+        # a scan of times from one point, and times against a batch of points
+        scan = am.geodesic_flow(model, X[0], V[0], T)
+        grid = am.geodesic_flow(model, X, V, T[:3, None])
+        assert scan[0].shape == scan[1].shape == (5, 2)
+        assert grid[0].shape == grid[1].shape == (3, 5, 2)
+        for j in range(3):
+            for i in range(5):
+                one = am.geodesic_flow(model, X[i], V[i], T[j])
+                assert all(map(same_bits, (grid[0][j, i], grid[1][j, i]), one))
+                assert all(map(same_bits, (scan[0][j], scan[1][j]),
+                               am.geodesic_flow(model, X[0], V[0], T[j])))
+
+    def test_euclidean_branch_is_x_plus_t_v(self):
+        r = np.random.default_rng(53)
+        for _ in range(100):
+            x, v, t = r.normal(size=3), r.normal(size=3), float(r.uniform(-2, 2))
+            xt, vt = am.geodesic_flow(am.euclidean(3), x, v, t)
+            assert same_bits(xt, x + t * v) and same_bits(vt, v)
+        T = r.uniform(-2, 2, 4)
+        xt, vt = am.geodesic_flow(am.euclidean(3), x, v, T)
+        assert same_bits(xt, np.array([x + t * v for t in T]))
+        assert same_bits(vt, np.array([v] * 4))
+
+    @pytest.mark.parametrize("model", MODELS2, ids=lambda m: m.kind)
+    def test_distance_is_time_times_speed(self, model):
+        x0, v0 = launch(model, 54, speed=0.7)
+        T = np.linspace(0.0, 2.0, 9)
+        xt, vt = am.geodesic_flow(model, x0, v0, T)
+        assert np.abs(am.distance(model, x0, xt) - 0.7 * T).max() <= 1e-12
+        assert np.abs(am.norm(model, xt, vt) - 0.7).max() <= 1e-13
+        # zero speed stays put
+        still = am.geodesic_flow(model, x0, np.zeros(2), 1.0)
+        assert np.abs(still[0] - x0).max() <= 1e-15 and not still[1].any()
+
+    def test_spherical_raises_at_the_pole(self):
+        # from the origin (the south pole) the unit geodesic reaches the
+        # stereographic pole at t = pi
+        m = am.spherical(2)
+        x, v = np.zeros(2), np.array([0.5, 0.0])
+        am.geodesic_flow(m, x, v, [3.0, 3.1])
+        for t in (np.pi, [3.0, np.pi]):
+            with pytest.raises(NumericError, match="pole"):
+                am.geodesic_flow(m, x, v, t)
+
+    def test_non_finite_results_raise(self):
+        with pytest.raises(NumericError, match="not finite"):
+            am.geodesic_flow(am.hyperbolic(2), np.zeros(2), np.array([1.0, 0.0]), 1e3)
+        with pytest.raises(NumericError, match="not finite"):
+            am.geodesic_flow(am.euclidean(2), np.zeros(2), np.array([1.0, 0.0]), np.nan)
+
+
 def polar_angle(points):
     return np.arctan2(points[:, 1], points[:, 0])
 
@@ -299,31 +388,11 @@ class TestHermite:
         assert out.shape == crv.points.shape
         assert (out == crv.points).all()
 
-    def test_at_matches_hermite_and_returns_the_samples(self):
-        m, x0 = am.hyperbolic(2), np.array([0.2, -0.1])
-        crv = dy.integrate_table_geodesic(m, x0, am.normalize(m, x0, np.array([0.9, 0.4])),
-                                          0.3, 1e-2)
-        assert (crv.at(crv.times) == crv.points).all()
-        t = (crv.times[:-1, None] + crv.dt * np.arange(8) / 8).ravel()
-        assert np.abs(crv.at(t) - crv.hermite(8)[:-1]).max() <= 1e-15
-        assert crv.at(0.05).shape == (2,)
-
-    def test_at_on_an_uneven_grid(self):
-        # a circle sampled at uneven times: each piece is its own cubic
-        ts = np.array([0.0, 0.01, 0.015, 0.04, 0.05])
-        crv = dy.SampledCurve(times=ts, points=np.stack([np.cos(ts), np.sin(ts)], 1),
-                              velocities=np.stack([-np.sin(ts), np.cos(ts)], 1))
-        t = np.linspace(0.0, 0.05, 101)
-        exact = np.stack([np.cos(t), np.sin(t)], 1)
-        assert np.abs(crv.at(t) - exact).max() <= 0.025**4 / 384 * 1.01
-
     def test_needs_velocities_and_a_positive_refine(self):
         ts = np.linspace(0.0, 1.0, 5)
         crv = dy.SampledCurve(times=ts, points=np.stack([ts, ts], 1))
         with pytest.raises(InvalidInputError):
             crv.hermite(8)
-        with pytest.raises(InvalidInputError):
-            crv.at(0.5)
         crv.velocities = np.ones((5, 2))
         with pytest.raises(InvalidInputError):
             crv.hermite(0)
@@ -574,3 +643,22 @@ class TestBilliard:
         assert tr.base.times[-1] == pytest.approx(10.0 / 3.0, abs=1e-12)
         steps = np.diff(tr.base.times)
         assert np.ptp(steps) < 1e-12
+
+    def test_sign_change_without_a_root_raises(self):
+        # f = x_1 + 1 jumps to -1 at x_1 = 0.25; the scan brackets the jump and
+        # regula falsi closes in on it without reaching f = 0
+        class JumpShape(tb.Shape):
+            def f(self, x):
+                return np.where(x[..., 0] < 0.25, x[..., 0] + 1.0, -1.0)
+
+            def grad(self, x):
+                return np.stack([np.ones(x.shape[:-1]), np.zeros(x.shape[:-1])], -1)
+
+            def hess(self, x):
+                return np.zeros(x.shape + x.shape[-1:])
+
+        table = tb.TableSpec(n=2, shape=JumpShape(), region=tb.Region((0.0, 0.0), 5.0),
+                             p0=(-1.0, 0.0))
+        with pytest.raises(NumericError, match=r"bracket \[0\.249.*, 0\.25\] .* t = 0\.24"):
+            dy.billiard_trajectory(table, am.euclidean(2), np.zeros(2), np.array([1.0, 0.0]),
+                                   1.0, 1e-2)
