@@ -11,10 +11,11 @@ Three models, all defined by explicit metric tensors on all of R^d:
   north pole, so the chart covers the sphere minus one point).
 
 Christoffel symbols, distances and the geodesic flow are closed-form; the
-finite-difference route lives in the test suite as an independent oracle.  ``distance`` is the
-one body for distance values: cancellation-free chord forms, the same bits
-for a pair, rows or a grid.  The curved ``distance_cross`` is a faster Gram
-form that only searches (nearest vertices, Hausdorff min / max).
+finite-difference route lives in the test suite as an independent oracle.
+``distance`` is the one body for distance values: cancellation-free chord
+forms, the same bits for a pair, rows or a grid.  The curved
+``distance_cross`` is a faster Gram form that only searches (nearest
+vertices, Hausdorff min / max).
 """
 
 from __future__ import annotations
@@ -48,8 +49,9 @@ def _check_point(x, dim: int) -> np.ndarray:
 
 
 def _all_finite(x: np.ndarray) -> bool:
-    # one point is checked on Python floats, several times faster than a ufunc
-    # and a reduction on a few coordinates
+    """Whether every entry of x is finite; one point is checked on Python
+    floats, several times faster than a ufunc and a reduction on a few
+    coordinates."""
     return all(map(math.isfinite, x.tolist())) if x.ndim == 1 else bool(np.isfinite(x).all())
 
 
