@@ -316,11 +316,11 @@ class TestGeodesicFlow:
         assert scan[0].shape == scan[1].shape == (5, 2)
         assert grid[0].shape == grid[1].shape == (3, 5, 2)
         for j in range(3):
+            assert all(map(same_bits, (scan[0][j], scan[1][j]),
+                           am.geodesic_flow(model, X[0], V[0], T[j])))
             for i in range(5):
                 one = am.geodesic_flow(model, X[i], V[i], T[j])
                 assert all(map(same_bits, (grid[0][j, i], grid[1][j, i]), one))
-                assert all(map(same_bits, (scan[0][j], scan[1][j]),
-                               am.geodesic_flow(model, X[0], V[0], T[j])))
 
     def test_euclidean_branch_is_x_plus_t_v(self):
         r = np.random.default_rng(53)
