@@ -247,24 +247,31 @@ def geodesic_flow(model: AmbientModel, x, v, t) -> tuple[np.ndarray, np.ndarray]
                   sphere_embedding of x, projected back stereographically
     NumericError when the curve reaches the stereographic pole or a result
     is not finite."""
-    x = _check_point(x, model.dim)
+    x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    t = np.asarray(t, dtype=float)[..., None]
+    if x.shape[-1:] != (model.dim,) or v.shape[-1:] != (model.dim,):
+        raise InvalidInputError(f"expected points and velocities of dimension {model.dim}, "
+                                f"got shapes {x.shape} and {v.shape}")
+    # one time stays a scalar, so a euclidean step is x + t v and one check;
+    # a non-finite input shows in the result
+    t = t if isinstance(t, float) else np.asarray(t, dtype=float)[..., None]
     if model.kind == "euclidean":
         xt = x + t * v
         vt = v if v.shape == xt.shape else np.broadcast_to(v, xt.shape).copy()
+        finite = _all_finite(xt)
     else:
-        # overflow and the 0 / 0 of speed 0 are caught below
+        # overflow and the 0 / 0 of speed 0 are caught by the check
         with np.errstate(all="ignore"):
             xt, vt = _curved_flow(model, x, v, t)
-    if not (_all_finite(xt) and _all_finite(vt)):
+        finite = _all_finite(xt) and _all_finite(vt)
+    if not finite:
         raise NumericError("geodesic flow is not finite")
     return xt, vt
 
 
 def _curved_flow(model, x, v, t):
-    """The hyperbolic and spherical branches of geodesic_flow, for t of shape
-    (..., 1); speed 0 takes the limit t of sin(s t) / s."""
+    """The hyperbolic and spherical branches of geodesic_flow, for a scalar t
+    or t of shape (..., 1); speed 0 takes the limit t of sin(s t) / s."""
     xv = _dot(x, v)[..., None]
     if model.kind == "hyperbolic":
         s = np.sqrt(_dot(v, v)[..., None] - (xv / hyperboloid_embedding(x)[..., -1:]) ** 2)

@@ -359,6 +359,15 @@ class TestGeodesicFlow:
             am.geodesic_flow(am.hyperbolic(2), np.zeros(2), np.array([1.0, 0.0]), 1e3)
         with pytest.raises(NumericError, match="not finite"):
             am.geodesic_flow(am.euclidean(2), np.zeros(2), np.array([1.0, 0.0]), np.nan)
+        with pytest.raises(NumericError, match="not finite"):
+            am.geodesic_flow(am.spherical(2), np.array([np.inf, 0.0]), np.ones(2), 0.5)
+
+    @pytest.mark.parametrize("model", MODELS2, ids=lambda m: m.kind)
+    def test_dimension_mismatch_rejected(self, model):
+        with pytest.raises(InvalidInputError):
+            am.geodesic_flow(model, np.zeros(3), np.ones(3), 1.0)
+        with pytest.raises(InvalidInputError):
+            am.geodesic_flow(model, np.zeros(2), np.ones(3), 1.0)
 
 
 def polar_angle(points):
