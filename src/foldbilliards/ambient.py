@@ -245,8 +245,9 @@ def geodesic_flow(model: AmbientModel, x, v, t) -> tuple[np.ndarray, np.ndarray]
                   coordinates)
       spherical   the great circle cos(s t) X + sin(s t) V / s through the
                   sphere_embedding of x, projected back stereographically
-    NumericError when the curve reaches the stereographic pole or a result
-    is not finite."""
+    InvalidInputError when x or v is not of dimension dim; NumericError
+    when the curve reaches the stereographic pole or a result is not
+    finite."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     if x.shape[-1:] != (model.dim,) or v.shape[-1:] != (model.dim,):
