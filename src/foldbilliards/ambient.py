@@ -205,15 +205,21 @@ def christoffel(model: AmbientModel, x) -> np.ndarray:
 
 
 def christoffel_quadratic(model: AmbientModel, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Gamma^k_ij v^i v^j without building the full tensor (integrator path)."""
+    """Gamma^k_ij v^i v^j at the points x with velocities v, shape (..., dim),
+    without building the full tensor (integrator path).  One point takes the
+    1-D ``@``, a batch the stacked row products, with the same bits."""
     if model.kind == "euclidean":
         return np.zeros(np.shape(v))
+    if np.ndim(x) == 1:
+        xx, xv, vv = x @ x, x @ v, v @ v
+    else:
+        xx, xv, vv = (_dot(a, b)[..., None] for a, b in ((x, x), (x, v), (v, v)))
     if model.kind == "hyperbolic":
-        s = 1.0 + x @ x
-        gvv = v @ v - (x @ v) ** 2 / s
+        s = 1.0 + xx
+        gvv = vv - xv ** 2 / s
         return -gvv * x
-    c = -2.0 / (1.0 + x @ x)
-    return c * (2.0 * (x @ v) * v - (v @ v) * x)
+    c = -2.0 / (1.0 + xx)
+    return c * (2.0 * xv * v - vv * x)
 
 
 def sphere_embedding(X) -> np.ndarray:

@@ -16,7 +16,6 @@ against the boundary geodesic (incidence angle -> 0).
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -208,9 +207,11 @@ def sup_distance(a: SampledCurve, b: SampledCurve, model: AmbientModel) -> float
 
 def curve_to_set_sup(model: AmbientModel, points, ref_points) -> float:
     """Sup over points of the distance to a densely sampled reference curve:
-    the least distance to the nearest vertex (picked by distance_cross) and to
-    its projections onto the two adjacent coordinate segments, so segment
-    spacing controls the residual error."""
+    the least distance to the projections onto the two coordinate segments
+    next to the nearest vertex (picked by distance_cross), so segment
+    spacing controls the residual error.  A projection clipped to an end of
+    its segment is that vertex, so the nearest vertex is no separate
+    candidate."""
     P = np.asarray(points, dtype=float)
     R = np.asarray(ref_points, dtype=float)
     if len(R) == 0:
@@ -230,8 +231,7 @@ def curve_to_set_sup(model: AmbientModel, points, ref_points) -> float:
             s = np.clip(_dot(p - a, ab) / den, 0.0, 1.0)
         s[den < 1e-300] = 0.0
         proj = a + s[..., None] * ab
-        cand = np.concatenate([R[j], proj], axis=1)
-        sup = max(sup, float(ambient.distance(model, p, cand).min(axis=1).max()))
+        sup = max(sup, float(ambient.distance(model, p, proj).min(axis=1).max()))
     return sup
 
 
@@ -312,30 +312,34 @@ def _angle_g(g: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
     return float(np.arccos(np.clip(c, -1.0, 1.0)))
 
 
-def _fold_convergence_row(args):
-    (table, model_amb, model_H, lam, q0, v0, T, dt, bil_p_pts, bil_m_pts,
-     frame_g, frame_nu, t_probe_cap, refs, kappa, tol_qg) = args
-    fld = Fold(table=table, model=model_amb, lam=lam)
-    fwd = integrate_fold_geodesic(fld, q0, v0, T, dt, two_sided=False)
-    bwd = integrate_fold_geodesic(fld, q0, -v0, T, dt, two_sided=False)
-    fwd_p, fwd_v, bwd_p, bwd_v = fwd.points, fwd.velocities, bwd.points, bwd.velocities
-    n = table.n
-    nf = min(len(fwd_p), len(bil_p_pts))
-    nb = min(len(bwd_p), len(bil_m_pts))
-    sup_f = float(ambient.distance_rowwise(model_H, fwd_p[:nf, :n], bil_p_pts[:nf]).max())
-    sup_b = float(ambient.distance_rowwise(model_H, bwd_p[:nb, :n], bil_m_pts[:nb]).max())
+def _fold_convergence_row(fold: Fold, q0, v0, T, dt, bil_p: SampledCurve,
+                          bil_m: SampledCurve, frame, refs, kappa, tol_qg) -> ConvergenceRow:
+    """One lam of fold_convergence_experiment: the two-sided fold geodesic,
+    split at t = 0 into its forward half and its backward half (the run from
+    -v0), against the billiards bil_p and bil_m."""
+    model_H = fold.model.restricted()
+    n = fold.table.n
+    crv = integrate_fold_geodesic(fold, q0, v0, T, dt)
+    i0 = int(np.searchsorted(crv.times, 0.0))
+    fwd_p, fwd_v = crv.points[i0:], crv.velocities[i0:]
+    bwd_p, bwd_v = crv.points[i0::-1], -crv.velocities[i0::-1]
+    nf = min(len(fwd_p), len(bil_p.points))
+    nb = min(len(bwd_p), len(bil_m.points))
+    sup_f = float(ambient.distance_rowwise(model_H, fwd_p[:nf, :n], bil_p.points[:nf]).max())
+    sup_b = float(ambient.distance_rowwise(model_H, bwd_p[:nb, :n], bil_m.points[:nb]).max())
 
     # direction estimates just outside the pinch layer
-    t_probe = min(max(25 * dt, 4 * lam * lam), t_probe_cap)
+    g, nu = frame.metric.g, frame.nu
+    t_probe = min(max(25 * dt, 4 * fold.lam * fold.lam), T / 3)
     ip = min(int(round(t_probe / dt)), min(nf, nb) - 1)
     u_est_p = fwd_v[ip, :n]
     u_est_m = bwd_v[ip, :n]
-    u_est_p = u_est_p / np.sqrt(u_est_p @ frame_g @ u_est_p)
-    u_est_m = u_est_m / np.sqrt(u_est_m @ frame_g @ u_est_m)
+    u_est_p = u_est_p / np.sqrt(u_est_p @ g @ u_est_p)
+    u_est_m = u_est_m / np.sqrt(u_est_m @ g @ u_est_m)
     # mirror law at the pinch passage: reversed incoming and outgoing
     # directions must be polar
-    pol = 2 * (u_est_m @ frame_g @ frame_nu) * frame_nu - u_est_m
-    angle_err = _angle_g(frame_g, pol, u_est_p)
+    pol = 2 * (u_est_m @ g @ nu) * nu - u_est_m
+    angle_err = _angle_g(g, pol, u_est_p)
 
     res = None
     if refs is not None:
@@ -344,12 +348,11 @@ def _fold_convergence_row(args):
         proj = SampledCurve(times=np.concatenate([t_b[:-1], t_f]),
                             points=np.concatenate([bwd_p[:nb][::-1][:-1, :n], fwd_p[:nf, :n]]),
                             velocities=None)
-        rep = quasigeodesic_residual(proj, model_H, table, kappa, refs, tol=tol_qg)
+        rep = quasigeodesic_residual(proj, model_H, fold.table, kappa, refs, tol=tol_qg)
         res = rep.max_residual
-    return ConvergenceRow(param_name="lambda", param=lam,
+    return ConvergenceRow(param_name="lambda", param=fold.lam,
                           sup_distance=max(sup_f, sup_b),
-                          angle_error=angle_err, residual=res,
-                          truncated=fwd.truncated or bwd.truncated), u_est_p, u_est_m
+                          angle_error=angle_err, residual=res, truncated=crv.truncated)
 
 
 def fold_convergence_experiment(table: TableSpec, model: AmbientModel,
@@ -374,6 +377,8 @@ def fold_convergence_experiment(table: TableSpec, model: AmbientModel,
 
     The scan certification gates the verdict: without a certified lower
     bound the report is marked inconclusive, as is a single-row run.
+    workers is accepted for compatibility and has no effect: each lam is one
+    batched integration of both sides.
     """
     if lambdas is None:
         lambdas = [2.0 ** -k for k in range(1, 9)]
@@ -403,7 +408,6 @@ def fold_convergence_experiment(table: TableSpec, model: AmbientModel,
     frame = boundary_frame(table, model_amb, p0)
     t_hat = frame.tangent_basis[0]
     nu = frame.nu
-    g = frame.metric.g
     if not _patch_holds_ball(table, model_H, p0, 2 * T, dt):
         raise PreconditionError("the 2T-ball around p0 is not contained in the patch U")
 
@@ -426,15 +430,9 @@ def fold_convergence_experiment(table: TableSpec, model: AmbientModel,
     bil_m = billiard_trajectory(table, model_H, p0, u_minus, T, dt)
 
     refs = reference_points_for_table(table, model_amb, seed=seed)
-    jobs = [(table, model_amb, model_H, lam, q0, v0, T, dt,
-             bil_p.base.points, bil_m.base.points, g, nu, T / 3,
-             refs, kappa, tol_qg) for lam in lambdas]
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(_fold_convergence_row, jobs))
-    else:
-        results = [_fold_convergence_row(j) for j in jobs]
-    rows = [r for r, _, _ in results]
+    rows = [_fold_convergence_row(Fold(table=table, model=model_amb, lam=lam), q0, v0, T, dt,
+                                  bil_p.base, bil_m.base, frame, refs, kappa, tol_qg)
+            for lam in lambdas]
 
     final_row = rows[-1]
     ok = (certified and len(rows) >= 2 and not final_row.truncated
@@ -502,8 +500,8 @@ def boundary_geodesic_experiment(table: TableSpec, model: AmbientModel,
     t_hat = frame.tangent_basis[0]
     nu = frame.nu
 
-    # one run on the output grid's own step, n_ext steps long; its first
-    # n + 1 samples are the same-grid reference
+    # one run sampled on the output grid's own step, n_ext samples long; its
+    # first n + 1 samples are the same-grid reference
     n = len(_grid(T, dt)) - 1
     h = T / n
     n_ext = int(np.ceil(n * (1 + extend)))

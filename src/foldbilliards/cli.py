@@ -61,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        f"(default: runs/<config name>; env {ENV_OUT_DIR})")
     run_p.add_argument("--seed", type=int, help="override the config RNG seed")
     run_p.add_argument("--workers", type=int,
-                       help=f"parallel workers for fold-convergence rows (env {ENV_WORKERS})")
+                       help=f"accepted and echoed in the manifest, no effect (env {ENV_WORKERS})")
     sub.add_parser("list-builtins", help="list builtin tables, models, configs")
     return parser
 

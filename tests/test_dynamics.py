@@ -58,7 +58,7 @@ def long_great_circle(sphere_fold):
 
 
 def generic_raise_index(model, x, df):
-    return am.metric_tensor(model, x).g_inv @ df
+    return (am.metric_tensor(model, x).g_inv @ df[..., None])[..., 0]
 
 
 def same_bits(a, b):
@@ -89,14 +89,19 @@ class TestEuclideanShortcut:
         else:
             disk = tb.disk_table()
             model, constraint = am.euclidean(2), (disk.f, disk.grad_f, disk.hess_f)
-        states = [(rng.uniform(-0.9, 0.9, model.dim), rng.normal(size=model.dim))
-                  for _ in range(100)]
+        # points within 1e-3 of the level set, where the Newton projection
+        # converges in its three iterations
+        phi = rng.uniform(0.0, 2 * np.pi, 100)
+        circle = np.stack([np.cos(phi), np.sin(phi)], 1)
+        on = np.column_stack([S2 * circle, np.full(100, 0.3 * S2)]) if case == "fold" else circle
+        states = [(p + 1e-3 * rng.normal(size=model.dim), rng.normal(size=model.dim))
+                  for p in on]
         fast = [(dy._acceleration(model, constraint, x, v),
-                 *dy._project(model, constraint, x, v, 1.0)) for x, v in states]
+                 *dy._project(model, constraint, x, v)) for x, v in states]
         monkeypatch.setattr(dy, "_raise_index", generic_raise_index)
         for (x, v), want in zip(states, fast):
             got = (dy._acceleration(model, constraint, x, v),
-                   *dy._project(model, constraint, x, v, 1.0))
+                   *dy._project(model, constraint, x, v))
             assert all(same_bits(a, b) for a, b in zip(got, want))
 
 
@@ -221,12 +226,95 @@ class TestFoldGeodesic:
         assert errs[0.02] / errs[0.01] >= 3.5
         assert errs[0.01] / errs[0.005] >= 3.5
 
-    def test_refinement_cap_raises(self, sphere_fold):
-        # rounding alone keeps the step-doubling error above 1e-30
-        with pytest.raises(NumericError, match=f"after {dy.MAX_REFINE_DEPTH} halvings"):
+    def test_step_floor_raises(self, sphere_fold):
+        # rounding alone keeps the error estimate above 1e-30, so the step
+        # shrinks until it falls below STEP_FLOOR T
+        with pytest.raises(NumericError, match=r"fell below the floor 1e-12 T = 1e-13"):
             dy.integrate_fold_geodesic(sphere_fold, np.array([0.0, 0.0, 1.0]),
                                        np.array([1.0, 0.0, 0.0]), 0.1, 1e-2,
                                        two_sided=False, refine_tol=1e-30)
+
+    def test_non_finite_acceleration_raises_at_the_floor(self):
+        class NanHessDisk(tb.DiskShape):
+            def hess(self, x):
+                return np.full(x.shape + x.shape[-1:], np.nan)
+
+        table = tb.TableSpec(n=2, shape=NanHessDisk(), region=tb.Region((0.0, 0.0), 2.5),
+                             p0=(1.0, 0.0))
+        with pytest.raises(NumericError, match="step nan at t = 0.0 fell below the floor"):
+            dy.integrate_boundary_geodesic(table, am.euclidean(2), np.array([1.0, 0.0]),
+                                           np.array([0.0, 1.0]), 1.0, 1e-2)
+
+    def test_newton_cap_raises_naming_the_time(self, sphere_fold):
+        # one fixed RK4 step of length 2 on the unit sphere lands so far off
+        # it that three Newton iterations leave |F| above NEWTON_F_TOL
+        q0, v0 = np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])
+        dy.integrate_fold_geodesic(sphere_fold, q0, v0, 1.0, 1.0, two_sided=False,
+                                   refine_tol=None)
+        with pytest.raises(NumericError, match=r"after 3 iterations at t = 2\.0"):
+            dy.integrate_fold_geodesic(sphere_fold, q0, v0, 2.0, 2.0, two_sided=False,
+                                       refine_tol=None)
+        # F = |q|^2 - 1 from (10, 0, 0): Newton reaches 5.05, 2.62, 1.50
+        constraint = (sphere_fold.value, sphere_fold.euclid_grad, sphere_fold.euclid_hess)
+        x = np.array([[0.0, 0.0, 1.0 + 1e-6], [10.0, 0.0, 0.0]])
+        with pytest.raises(NumericError, match=r"\|F\| = 1\.2.* at t = 0\.5"):
+            dy._project(sphere_fold.model, constraint, x, np.ones((2, 3)), [0.25, 0.5])
+        dy._project(sphere_fold.model, constraint, x[:1], np.ones((1, 3)))
+
+    @pytest.mark.parametrize("kind", am.MODEL_KINDS)
+    def test_two_sided_run_equals_its_one_sided_runs(self, kind):
+        # the two sides are two rows of one batch, each with its own steps
+        fld = Fold(tb.disk_table(), am.AmbientModel(kind, 3), 0.25)
+        q0, v0 = pinch_launch(fld)
+        both = dy.integrate_fold_geodesic(fld, q0, v0, 0.3, 1e-2)
+        fwd = dy.integrate_fold_geodesic(fld, q0, v0, 0.3, 1e-2, two_sided=False)
+        bwd = dy.integrate_fold_geodesic(fld, q0, -v0, 0.3, 1e-2, two_sided=False)
+        i0 = len(bwd) - 1
+        assert same_bits(both.points[i0:], fwd.points)
+        assert same_bits(both.velocities[i0:], fwd.velocities)
+        assert same_bits(both.points[i0::-1], bwd.points)
+        assert same_bits(-both.velocities[i0::-1], bwd.velocities)
+
+
+def pinch_launch(fold):
+    """The lift of the disk point (1, 0) and a unit velocity 0.8 along the
+    boundary tangent plus 0.6 vertical, as fold-convergence launches."""
+    q0 = np.array([1.0, 0.0, 0.0])
+    t_hat = tb.boundary_frame(fold.table, fold.model, q0[:2]).tangent_basis[0]
+    e_vert = am.normalize(fold.model, q0, np.array([0.0, 0.0, 1.0]))
+    return q0, am.normalize(fold.model, q0, 0.8 * np.append(t_hat, 0.0) + 0.6 * e_vert)
+
+
+class TestBatchKernels:
+    """B rows of the level-set kernels give the same bits as B one-point
+    calls, in every model."""
+
+    @staticmethod
+    def states(fold, rng, m=40):
+        # near the fold, with rows that need 0 to 3 Newton iterations
+        x = rng.uniform(-0.8, 0.8, (m, 2))
+        f = fold.table.f(x)
+        q = np.column_stack([x, fold.lam * np.sqrt(np.maximum(f, 0.0))])
+        q[::4, -1] += 10.0 ** -rng.integers(3, 12, len(q[::4]))
+        return q, rng.normal(size=q.shape)
+
+    @pytest.mark.parametrize("kind", am.MODEL_KINDS)
+    def test_rows_equal_single_points(self, kind):
+        rng = np.random.default_rng([61, am.MODEL_KINDS.index(kind)])
+        fold = Fold(tb.disk_table(), am.AmbientModel(kind, 3), 0.5)
+        constraint = (fold.value, fold.euclid_grad, fold.euclid_hess)
+        X, V = self.states(fold, rng)
+        df = fold.euclid_grad(X)
+        batch = (am.christoffel_quadratic(fold.model, X, V),
+                 dy._raise_index(fold.model, X, df),
+                 dy._acceleration(fold.model, constraint, X, V),
+                 *dy._project(fold.model, constraint, X, V))
+        for i in range(len(X)):
+            one = (am.christoffel_quadratic(fold.model, X[i], V[i]),
+                   dy._raise_index(fold.model, X[i], df[i]),
+                   dy._acceleration(fold.model, constraint, X[i], V[i]),
+                   *dy._project(fold.model, constraint, X[i], V[i]))
+            assert all(same_bits(a[i], b) for a, b in zip(batch, one))
 
 
 class TestTableGeodesic:
@@ -295,7 +383,7 @@ class TestGeodesicFlow:
         x0, v0 = launch(model, 51)
         x, v, dt = x0, v0, 1e-3
         for k in range(1, 801):
-            x, v = dy._refined_step(model, None, x, v, dt, 1.0, None)
+            x, v = dy._rk4_step(model, None, x, v, dt)
             if k % 100 == 0:
                 xt, vt = am.geodesic_flow(model, x0, v0, k * dt)
                 assert np.abs(xt - x).max() <= 1e-10
@@ -414,7 +502,7 @@ def reintegrating_bounces(table, model, x0, v0, T, dt):
     bounces = []
 
     def advance(xc, vc, h):
-        return dy._advance(model_H, None, xc, vc, h)
+        return am.geodesic_flow(model_H, xc, vc, h)
 
     def first_dip(f_after, h, n_scan):
         prev = 0.0
