@@ -13,9 +13,10 @@ Three models, all defined by explicit metric tensors on all of R^d:
 Christoffel symbols, distances and the geodesic flow are closed-form; the
 finite-difference route lives in the test suite as an independent oracle.
 ``distance`` is the one body for distance values: cancellation-free chord
-forms, the same bits for a pair, rows or a grid.  The curved
-``distance_cross`` is a faster Gram form that only searches (nearest
-vertices, Hausdorff min / max).
+forms, the same bits for a pair, rows or a grid.  ``distance_cross`` is the
+same body on a grid; the private ``_nearest_sup`` searches nearest sets with
+it (nearest vertices, Hausdorff min / max), evaluating only the pairs that a
+bounding-ball bound cannot rule out.
 """
 
 from __future__ import annotations
@@ -34,8 +35,15 @@ MODEL_KINDS = ("euclidean", "hyperbolic", "spherical")
 # Allowed roundoff slack when clamping inverse-trig arguments to their domain.
 CLAMP_SLACK = 1e-12
 
-# Output bytes of one distance_blocks block (184 rows against 11,353 columns).
+# Output bytes of one distance_cross call of the nearest-set search (at
+# least one row a call), so its memory stays bounded when nothing prunes.
 BLOCK_BYTES = 16 * 2**20
+
+# Points per cell of the nearest-set search, and its pruning margin relative
+# to 1 + d(q, c): above the few-ulp error of the chord forms, including the
+# ~1e-8 of arcsin near antipodal points.
+NEAR_CELL = 64
+NEAR_SLACK = 1e-7
 
 
 def _check_point(x, dim: int) -> np.ndarray:
@@ -342,7 +350,11 @@ def distance(model: AmbientModel, p, q):
       spherical   2 arcsin(sqrt(e2 / ((1 + |p|^2)(1 + |q|^2)))), the half
                   chord of the stereographic preimages
     """
-    p, q = _points(model, p, q)
+    return _chord_distance(model, *_points(model, p, q))
+
+
+def _chord_distance(model: AmbientModel, p: np.ndarray, q: np.ndarray):
+    """The chord forms of distance on float arrays whose batches broadcast."""
     e2 = _coordinate_sum(p, q)
     if model.kind == "euclidean":
         return np.sqrt(e2)
@@ -362,44 +374,105 @@ def distance_rowwise(model: AmbientModel, A: np.ndarray, B: np.ndarray) -> np.nd
 
 
 def distance_cross(model: AmbientModel, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Distance matrix d(A_i, B_j), the nearest-neighbour search kernel: it
-    gives the Hausdorff min / max and the candidate vertex of
-    curve_to_set_sup, while distance gives values.  The euclidean branch is
-    distance's arithmetic on the grid, equal to it bit for bit.  The curved
-    branches take arccos / arccosh of an embedded Gram product (one dgemm
-    per block, clamped and transformed in place), 3-5 times cheaper per pair
-    than the chord forms but with an absolute error of about sqrt(machine
-    epsilon) near coincident points; dgemm can also move the last
-    len(B) mod 8 columns by about 5e-16 with the number of rows per call.
-    It allocates one len(A) x len(B) output, so large sample sets go through
-    distance_blocks instead of one call."""
+    """Distance matrix d(A_i, B_j) of point rows A (n, dim) and B (m, dim):
+    the chord forms of distance on the grid, equal to distance bit for bit in
+    every model and independent of the rows per call.  It is the kernel of
+    the nearest-set search (_nearest_sup), which keeps each call within
+    BLOCK_BYTES of output."""
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
-    if model.kind == "hyperbolic":
-        A_emb = hyperboloid_embedding(A)
-        B_emb = hyperboloid_embedding(B)
-        # Minkowski pairing: cosh d = -<P, Q>
-        out = A_emb[:, :-1] @ B_emb[:, :-1].T
-        out -= np.outer(A_emb[:, -1], B_emb[:, -1])
-        np.negative(out, out=out)
-        np.maximum(out, 1.0, out=out)
-        return np.arccosh(out, out=out)
-    if model.kind == "spherical":
-        out = sphere_embedding(A) @ sphere_embedding(B).T
-        np.clip(out, -1.0, 1.0, out=out)
-        return np.arccos(out, out=out)
-    out = _coordinate_sum(A[:, None, :], B[None, :, :])
-    return np.sqrt(out, out=out)
+    return _chord_distance(model, A[:, None, :], B[None, :, :])
 
 
-def distance_blocks(model: AmbientModel, A: np.ndarray,
-                    B: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (first row, distance_cross block) over consecutive row blocks
-    of A; each block holds at most BLOCK_BYTES (and at least one row), so
-    memory depends on the block, not on len(A) x len(B)."""
-    rows = max(1, BLOCK_BYTES // (8 * max(1, len(B))))
-    for lo in range(0, len(A), rows):
-        yield lo, distance_cross(model, A[lo:lo + rows], B)
+def _cells(X: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Split the rows of X into chart-coordinate cells of at most size points
+    (more only where all of a cell's points coincide): every cell halves at
+    the median of its widest coordinate, all cells of a level at once.
+    Returns (perm, starts): the row indices grouped cell by cell and the
+    offset of each cell in perm.  Neighbouring cells are neighbours in
+    space."""
+    n = len(X)
+    perm, starts = np.arange(n), np.zeros(1, dtype=int)
+    while True:
+        Xp = X[perm]
+        extent = np.maximum.reduceat(Xp, starts) - np.minimum.reduceat(Xp, starts)
+        sizes = np.diff(starts, append=n)
+        split = (sizes > size) & extent.any(axis=1)
+        if not split.any():
+            return perm, starts
+        cell = np.repeat(np.arange(len(starts)), sizes)
+        key = Xp[np.arange(n), extent.argmax(axis=1)[cell]]
+        perm = perm[np.lexsort((key, cell))]
+        starts = np.sort(np.concatenate([starts, starts[split] + sizes[split] // 2]))
+
+
+def _row_chunks(rows: np.ndarray, n_cols: int) -> Iterator[np.ndarray]:
+    """rows in consecutive pieces of at most BLOCK_BYTES of distance_cross
+    output against n_cols columns (at least one row a piece)."""
+    step = max(1, BLOCK_BYTES // (8 * max(1, n_cols)))
+    for lo in range(0, len(rows), step):
+        yield rows[lo:lo + step]
+
+
+def _nearest_sup(model: AmbientModel, Q: np.ndarray, R: np.ndarray,
+                 pair: np.ndarray | None = None, value=None) -> float:
+    """max over the rows Q_i of their least distance d(Q_i, R_j) to R, or of
+    the smaller of that and value(i, j) when value is given.  j is the
+    nearest row of R, the first index of the least distance_cross(Q_i, R),
+    as argmin over the dense matrix picks it; value takes index arrays.
+    pair, if given, names one row of R for each row of Q.  -inf for no rows;
+    R must not be empty.
+
+    Exact search on a one-level ball tree (Omohundro 1989): R splits into
+    _cells of NEAR_CELL points, each with a member for center c and the
+    largest distance from c to a member for radius r.  A row's upper bound u
+    is its least distance to a center or to its pair; both are entries of
+    its row, so its value is at most u.  Query cells go highest pair
+    distance first; a row with u at most the running sup cannot raise it
+    and is skipped (Taha & Hanbury 2015).  Every other row is evaluated
+    against the cells whose d(q, c) - r is within u plus a rounding margin,
+    in ascending column order: by the triangle inequality every other
+    column lies above the row's minimum, so the result is that of the dense
+    matrix, ties included."""
+    if not len(Q):
+        return -np.inf
+    perm, starts = _cells(R, NEAR_CELL)
+    sizes = np.diff(starts, append=len(R))
+    cell = np.repeat(np.arange(len(starts)), sizes)
+    # each cell's center is the member nearest to its coordinate mean
+    Rp = R[perm]
+    off = Rp - (np.add.reduceat(Rp, starts) / sizes[:, None])[cell]
+    centers = perm[np.lexsort((_dot(off, off), cell))[starts]]
+    radius = np.maximum.reduceat(distance(model, Rp, R[centers][cell]), starts)
+
+    qperm, qstarts = _cells(Q, NEAR_CELL)
+    queries = np.split(qperm, qstarts[1:])
+    upper = np.full(len(Q), np.inf)
+    if pair is not None:
+        upper = distance(model, Q, R[pair])
+        queries.sort(key=lambda rows: -upper[rows].max())
+    sup = -np.inf
+    for rows in queries:
+        rows = rows[upper[rows] > sup]
+        if not len(rows):
+            continue
+        dc = np.concatenate([distance_cross(model, Q[part], R[centers])
+                             for part in _row_chunks(rows, len(centers))])
+        bound = np.minimum(upper[rows], dc.min(axis=1))
+        live = bound > sup
+        if not live.any():
+            continue
+        rows, dc, bound = rows[live], dc[live], bound[live]
+        near = (dc - radius - bound[:, None] <= NEAR_SLACK * (1.0 + dc)).any(axis=0)
+        cols = np.sort(perm[near[cell]])
+        for part in _row_chunks(rows, len(cols)):
+            D = distance_cross(model, Q[part], R[cols])
+            j = D.argmin(axis=1)
+            val = D[np.arange(len(part)), j]
+            if value is not None:
+                np.minimum(val, value(part, cols[j]), out=val)
+            sup = max(sup, float(val.max()))
+    return sup
 
 
 def rho_kappa(kappa: float, r) -> np.ndarray | float:

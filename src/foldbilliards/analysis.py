@@ -207,23 +207,25 @@ def sup_distance(a: SampledCurve, b: SampledCurve, model: AmbientModel) -> float
 
 def curve_to_set_sup(model: AmbientModel, points, ref_points) -> float:
     """Sup over points of the distance to a densely sampled reference curve:
-    the least distance to the projections onto the two coordinate segments
-    next to the nearest vertex (picked by distance_cross), so segment
-    spacing controls the residual error.  A projection clipped to an end of
-    its segment is that vertex, so the nearest vertex is no separate
-    candidate."""
+    the least distance to the nearest vertex and to its projections onto the
+    two coordinate segments next to it, so segment spacing controls the
+    residual error.  In the curved models a coordinate projection can lie
+    farther than the vertex, so the vertex stays a candidate; that also
+    keeps each point's value at most its distance to any vertex, which lets
+    the nearest-set search (ambient._nearest_sup) skip points that cannot
+    raise the sup.  The nearest vertex is the first one at the least
+    distance_cross, as in a dense search."""
     P = np.asarray(points, dtype=float)
     R = np.asarray(ref_points, dtype=float)
     if len(R) == 0:
         raise InvalidInputError("curve_to_set_sup needs a non-empty reference")
     last = len(R) - 1
-    sup = 0.0
-    for lo, D in ambient.distance_blocks(model, P, R):
-        p = P[lo:lo + len(D), None, :]
-        j = D.argmin(axis=1)[:, None]
+
+    def value(i, j):
+        p = P[i, None, :]
         # segments j - 1 and j; one past either end has length zero, and a
         # segment of length zero projects onto its first vertex
-        seg = j + np.array([-1, 0])
+        seg = j[:, None] + np.array([-1, 0])
         a = R[np.clip(seg, 0, last)]
         ab = R[np.clip(seg + 1, 0, last)] - a
         den = _dot(ab, ab)
@@ -231,8 +233,9 @@ def curve_to_set_sup(model: AmbientModel, points, ref_points) -> float:
             s = np.clip(_dot(p - a, ab) / den, 0.0, 1.0)
         s[den < 1e-300] = 0.0
         proj = a + s[..., None] * ab
-        sup = max(sup, float(ambient.distance(model, p, proj).min(axis=1).max()))
-    return sup
+        return ambient.distance(model, p, proj).min(axis=1)
+
+    return max(0.0, ambient._nearest_sup(model, P, R, value=value))
 
 
 # --------------------------------------------------------------------------

@@ -412,8 +412,10 @@ class HausdorffResult:
 
 
 def _hausdorff_samples(fold: Fold, n_grid: int, max_points: int):
-    """Fold and table sample points of hausdorff_distance, plus f on the
-    table samples."""
+    """Fold and table sample points of hausdorff_distance, f on the table
+    samples, and the footpoint of each fold sample: the index of the table
+    sample below it.  The first len(table_pts) fold samples are the upper
+    lifts of the table samples, in their order."""
     table = fold.table
     if n_grid % 2 == 0:
         n_grid += 1
@@ -436,7 +438,8 @@ def _hausdorff_samples(fold: Fold, n_grid: int, max_points: int):
         np.concatenate([tbl, z[:, None]], axis=1),
         np.concatenate([tbl[z > 0], -z[z > 0, None]], axis=1),
     ], axis=0)
-    return fold_pts, table_pts, fvals
+    foot = np.concatenate([np.arange(len(tbl)), np.flatnonzero(z > 0)])
+    return fold_pts, table_pts, fvals, foot
 
 
 def hausdorff_distance(fold: Fold, n_grid: int = 121,
@@ -449,22 +452,22 @@ def hausdorff_distance(fold: Fold, n_grid: int = 121,
     estimates are grid-consistent.  n_grid is points per axis; the lattice
     is centered on the patch so the center is always sampled.
 
-    The fold samples stream through ambient.distance_blocks, keeping the
-    running max of the row minima and the running column minima, so memory
-    depends on the block size and not on the N x M sample product;
-    max_points only bounds the time.
+    Each side is one exact nearest-set search (ambient._nearest_sup) that
+    starts from a known pair: a fold sample's footpoint, a table sample's
+    upper lift.  A sample no farther from that pair than the running sup
+    cannot raise it and is skipped, so most of the N x M pairs are never
+    evaluated; the sups equal those of the full distance matrix, and memory
+    stays bounded by ambient.BLOCK_BYTES.
     """
-    fold_pts, table_pts, fvals = _hausdorff_samples(fold, n_grid, max_points)
-    sup_fold = -np.inf
-    col_min = np.full(len(table_pts), np.inf)
-    for _, dist in ambient.distance_blocks(fold.model, fold_pts, table_pts):
-        sup_fold = np.maximum(sup_fold, dist.min(axis=1).max())
-        np.minimum(col_min, dist.min(axis=0), out=col_min)
+    fold_pts, table_pts, fvals, foot = _hausdorff_samples(fold, n_grid, max_points)
+    model = fold.model
+    sup_fold = ambient._nearest_sup(model, fold_pts, table_pts, pair=foot)
+    sup_table = ambient._nearest_sup(model, table_pts, fold_pts,
+                                     pair=np.arange(len(table_pts)))
 
-    gs = ambient.metric_many(fold.model, np.concatenate([fold_pts, table_pts]))
+    gs = ambient.metric_many(model, np.concatenate([fold_pts, table_pts]))
     eig_max = np.linalg.eigvalsh(gs)[:, -1].max()
     return HausdorffResult(
-        lam=fold.lam, sup_fold_to_table=float(sup_fold),
-        sup_table_to_fold=float(col_min.max()),
+        lam=fold.lam, sup_fold_to_table=sup_fold, sup_table_to_fold=sup_table,
         d_max=float(np.sqrt(fvals.max())), c_model=float(np.sqrt(eig_max)),
         n_fold_samples=len(fold_pts), n_table_samples=len(table_pts))

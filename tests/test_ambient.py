@@ -5,6 +5,9 @@ from the metric alone, the closed-form distances against embeddings and known
 values, and the comparison profile against its defining ODE.
 """
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -218,13 +221,13 @@ class TestDistance:
 
     @pytest.mark.parametrize("model", MODELS3, ids=lambda m: m.kind)
     def test_cross_clamps_in_place_without_touching_inputs(self, model, rng):
-        # self-distances push cos / cosh d across the clamp by roundoff
+        # the chord forms give self-distances of exactly zero
         A = rng.uniform(-1.5, 1.5, (40, 3))
         B = rng.uniform(-1.5, 1.5, (30, 3))
         A0, B0 = A.copy(), B.copy()
         D = am.distance_cross(model, A, A)
         assert np.all(np.isfinite(D))
-        assert np.diagonal(D).max() <= 1e-7
+        assert not np.diagonal(D).any()
         assert np.all(np.isfinite(am.distance_cross(model, A, B)))
         assert np.array_equal(A, A0) and np.array_equal(B, B0)
 
@@ -241,8 +244,20 @@ class TestDistance:
         assert np.array_equal(grid, pairs)
         assert np.array_equal(am.distance_rowwise(model, A[:11], B), np.diagonal(grid))
         assert np.array_equal(am.distance(model, A[5], B), grid[5])
-        if model.kind == "euclidean":
-            assert np.array_equal(am.distance_cross(model, A, B), grid)
+        assert np.array_equal(am.distance_cross(model, A, B), grid)
+
+    @pytest.mark.parametrize("model", MODELS3, ids=lambda m: m.kind)
+    def test_cross_columns_do_not_depend_on_the_rows_per_call(self, model):
+        # 1,003 columns leave a tail off every multiple of 8, where a BLAS
+        # product would change kernels with the row count
+        r = np.random.default_rng(12)
+        A = r.uniform(-1.5, 1.5, (300, 3))
+        B = r.uniform(-1.5, 1.5, (1003, 3))
+        whole = am.distance_cross(model, A, B)
+        for rows in (1, 2, 7, 64, 299):
+            parts = [am.distance_cross(model, A[lo:lo + rows], B)
+                     for lo in range(0, len(A), rows)]
+            assert np.array_equal(np.concatenate(parts), whole)
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
                         reason="long double is plain double here")
@@ -255,6 +270,7 @@ class TestDistance:
         q = p + sep * u / np.linalg.norm(u, axis=1)[:, None]
         d = am.distance(model, p, q)
         assert np.abs(d / longdouble_distance(model, p, q) - 1).max() <= 2e-15
+        assert np.array_equal(np.diagonal(am.distance_cross(model, p, q)), d)
 
     def test_embeddings_land_on_models(self, rng):
         X = rng.uniform(-2, 2, (10, 3))
@@ -263,6 +279,99 @@ class TestDistance:
         H = am.hyperboloid_embedding(X)
         mink = np.sum(H[:, :-1] ** 2, axis=1) - H[:, -1] ** 2
         assert np.allclose(mink, -1.0, atol=1e-9)
+
+
+def capped_cross(calls):
+    """distance_cross that records the shape of every call."""
+    cross = am.distance_cross
+
+    def wrapped(model, A, B):
+        calls.append((len(A), len(B)))
+        return cross(model, A, B)
+    return wrapped
+
+
+class TestNearestSup:
+    """The pruned nearest-set search against the dense matrix, on the inputs
+    where its bounds are tight."""
+
+    @given(seed=st.integers(0, 10**6), n_q=st.integers(1, 30), n_r=st.integers(1, 90),
+           lattice=st.booleans(), ties=st.booleans(), flat=st.booleans(), far=st.booleans(),
+           coincide=st.sampled_from(["none", "queries", "reference"]),
+           cell=st.sampled_from([1, 3, 64]))
+    def test_equals_the_dense_search(self, seed, n_q, n_r, lattice, ties, flat, far,
+                                     coincide, cell):
+        r = np.random.default_rng(seed)
+        if lattice:
+            # steps of 1/4 are exact in binary, so distances repeat exactly;
+            # the lattice holds antipodal pairs of the spherical model
+            Q, R = r.integers(-6, 7, (n_q, 3)) / 4, r.integers(-6, 7, (n_r, 3)) / 4
+        else:
+            Q, R = r.uniform(-1.5, 1.5, (n_q, 3)), r.uniform(-1.5, 1.5, (n_r, 3))
+        R = R[r.integers(0, n_r, n_r)]  # duplicated vertices
+        if ties:
+            # axis neighbours of the origin in random order: every model puts
+            # them at bit-equal distances from it
+            Q[0] = 0.0
+            R[:] = 0.25 * np.eye(3)[r.integers(0, 3, n_r)] * r.choice([-1.0, 1.0], (n_r, 1))
+        if far:
+            R = 0.05 * R + [4.0, 0.0, 0.0]
+        if coincide == "queries":
+            Q[:] = Q[0]
+        elif coincide == "reference":
+            R[:] = R[0]
+        if flat:
+            # a zero-extent axis, as the table samples at z = 0
+            Q[:, -1] = R[:, -1] = 0.0
+        pair = r.integers(0, n_r, n_q)
+        calls = []
+        for model in MODELS3:
+            D = am.distance_cross(model, Q, R)
+            sup = D.min(axis=1).max()
+            with (mock.patch.object(am, "NEAR_CELL", cell),
+                  mock.patch.object(am, "BLOCK_BYTES", 8 * 40),
+                  mock.patch.object(am, "distance_cross", capped_cross(calls))):
+                assert am._nearest_sup(model, Q, R) == sup
+                assert am._nearest_sup(model, Q, R, pair=pair) == sup
+                # one row a search, so none is skipped: the nearest index of
+                # every row is the dense argmin, ties included
+                for i, j_dense in enumerate(D.argmin(axis=1)):
+                    seen = []
+
+                    def record(rows, j):
+                        seen.extend(j)
+                        return np.full(len(rows), np.inf)
+                    assert am._nearest_sup(model, Q[i:i + 1], R, value=record) == D[i].min()
+                    assert seen == [j_dense]
+        # at most BLOCK_BYTES of output a call, or one row
+        assert all(rows * cols <= 40 or rows == 1 for rows, cols in calls)
+
+    @pytest.mark.parametrize("model", MODELS3, ids=lambda m: m.kind)
+    def test_memory_stays_under_the_cap_when_nothing_prunes(self, model):
+        # every reference point lies at nearly the same distance from the
+        # queries, on a sphere about the origin, so no cell can be pruned;
+        # the queries fill one cell, so no row is skipped
+        r = np.random.default_rng(8)
+        Q = r.uniform(-1e-3, 1e-3, (am.NEAR_CELL, 3))
+        u = r.normal(size=(4000, 3))
+        R = 2.0 * u / np.linalg.norm(u, axis=1)[:, None]
+        sup = am.distance_cross(model, Q, R).min(axis=1).max()
+        cap = 8 * len(R) * 2
+        calls = []
+        with (mock.patch.object(am, "BLOCK_BYTES", cap),
+              mock.patch.object(am, "distance_cross", capped_cross(calls))):
+            tracemalloc.start()
+            try:
+                assert am._nearest_sup(model, Q, R) == sup
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert sum(rows * cols for rows, cols in calls) >= len(Q) * len(R)
+        assert max(rows * cols for rows, cols in calls) * 8 <= cap
+        # a few caps for the chord-form temporaries and a few copies of the
+        # reference for its cells, where the dense matrix alone takes 32 caps
+        assert peak < 6 * cap + 8 * R.nbytes
+        assert peak < 8 * len(Q) * len(R) / 2
 
 
 class TestComparisonProfile:

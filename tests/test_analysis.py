@@ -181,17 +181,15 @@ def segment_project(p, a, b):
 
 
 def reference_curve_to_set_sup(model, P, R):
-    """Oracle: the per-point loop over the same distance blocks, each point's
-    nearest vertex and its two adjacent segments."""
+    """Oracle: the per-point loop over one dense distance matrix, each
+    point's nearest vertex and its two adjacent segments."""
     sup = 0.0
-    for lo, D in am.distance_blocks(model, P, R):
-        for r, j in enumerate(D.argmin(axis=1)):
-            p = P[lo + r]
-            best = am.distance(model, p, R[j])
-            for jj in (j - 1, j):
-                if 0 <= jj < len(R) - 1:
-                    best = min(best, am.distance(model, p, segment_project(p, R[jj], R[jj + 1])))
-            sup = max(sup, best)
+    for p, j in zip(P, am.distance_cross(model, P, R).argmin(axis=1)):
+        best = am.distance(model, p, R[j])
+        for jj in (j - 1, j):
+            if 0 <= jj < len(R) - 1:
+                best = min(best, am.distance(model, p, segment_project(p, R[jj], R[jj + 1])))
+        sup = max(sup, best)
     return sup
 
 
@@ -205,24 +203,34 @@ class TestCurveToSetSup:
         # the unit circle is a geodesic sphere about the origin in every model
         radial = am.distance(model, [1.1, 0.0], [1.0, 0.0])
         assert whole == pytest.approx(radial, abs=1e-6)
-        monkeypatch.setattr(am, "BLOCK_BYTES", 8 * len(ref) * 100)
+        # at most 20 pairs a call: one point against its candidate vertices
+        monkeypatch.setattr(am, "BLOCK_BYTES", 8 * 20)
         assert an.curve_to_set_sup(model, pts, ref) == whole
 
     @pytest.mark.parametrize("model", MODELS2, ids=lambda m: m.kind)
-    def test_batch_equals_the_reference_loop(self, model, monkeypatch):
+    def test_batch_equals_the_reference_loop(self, model):
         # points on both sides of a polyline with uneven spacing, including
         # points past its ends and a repeated vertex
         r = np.random.default_rng(17)
         ts = np.sort(np.concatenate([r.uniform(0.0, 2.0, 297), [0.7, 0.7]]))
         ref = np.stack([ts - 1.0, 0.3 * np.sin(3 * ts)], 1)
         pts = np.stack([r.uniform(-1.3, 1.3, 203), r.uniform(-0.6, 0.6, 203)], 1)
-        rows = 37
-        monkeypatch.setattr(am, "BLOCK_BYTES", 8 * len(ref) * rows)
-        assert len(pts) % rows != 0 and len(ref) % 8 != 0
         assert an.curve_to_set_sup(model, pts, ref) == reference_curve_to_set_sup(model, pts, ref)
         # point by point, so a sup set by one point cannot hide the others
         for p in pts[::5, None]:
             assert an.curve_to_set_sup(model, p, ref) == reference_curve_to_set_sup(model, p, ref)
+
+    def test_vertex_stays_a_candidate_in_curved_models(self):
+        # far from the origin the hyperbolic metric bends the coordinate
+        # segments, so both projections lie farther than the nearest vertex
+        model = am.hyperbolic(2)
+        ref = np.array([[-2.5, 0.75], [3.0, 2.5], [0.75, 1.75]])
+        p = np.array([2.75, 2.25])
+        vertex = am.distance(model, p, ref[1])
+        for a, b in (ref[:2], ref[1:]):
+            assert am.distance(model, p, segment_project(p, a, b)) > 1.4 * vertex
+        assert an.curve_to_set_sup(model, p[None], ref) == vertex
+        assert reference_curve_to_set_sup(model, p[None], ref) == vertex
 
     def test_empty_reference_rejected(self, m2):
         with pytest.raises(InvalidInputError):

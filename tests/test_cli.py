@@ -2,8 +2,10 @@
 artifact determinism and environment overrides."""
 
 import filecmp
+import importlib.util
 import json
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -195,3 +197,16 @@ class TestInterface:
         assert result["kappa"] == 0 and isinstance(result["kappa"], int)
         # defaults come from the scan_curvature signature
         assert result["tol"] == 1e-6
+
+
+def test_artifact_digest_compare_prints_only_the_differences():
+    spec = importlib.util.spec_from_file_location(
+        "artifact_digests", Path(__file__).parents[1] / "tools" / "artifact_digests.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    saved = ["a report.json 1111", "a exit 0", "b report.csv 2222", "b exit 0"]
+    assert tool.differences(saved, saved + [""]) == []
+    now = ["a report.json 1111", "a exit 3", "c report.json 3333", "c exit 0"]
+    assert tool.differences(saved, now) == [
+        "a exit 0 -> 3", "b report.csv 2222 -> absent", "b exit 0 -> absent",
+        "c report.json absent -> 3333", "c exit absent -> 0"]

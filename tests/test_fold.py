@@ -6,6 +6,7 @@ sphere as the disk fold at thickness 1, and the rational curvature defect of
 the spherical half-space family.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -345,30 +346,28 @@ class TestHausdorff:
         assert sups[0] / sups[1] == pytest.approx(2.0, rel=1e-2)
         assert sups[1] / sups[2] == pytest.approx(2.0, rel=1e-2)
 
+    @pytest.mark.parametrize("lam", [0.4, 0.2, 0.05])
     @pytest.mark.parametrize("table, model", [
         pytest.param(tb.disk_table(), am.euclidean(3), id="euclidean"),
         pytest.param(tb.disk_table(), am.hyperbolic(3), id="hyperbolic"),
         pytest.param(tb.spherical_halfspace_table(), am.spherical(4), id="spherical"),
     ])
-    def test_streamed_sups_equal_the_dense_matrix(self, table, model, monkeypatch):
-        fold = fd.Fold(table, model, 0.2)
-        fold_pts, table_pts, _ = fd._hausdorff_samples(fold, 21, 200_000)
+    def test_pruned_sups_equal_the_dense_matrix(self, table, model, lam):
+        fold = fd.Fold(table, model, lam)
+        fold_pts, table_pts, _, foot = fd._hausdorff_samples(fold, 21, 200_000)
+        assert np.array_equal(fold_pts[:, :-1], table_pts[foot, :-1])
         dense = am.distance_cross(model, fold_pts, table_pts)
-        rows = len(fold_pts) // 3 - 1
-        assert len(fold_pts) % rows != 0  # ragged last block
-        monkeypatch.setattr(am, "BLOCK_BYTES", 8 * len(table_pts) * rows)
-        blocks = []
-        cross = am.distance_cross
-
-        def counted(*args):
-            blocks.append(len(args[1]))
-            return cross(*args)
-
-        monkeypatch.setattr(am, "distance_cross", counted)
         hd = fd.hausdorff_distance(fold, n_grid=21)
-        assert len(blocks) >= 4 and max(blocks) == rows and sum(blocks) == len(fold_pts)
         assert hd.sup_fold_to_table == dense.min(axis=1).max()
         assert hd.sup_table_to_fold == dense.min(axis=0).max()
+
+    def test_hyperbolic_disk_fold_sits_at_asinh_lambda(self):
+        # the top of the fold is (0, 0, lambda), at distance asinh(lambda) =
+        # 0.009999833340832886 from its footpoint; the chord form keeps it to
+        # a few ulps
+        hd = fd.hausdorff_distance(fd.Fold(tb.disk_table(), am.hyperbolic(3), 0.01))
+        exact = math.asinh(0.01)
+        assert abs(hd.sup_fold_to_table - exact) <= 4 * np.spacing(exact)
 
     @pytest.mark.parametrize("model", [am.spherical(4), am.euclidean(4)], ids=lambda m: m.kind)
     def test_memory_does_not_grow_with_the_sample_product(self, model):
