@@ -23,16 +23,18 @@ velocity made tangent and of unit speed; a projection still off after
 NEWTON_ITERS iterations, and a step below STEP_FLOOR T, raise NumericError.
 refine_tol=None takes fixed RK4 steps on the grid instead.
 
-Table geodesics and billiards sample the output grid step by step.  The
-billiard step is a free flow step with event detection on f along the
-exact flow: one batched flow call and one f call scan the step for the
-first sign change, regula falsi on f(flow(s)) finds its root to
-|f| <= 1e-10, and the velocity reflects by the mirror law.
+A table geodesic is one flow call at the grid times.  A billiard reads
+the grid samples of each free segment (from the launch or the last bounce)
+off one flow call per window of grid times, with event detection on f
+along the exact flow: a batched bound on d^2 f / dt^2 clears the grid
+intervals that cannot hide a dip below f = 0, one flow call and one f call
+scan each other interval for the first sign change, regula falsi on
+f(flow(s)) finds its root to |f| <= 1e-10, and the velocity reflects by the
+mirror law.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,6 +57,13 @@ NEWTON_F_TOL = 1e-10
 BISECT_F_TOL = 1e-10
 DELTA_MIN = 1e-4
 GRAZING_TOL = 1e-8
+# A billiard reads its grid samples off the free flow of a segment a window
+# of grid steps at a time, the steps within _WINDOW_SPAN of flow time (one
+# step if the grid step is longer).  So the flow is evaluated no further
+# than the longer of the two past a sample in the table, where a
+# continuation outside it could reach the stereographic pole or overflow
+# cosh; the samples flowed in vain past a bounce span no more time either.
+_WINDOW_SPAN = 0.5
 
 # The Dormand & Prince (1980) 5(4) pair: the stage weights of stages 2-6,
 # the fifth-order weights and the error weights (fifth minus embedded fourth
@@ -224,19 +233,6 @@ def _grid(T: float, dt: float) -> np.ndarray:
         return np.array([0.0])
     n = max(1, int(round(T / dt)))
     return np.linspace(0.0, T, n + 1)
-
-
-def _integrate_one_direction(x0, v0, T, dt, step):
-    """Sample the flow of step(x, v, t, h) on the uniform grid of [0, T]."""
-    times = _grid(T, dt)
-    pts = [np.array(x0, dtype=float)]
-    vels = [np.array(v0, dtype=float)]
-    x, v = pts[0], vels[0]
-    for i in range(1, len(times)):
-        x, v = step(x, v, times[i - 1], times[i] - times[i - 1])
-        pts.append(x)
-        vels.append(v)
-    return times, np.array(pts), np.array(vels)
 
 
 def _combine(weights, ks):
@@ -438,15 +434,15 @@ def integrate_table_geodesic(model: AmbientModel, x0, v0, T, dt) -> SampledCurve
     """Unconstrained geodesic of the model through (x0, v0) on [0, T].
 
     model is the geometry the curve lives in (for a table, the induced
-    model on H, i.e. ambient.restricted()).  Each step is the closed-form
-    ambient.geodesic_flow from the previous sample.
+    model on H, i.e. ambient.restricted()).  The samples are one call of
+    the closed-form ambient.geodesic_flow from (x0, v0) at the grid times.
     """
     x0 = np.asarray(x0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
     _check_unit(model, x0, v0)
-    t, p, v = _integrate_one_direction(
-        x0, v0, T, dt, lambda x, v, t, h: ambient.geodesic_flow(model, x, v, h))
-    return SampledCurve(times=t, points=p, velocities=v)
+    times = _grid(T, dt)
+    p, v = ambient.geodesic_flow(model, x0, v0, times)
+    return SampledCurve(times=times, points=p, velocities=v)
 
 
 def integrate_boundary_geodesic(table: TableSpec, model: AmbientModel, x0, v0,
@@ -469,10 +465,10 @@ def integrate_boundary_geodesic(table: TableSpec, model: AmbientModel, x0, v0,
 
 
 def _flow_f_curvature_bound(table, model_H, x, v):
-    """Bound on |d^2/dt^2 f(x(t))| at the state, used to rule out hidden
-    boundary crossings inside a step."""
+    """Bound on |d^2/dt^2 f(x(t))| at the states (x, v), shape (..., n),
+    used to rule out hidden boundary crossings between grid samples."""
     acc = _acceleration(model_H, None, x, v)
-    return abs(v @ table.hess_f(x) @ v) + abs(table.grad_f(x) @ acc)
+    return np.abs(_form(v, table.hess_f(x), v)) + np.abs(_dot(table.grad_f(x), acc))
 
 
 def _locate_crossing(table, flow, t, lo, hi, f_lo, f_hi):
@@ -509,7 +505,7 @@ def _locate_crossing(table, flow, t, lo, hi, f_lo, f_hi):
 def _bounce(table, model, t, xb, vb) -> Bounce:
     """Mirror reflection of the unit velocity at a located crossing; grazing
     contacts continue unreflected.  The point is settled onto the boundary
-    so the next step does not re-trigger on residual negative f."""
+    so the next segment does not re-trigger on residual negative f."""
     frame = boundary_frame(table, model, xb)
     g = frame.metric.g
     w_in = vb / np.sqrt(vb @ g @ vb)
@@ -535,11 +531,14 @@ def billiard_trajectory(table: TableSpec, model: AmbientModel, x0, v0, T,
                         dt) -> BilliardTrajectory:
     """Billiard trajectory in (K, g) from x0 with unit velocity v0 on [0, T].
 
-    Follows table geodesics in closed form, locates boundary crossings of f
-    along them to |f| <= 1e-10 and applies the mirror reflection law.
-    Grazing impacts (normal velocity below GRAZING_TOL) continue unreflected
-    and are flagged.  Two bounces closer than DELTA_MIN in time abort the
-    run.
+    Samples each free segment, from the launch or the last bounce, off the
+    closed-form table geodesic at the grid times, locates the first
+    boundary crossing of f along it to |f| <= 1e-10 and applies the mirror
+    reflection law there; the next segment starts at the bounce.  Grazing
+    impacts (normal velocity below GRAZING_TOL) continue unreflected and are
+    flagged.  Two bounces closer than DELTA_MIN in time abort the run.  A
+    run that ends on the boundary inside U, moving out of the table, records
+    a last bounce at T.
     """
     x0 = np.asarray(x0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
@@ -555,81 +554,76 @@ def billiard_trajectory(table: TableSpec, model: AmbientModel, x0, v0, T,
         if v0 @ frame.metric.g @ frame.nu < -1e-10:
             raise PreconditionError("x0 is on the boundary and v0 leaves the table")
 
+    times = _grid(T, dt)
+    pts = np.empty((len(times), len(x0)))
+    vels = np.empty_like(pts)
+    pts[0], vels[0] = x0, v0
     bounces: list[Bounce] = []
     max_bounces = int(np.ceil(T / DELTA_MIN)) + 4
     scan_res = 0.5 * DELTA_MIN
-    # (x, f(x), flow bound at x) at the end of the last step taken in full,
-    # where the next step starts
-    last_end = (None, None, None)
-
-    def bound(xc, vc):
-        return _flow_f_curvature_bound(table, model_H, xc, vc)
-
-    def step(x, v, t, h):
-        """Advance by h, reflecting at every boundary crossing on the way."""
-        nonlocal last_end
-        remaining = h
-        guard = 0
-        while remaining > 1e-14:
-            guard += 1
-            if guard > 10000:
-                raise NumericError("billiard step did not terminate")
-            flow = functools.partial(ambient.geodesic_flow, model_H, x, v)
-            x1, v1 = flow(remaining)
-            f_end = table.f(x1)
-            f_start, m_start = last_end[1:] if last_end[0] is x else (table.f(x), None)
-            crossed = f_end < -1e-12
-            if not crossed:
-                # rule out an excursion below f = 0 inside the step
-                m_start = bound(x, v) if m_start is None else m_start
-                m_end = bound(x1, v1)
-                last_end = (x1, f_end, m_end)
-                m2 = 2.0 * max(m_start, m_end)
-                if min(f_start, f_end) > 0.15 * m2 * remaining**2 + 1e-12:
-                    return x1, v1
-            # scan the flow at sub-bounce resolution, with one flow call and
-            # one f call, so the first crossing is the one located; an
-            # endpoint crossing brackets the whole step if the scan misses it
-            n_scan = max(2, int(np.ceil(remaining / scan_res)))
-            d = remaining * np.arange(1, n_scan + 1) / n_scan
-            f_scan = table.f(flow(d)[0])
+    # grid steps per window (times[1] is the grid step)
+    n_win = max(1, int(_WINDOW_SPAN / times[1])) if len(times) > 1 else 0
+    # the segment start (the launch or the last bounce) and the next sample
+    t_s, x, v, k = 0.0, x0, v0, 1
+    while k < len(times):
+        # a window of grid samples from the last filled one, read off the
+        # segment's flow at their offsets from its start
+        tw = np.maximum(times[k - 1:k + n_win], t_s)
+        off = tw - t_s
+        xw, vw = ambient.geodesic_flow(model_H, x, v, off)
+        fw = table.f(xw)
+        mw = _flow_f_curvature_bound(table, model_H, xw, vw)
+        h = np.diff(off)
+        # the guard clears the intervals where f cannot dip below 0 unseen
+        clear = np.minimum(fw[:-1], fw[1:]) > (
+            0.15 * (2.0 * np.maximum(mw[:-1], mw[1:])) * h**2 + 1e-12)
+        hit = None
+        for j in np.flatnonzero(~clear):
+            # scan the interval at sub-bounce resolution, with one flow call
+            # and one f call, so the first crossing is the one located; an
+            # endpoint crossing brackets the whole interval if the scan
+            # misses it
+            n_scan = max(2, int(np.ceil(h[j] / scan_res)))
+            d = h[j] * np.arange(1, n_scan + 1) / n_scan
+            f_scan = table.f(ambient.geodesic_flow(model_H, x, v, off[j] + d)[0])
             dips = np.flatnonzero(f_scan < -1e-12)
             if dips.size:
-                j = dips[0]
-                lo, f_lo = (d[j - 1], f_scan[j - 1]) if j else (0.0, f_start)
-                bracket = (lo, d[j], f_lo, f_scan[j])
-            elif crossed:
-                bracket = (0.0, remaining, f_start, f_end)
-            else:
-                return x1, v1
-            delta, xb, vb = _locate_crossing(table, flow, t, *bracket)
-            t += delta
-            if bounces and t - bounces[-1].t < DELTA_MIN:
-                raise BounceAccumulationError(
-                    f"bounces at t = {bounces[-1].t} and {t} are closer than {DELTA_MIN}")
-            if len(bounces) >= max_bounces:
-                raise BounceAccumulationError("bounce count exceeded T / DELTA_MIN")
-            bounces.append(_bounce(table, model, t, xb, vb))
-            x, v = bounces[-1].x, bounces[-1].w_out
-            remaining -= delta
-        return x, v
+                i = dips[0]
+                lo, f_lo = (d[i - 1], f_scan[i - 1]) if i else (0.0, fw[j])
+                hit = j, (lo, d[i], f_lo, f_scan[i])
+            elif fw[j + 1] < -1e-12:
+                hit = j, (0.0, h[j], fw[j], fw[j + 1])
+            if hit:
+                break
+        # keep the samples before the crossing
+        m = len(h) if hit is None else hit[0]
+        pts[k:k + m], vels[k:k + m] = xw[1:m + 1], vw[1:m + 1]
+        k += m
+        if hit is None:
+            continue
+        j, bracket = hit
+        delta, xb, vb = _locate_crossing(
+            table, lambda s: ambient.geodesic_flow(model_H, x, v, off[j] + s), tw[j], *bracket)
+        t_b = tw[j] + delta
+        if bounces and t_b - bounces[-1].t < DELTA_MIN:
+            raise BounceAccumulationError(
+                f"bounces at t = {bounces[-1].t} and {t_b} are closer than {DELTA_MIN}")
+        if len(bounces) >= max_bounces:
+            raise BounceAccumulationError("bounce count exceeded T / DELTA_MIN")
+        bounces.append(_bounce(table, model, t_b, xb, vb))
+        t_s, x, v = t_b, bounces[-1].x, bounces[-1].w_out
 
-    times, pts, vels = _integrate_one_direction(x0, v0, T, dt, step)
-    x, v = pts[-1], vels[-1]
-
-    # terminal boundary hit with outward velocity counts as a bounce
+    # terminal boundary hit inside U with outward velocity counts as a bounce
     # (periodic orbits close up there); its point is left unsettled
-    if len(times) > 1 and abs(table.f(x)) <= 1e-9:
-        try:
-            frame = boundary_frame(table, model, x)
-            g = frame.metric.g
-            n_speed = v @ g @ frame.nu / np.sqrt(v @ g @ v)
-            if n_speed < -GRAZING_TOL and (not bounces or T - bounces[-1].t >= DELTA_MIN):
-                w_in = v / np.sqrt(v @ g @ v)
-                bounces.append(Bounce(t=float(times[-1]), x=x.copy(), w_in=w_in,
-                                      w_out=reflect(frame, w_in), grazing=False))
-        except PreconditionError:
-            pass
+    x, v = pts[-1], vels[-1]
+    if len(times) > 1 and abs(table.f(x)) <= 1e-9 and table.region.contains(x):
+        frame = boundary_frame(table, model, x)
+        g = frame.metric.g
+        n_speed = v @ g @ frame.nu / np.sqrt(v @ g @ v)
+        if n_speed < -GRAZING_TOL and (not bounces or T - bounces[-1].t >= DELTA_MIN):
+            w_in = v / np.sqrt(v @ g @ v)
+            bounces.append(Bounce(t=float(times[-1]), x=x.copy(), w_in=w_in,
+                                  w_out=reflect(frame, w_in), grazing=False))
 
     base = SampledCurve(times=times, points=pts, velocities=vels)
     return BilliardTrajectory(base=base, bounces=bounces)

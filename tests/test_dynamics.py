@@ -351,6 +351,14 @@ class TestTableGeodesic:
         exact = np.stack([np.cos(crv.times), np.sin(crv.times)], axis=1)
         assert np.linalg.norm(crv.points - exact, axis=1).max() < 1e-6
 
+    @pytest.mark.parametrize("model", [am.euclidean(2), am.hyperbolic(2), am.spherical(2)],
+                             ids=lambda m: m.kind)
+    def test_samples_are_one_flow_call(self, model):
+        x0, v0 = launch(model, 55)
+        crv = dy.integrate_table_geodesic(model, x0, v0, 1.5, 1e-2)
+        xt, vt = am.geodesic_flow(model, x0, v0, dy._grid(1.5, 1e-2))
+        assert same_bits(crv.points, xt) and same_bits(crv.velocities, vt)
+
     def test_unit_speed_precondition(self):
         with pytest.raises(PreconditionError):
             dy.integrate_table_geodesic(am.euclidean(2), np.zeros(2),
@@ -553,7 +561,10 @@ def reintegrating_bounces(table, model, x0, v0, T, dt):
             remaining -= delta
         return x, v
 
-    dy._integrate_one_direction(x0, v0, T, dt, step)
+    times = dy._grid(T, dt)
+    x, v = np.array(x0, dtype=float), np.array(v0, dtype=float)
+    for t, h in zip(times[:-1], np.diff(times)):
+        x, v = step(x, v, t, h)
     return bounces
 
 
@@ -588,11 +599,14 @@ class TestBilliard:
         assert np.allclose(tr.bounces[0].x, [-1.0, 0.0], atol=1e-9)
         assert np.allclose(tr.base.points[-1], [1.0, 0.0], atol=1e-9)
 
-    @pytest.mark.parametrize("k", [1, 3])
-    def test_diameter_orbit_bounce_count(self, k):
+    @pytest.mark.parametrize("k, coarse", [(1, False), (3, False), (1, True), (3, True)],
+                             ids=["1", "3", "1-dt=4k", "3-dt=4k"])
+    def test_diameter_orbit_bounce_count(self, k, coarse):
+        # with dt = 4k every bounce falls inside the one grid interval, so
+        # the segments after the first start inside it
         tr = dy.billiard_trajectory(tb.disk_table(), am.euclidean(2),
                                     np.array([1.0, 0.0]), np.array([-1.0, 0.0]),
-                                    4.0 * k, 1e-3)
+                                    4.0 * k, 4.0 * k if coarse else 1e-3)
         assert len(tr.bounces) == 2 * k
 
     def test_chord_bounce(self):
@@ -732,6 +746,59 @@ class TestBilliard:
         with pytest.raises(PreconditionError):
             dy.billiard_trajectory(disk, m, np.array([1.0, 0.0]),
                                    np.array([1.0, 0.0]), 1.0, 1e-3)
+
+    @pytest.mark.parametrize("T, dt, n", [(8.0, 1e-2, 3), (2 * np.pi, np.pi / 50, 2)],
+                             ids=["dt=1e-2", "dt=pi/50"])
+    def test_great_circle_through_the_pole(self, T, dt, n):
+        # from the origin of the spherical disk the unit geodesic leaves the
+        # table at pi / 2 and would reach the stereographic pole at pi, a
+        # grid time of the second grid: the free flow past a bounce must stop
+        # short of it
+        tr = dy.billiard_trajectory(tb.disk_table(), am.spherical(2), np.zeros(2),
+                                    np.array([0.5, 0.0]), T, dt)
+        ts = np.array([b.t for b in tr.bounces])
+        assert len(ts) == n
+        assert np.abs(ts - (2 * np.arange(n) + 1) * np.pi / 2).max() <= 1e-9
+
+    @pytest.mark.parametrize("T, dt, n", [(800.0, 0.5, 454), (720.0, 12.0, 408)],
+                             ids=["dt=0.5", "dt=12"])
+    def test_long_hyperbolic_diameter(self, T, dt, n):
+        # a diameter of the hyperbolic disk has length 2 asinh(1); flowed on
+        # past a bounce for about 710, the free hyperbola would overflow cosh;
+        # at dt = 12 so would a window of a fixed count of grid steps
+        tr = dy.billiard_trajectory(tb.disk_table(), am.hyperbolic(2), np.zeros(2),
+                                    np.array([1.0, 0.0]), T, dt)
+        ts = np.array([b.t for b in tr.bounces])
+        assert len(ts) == n
+        assert np.abs(ts - (2 * np.arange(n) + 1) * np.arcsinh(1.0)).max() <= 1e-9
+
+    def test_terminal_bounce_needs_the_patch(self):
+        # the run ends on the boundary at t = 5/3, moving out of the table,
+        # at (0, 17/6): outside U of radius 2, inside U of radius 5
+        x0, v0 = np.array([1.0, 1.5]), np.array([-0.6, 0.8])
+        small = dy.billiard_trajectory(tb.half_space_table(radius_U=2.0), am.euclidean(2),
+                                       x0, v0, 5.0 / 3.0, 1e-2)
+        assert abs(small.base.points[-1, 0]) <= 1e-12
+        assert np.linalg.norm(small.base.points[-1]) > 2.0
+        assert small.bounces == []
+        tr = dy.billiard_trajectory(tb.half_space_table(), am.euclidean(2),
+                                    x0, v0, 5.0 / 3.0, 1e-2)
+        assert len(tr.bounces) == 1
+        assert tr.bounces[0].t == 5.0 / 3.0
+        assert np.allclose(tr.bounces[0].w_out, [0.6, 0.8], atol=1e-12)
+
+    @pytest.mark.parametrize("table", [tb.disk_table(), tb.parabola_table()],
+                             ids=lambda t: t.name)
+    @pytest.mark.parametrize("model", MODELS2, ids=lambda m: m.kind)
+    def test_guard_rows_equal_single_points(self, table, model):
+        r = np.random.default_rng([71, am.MODEL_KINDS.index(model.kind)])
+        X, V = r.uniform(-0.7, 0.7, (20, 2)), r.normal(size=(20, 2))
+        rows = dy._flow_f_curvature_bound(table, model, X, V)
+        for x, v, row in zip(X, V, rows):
+            acc = dy._acceleration(model, None, x, v)
+            scalar = abs(v @ table.hess_f(x) @ v) + abs(table.grad_f(x) @ acc)
+            assert same_bits(row, dy._flow_f_curvature_bound(table, model, x, v))
+            assert same_bits(row, scalar)
 
     def test_grid_step_divides_duration(self):
         tr = dy.billiard_trajectory(tb.half_space_table(), am.euclidean(2),
