@@ -414,20 +414,38 @@ def _row_chunks(rows: np.ndarray, n_cols: int) -> Iterator[np.ndarray]:
         yield rows[lo:lo + step]
 
 
+def _balls(model: AmbientModel, X: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The rows of X (at least one) in _cells of NEAR_CELL points, as
+    (perm, starts, cell, centers, radius): perm and starts from _cells, the
+    cell of each entry of perm, and per cell the member nearest to its
+    coordinate mean as center and the largest distance from the center to a
+    member as radius."""
+    perm, starts = _cells(X, NEAR_CELL)
+    sizes = np.diff(starts, append=len(X))
+    cell = np.repeat(np.arange(len(starts)), sizes)
+    Xp = X[perm]
+    off = Xp - (np.add.reduceat(Xp, starts) / sizes[:, None])[cell]
+    centers = perm[np.lexsort((_dot(off, off), cell))[starts]]
+    radius = np.maximum.reduceat(distance(model, Xp, X[centers][cell]), starts)
+    return perm, starts, cell, centers, radius
+
+
 def _nearest_sup(model: AmbientModel, Q: np.ndarray, R: np.ndarray,
-                 pair: np.ndarray | None = None, value=None) -> float:
+                 pair: np.ndarray | None = None, value=None, balls=None) -> float:
     """max over the rows Q_i of their least distance d(Q_i, R_j) to R, or of
     the smaller of that and value(i, j) when value is given.  j is the
     nearest row of R, the first index of the least distance_cross(Q_i, R),
     as argmin over the dense matrix picks it; value takes index arrays.
     pair, if given, names one row of R for each row of Q.  -inf for no rows;
-    R must not be empty.
+    R must not be empty.  balls, if given, is the query cells (perm and
+    starts first) and the _balls of R, for a caller that searches both ways
+    between two sets and so splits each set once.
 
     Exact search on a one-level ball tree (Omohundro 1989): R splits into
-    _cells of NEAR_CELL points, each with a member for center c and the
-    largest distance from c to a member for radius r.  A row's upper bound u
-    is its least distance to a center or to its pair; both are entries of
-    its row, so its value is at most u.  Query cells go highest pair
+    _balls: cells of NEAR_CELL points, each with a member for center c and
+    the largest distance from c to a member for radius r.  A row's upper
+    bound u is its least distance to a center or to its pair; both are
+    entries of its row, so its value is at most u.  Query cells go highest pair
     distance first; a row with u at most the running sup cannot raise it
     and is skipped (Taha & Hanbury 2015).  Every other row is evaluated
     against the cells whose d(q, c) - r is within u plus a rounding margin,
@@ -436,16 +454,9 @@ def _nearest_sup(model: AmbientModel, Q: np.ndarray, R: np.ndarray,
     matrix, ties included."""
     if not len(Q):
         return -np.inf
-    perm, starts = _cells(R, NEAR_CELL)
-    sizes = np.diff(starts, append=len(R))
-    cell = np.repeat(np.arange(len(starts)), sizes)
-    # each cell's center is the member nearest to its coordinate mean
-    Rp = R[perm]
-    off = Rp - (np.add.reduceat(Rp, starts) / sizes[:, None])[cell]
-    centers = perm[np.lexsort((_dot(off, off), cell))[starts]]
-    radius = np.maximum.reduceat(distance(model, Rp, R[centers][cell]), starts)
-
-    qperm, qstarts = _cells(Q, NEAR_CELL)
+    if balls is None:
+        balls = (_cells(Q, NEAR_CELL), _balls(model, R))
+    (qperm, qstarts, *_), (perm, _, cell, centers, radius) = balls
     queries = np.split(qperm, qstarts[1:])
     upper = np.full(len(Q), np.inf)
     if pair is not None:

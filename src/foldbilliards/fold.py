@@ -453,6 +453,7 @@ def hausdorff_distance(fold: Fold, n_grid: int = 121,
     is centered on the patch so the center is always sampled.
 
     Each side is one exact nearest-set search (ambient._nearest_sup) that
+    shares the bounding balls of both sample sets with the other side and
     starts from a known pair: a fold sample's footpoint, a table sample's
     upper lift.  A sample no farther from that pair than the running sup
     cannot raise it and is skipped, so most of the N x M pairs are never
@@ -461,9 +462,11 @@ def hausdorff_distance(fold: Fold, n_grid: int = 121,
     """
     fold_pts, table_pts, fvals, foot = _hausdorff_samples(fold, n_grid, max_points)
     model = fold.model
-    sup_fold = ambient._nearest_sup(model, fold_pts, table_pts, pair=foot)
-    sup_table = ambient._nearest_sup(model, table_pts, fold_pts,
-                                     pair=np.arange(len(table_pts)))
+    fold_balls, table_balls = ambient._balls(model, fold_pts), ambient._balls(model, table_pts)
+    sup_fold = ambient._nearest_sup(model, fold_pts, table_pts, pair=foot,
+                                    balls=(fold_balls, table_balls))
+    sup_table = ambient._nearest_sup(model, table_pts, fold_pts, pair=np.arange(len(table_pts)),
+                                     balls=(table_balls, fold_balls))
 
     gs = ambient.metric_many(model, np.concatenate([fold_pts, table_pts]))
     eig_max = np.linalg.eigvalsh(gs)[:, -1].max()

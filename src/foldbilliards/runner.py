@@ -1,11 +1,12 @@
 """Executes a validated experiment config and writes artifacts.
 
 Artifacts per run: report.json (full structured result), report.csv (the
-row table, 17-significant-digit floats, fixed column order), optional
-trajectory_*.csv sample files, and manifest.json (config echo, versions,
-wall time).  report.json and the CSV files are byte-identical across runs
-with the same config and seed; the manifest is not, since it records wall
-time.
+row table, fixed column order), optional trajectory_*.csv sample files, and
+manifest.json (config echo, versions, wall time).  Every CSV is written by
+_write_csv, one % operation per row: floats as %.17g (17 significant
+digits), bools and integers as %d, None as an empty cell.  report.json and
+the CSV files are byte-identical across runs with the same config and seed;
+the manifest is not, since it records wall time.
 """
 
 from __future__ import annotations
@@ -36,21 +37,26 @@ class RunResult:
     result: dict = field(default_factory=dict)
 
 
-def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if v is None:
-        return ""
-    return "%.17g" % float(v)
+def _conversion(types) -> str | None:
+    """%.17g for cells of these types when all are floats, %d when all are
+    bools or integers, else None."""
+    if all(issubclass(t, float) for t in types):
+        return "%.17g"
+    return "%d" if all(issubclass(t, (int, np.integer)) for t in types) else None
 
 
 def _write_csv(path: Path, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    """One % operation per row, with each column's conversion chosen once
+    from the types of its cells; a column that _conversion cannot serve is
+    rendered cell by cell by the same rules, None as "", and written as %s."""
+    columns = list(zip(*rows))
+    specs = [_conversion(set(map(type, cells))) for cells in columns]
+    for i, spec in enumerate(specs):
+        if spec is None:
+            columns[i] = ["" if v is None else (_conversion({type(v)}) or "%.17g") % v
+                          for v in columns[i]]
+    line = ",".join(spec or "%s" for spec in specs)
+    path.write_text("\n".join([",".join(header), *(line % row for row in zip(*columns))]) + "\n")
 
 
 def _write_json(path: Path, obj) -> None:
@@ -162,20 +168,12 @@ def _run_quasigeodesic(cfg: ExperimentConfig, out_dir: Path):
             rows, [])
 
 
-def _trajectory_csv_rows(curve: dynamics.SampledCurve, bounce_times=None):
-    rows = []
-    flags = None
-    if bounce_times is not None:
-        flags = np.zeros(len(curve.times), dtype=int)
-        for tb in bounce_times:
-            i = int(np.searchsorted(curve.times, tb - 1e-12))
-            flags[min(i, len(flags) - 1)] = 1
-    for i, t in enumerate(curve.times):
-        row = [t, *curve.points[i]]
-        if flags is not None:
-            row.append(int(flags[i]))
-        rows.append(row)
-    return rows
+def _bounce_flags(times: np.ndarray, bounce_times) -> np.ndarray:
+    """1 at the first sample at or after each bounce time less 1e-12 (the
+    last sample if none), else 0."""
+    flags = np.zeros(len(times), dtype=int)
+    flags[np.minimum(np.searchsorted(times, np.subtract(bounce_times, 1e-12)), len(times) - 1)] = 1
+    return flags
 
 
 def _run_trajectory(cfg: ExperimentConfig, out_dir: Path):
@@ -189,8 +187,9 @@ def _run_trajectory(cfg: ExperimentConfig, out_dir: Path):
         traj = dynamics.billiard_trajectory(cfg.table, cfg.model, x0, v0, T, dt)
         name = "trajectory_billiard.csv"
         coords = tuple(f"x_{i+1}" for i in range(cfg.table.n))
+        flags = _bounce_flags(traj.base.times, [b.t for b in traj.bounces])
         _write_csv(out_dir / name, ("t", *coords, "bounce_flag"),
-                   _trajectory_csv_rows(traj.base, [b.t for b in traj.bounces]))
+                   zip(traj.base.times.tolist(), *traj.base.points.T.tolist(), flags.tolist()))
         bounces = [{
             "t": b.t,
             "x": [float(v) for v in b.x],
@@ -218,7 +217,7 @@ def _run_trajectory(cfg: ExperimentConfig, out_dir: Path):
         name = "trajectory_boundary_geodesic.csv"
     dim = crv.points.shape[1]
     _write_csv(out_dir / name, ("t", *(f"x_{i+1}" for i in range(dim))),
-               _trajectory_csv_rows(crv))
+               zip(crv.times.tolist(), *crv.points.T.tolist()))
     result = {"n_samples": len(crv.times), "truncated": crv.truncated,
               "t_min": float(crv.times[0]), "t_max": float(crv.times[-1])}
     summary = [(result["t_min"], result["t_max"], result["n_samples"],

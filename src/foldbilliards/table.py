@@ -396,44 +396,39 @@ def reflect(frame: BoundaryFrame, w_in) -> np.ndarray:
 
 def sample_boundary_points(table: TableSpec, model: AmbientModel, k: int,
                            seed: int = 0, max_tries: int = 2000) -> np.ndarray:
-    """k boundary points found by bisecting f along random rays inside U."""
+    """k boundary points found by bisecting f along random rays inside U:
+    of max_tries rays from an interior anchor, the first k in draw order
+    whose march (steps of 0.05) meets f < 0 before it leaves U and whose
+    bisection ends on a regular boundary point.  All rays march and bisect
+    at once."""
     rng = np.random.default_rng(seed)
     anchor = _interior_anchor(table, model)
-    pts = []
-    tries = 0
-    while len(pts) < k and tries < max_tries:
-        tries += 1
-        d = rng.normal(size=table.n)
-        d /= np.linalg.norm(d)
-        # march until f goes negative or the patch is left
-        lo, hi = 0.0, None
-        t = 0.05
-        while t < 2.0 * table.region.radius:
-            x = anchor + t * d
-            if not table.region.contains(x):
-                break
-            if table.f(x) < 0:
-                hi = t
-                break
-            lo = t
-            t += 0.05
-        if hi is None:
-            continue
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if table.f(anchor + mid * d) < 0:
-                hi = mid
-            else:
-                lo = mid
-        x0 = anchor + 0.5 * (lo + hi) * d
-        if abs(table.f(x0)) > ON_BOUNDARY_TOL:
-            continue
-        if np.linalg.norm(table.grad_f(x0)) < 1e-6:
-            continue
-        pts.append(x0)
+    d = rng.normal(size=(max_tries, table.n))
+    d /= np.sqrt(_dot(d, d))[:, None]
+    lo, hi = np.zeros(max_tries), np.full(max_tries, np.nan)
+    live = np.arange(max_tries)
+    t = 0.05
+    while t < 2.0 * table.region.radius and len(live):
+        x = anchor + t * d[live]
+        inside = table.region.contains(x)
+        live, x = live[inside], x[inside]
+        neg = table.f(x) < 0
+        hi[live[neg]] = t
+        live = live[~neg]
+        lo[live] = t
+        t += 0.05
+    hit = np.flatnonzero(~np.isnan(hi))
+    lo, hi, d = lo[hit], hi[hit], d[hit]
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        neg = table.f(anchor + mid[:, None] * d) < 0
+        lo, hi = np.where(neg, lo, mid), np.where(neg, mid, hi)
+    x0 = anchor + (0.5 * (lo + hi))[:, None] * d
+    g = table.grad_f(x0)
+    pts = x0[~(np.abs(table.f(x0)) > ON_BOUNDARY_TOL) & ~(np.sqrt(_dot(g, g)) < 1e-6)]
     if len(pts) < k:
-        raise ConfigError(f"found only {len(pts)} boundary points after {tries} tries")
-    return np.array(pts)
+        raise ConfigError(f"found only {len(pts)} boundary points after {max_tries} tries")
+    return pts[:k]
 
 
 def _interior_anchor(table: TableSpec, model: AmbientModel) -> np.ndarray:

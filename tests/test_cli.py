@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from foldbilliards import runner
 from foldbilliards.ambient import MODEL_KINDS
 from foldbilliards.cli import main as cli_main
 from foldbilliards.table import BUILTIN_TABLES
@@ -199,14 +200,124 @@ class TestInterface:
         assert result["tol"] == 1e-6
 
 
-def test_artifact_digest_compare_prints_only_the_differences():
+def _fmt_per_cell(v) -> str:
+    """The per-cell CSV formatter the runner used before rows were written
+    with one % operation; the byte oracle of the writer."""
+    if isinstance(v, bool):
+        return "1" if v else "0"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if v is None:
+        return ""
+    return "%.17g" % float(v)
+
+
+def _csv_per_cell(header, rows) -> str:
+    return "\n".join([",".join(header), *(",".join(map(_fmt_per_cell, r)) for r in rows)]) + "\n"
+
+
+SPECIAL_FLOATS = [0.1, -0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, 1e308, -1.5e-7, 1 / 3]
+
+
+class TestCsvWriter:
+    """runner._write_csv formats a row with one % operation; its bytes must
+    equal those of the per-cell formatter."""
+
+    TABLES = {
+        "one-type columns": (
+            ("flag", "count", "big", "x", "y"),
+            [(i % 2 == 0, i - 3, np.int64(2**62 - i), v, np.float64(-v))
+             for i, v in enumerate(SPECIAL_FLOATS)]),
+        "mixed columns": (
+            ("none", "int-float", "bool-int", "f32", "np-bool", "np-int-float"),
+            [(None, 1, True, np.float32(0.1), np.bool_(True), np.int64(7)),
+             (2.5, 2.0, 3, np.float32(-0.0), np.bool_(False), np.float64(np.nan)),
+             (None, 2**70, np.int64(-4), np.float32(np.inf), np.bool_(True), -0.0),
+             (np.inf, -7, False, np.float32(5e-30), np.bool_(False), np.int32(-1))]),
+        "all None": (("a", "b"), [(None, 1.0), (None, 2.0)]),
+        "one column": (("t",), [(v,) for v in SPECIAL_FLOATS]),
+        "no rows": (("a", "b", "c"), []),
+    }
+
+    @pytest.mark.parametrize("name", list(TABLES))
+    def test_bytes_equal_the_per_cell_formatter(self, name, tmp_path):
+        header, rows = self.TABLES[name]
+        for given in (rows, [list(r) for r in rows], iter(rows)):
+            runner._write_csv(tmp_path / "t.csv", header, given)
+            assert (tmp_path / "t.csv").read_bytes() == _csv_per_cell(header, rows).encode()
+
+    def test_trajectory_rows_from_arrays(self, tmp_path):
+        r = np.random.default_rng(0)
+        times = np.concatenate([[0.0, -0.0], r.normal(size=50) * 10.0 ** r.integers(-300, 300, 50)])
+        points = np.stack([times[::-1], np.full(len(times), 5e-324), r.normal(size=len(times))], 1)
+        flags = r.integers(0, 2, len(times))
+        runner._write_csv(tmp_path / "t.csv", ("t", "x_1", "x_2", "x_3", "bounce_flag"),
+                          zip(times.tolist(), *points.T.tolist(), flags.tolist()))
+        rows = [(t, *p, int(f)) for t, p, f in zip(times, points, flags)]
+        assert (tmp_path / "t.csv").read_bytes() == _csv_per_cell(
+            ("t", "x_1", "x_2", "x_3", "bounce_flag"), rows).encode()
+
+
+def _bounce_flags_per_bounce(times, bounce_times):
+    flags = np.zeros(len(times), dtype=int)
+    for tb in bounce_times:
+        i = int(np.searchsorted(times, tb - 1e-12))
+        flags[min(i, len(flags) - 1)] = 1
+    return flags
+
+
+@pytest.mark.parametrize("bounces, flagged", [
+    ([], []),
+    ([0.3], [3]),                   # exactly on a grid time
+    ([0.3 + 1e-13], [3]),           # within 1e-12 after it
+    ([0.35], [4]),                  # between grid times
+    ([1.0], [10]),                  # at T
+    ([0.41, 0.47], [5]),            # two bounces in one interval
+    ([0.0, 0.05, 1.0 + 1e-6], [0, 1, 10]),  # at 0, and after T: the last sample
+])
+def test_bounce_flags(bounces, flagged):
+    times = np.linspace(0.0, 1.0, 11)
+    flags = runner._bounce_flags(times, bounces)
+    assert flags.dtype == int and flags.tolist() == _bounce_flags_per_bounce(times, bounces).tolist()
+    assert np.flatnonzero(flags).tolist() == flagged
+
+
+def _load_tool(name):
     spec = importlib.util.spec_from_file_location(
-        "artifact_digests", Path(__file__).parents[1] / "tools" / "artifact_digests.py")
+        name, Path(__file__).parents[1] / "tools" / f"{name}.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_artifact_digest_compare_prints_only_the_differences():
+    tool = _load_tool("artifact_digests")
     saved = ["a report.json 1111", "a exit 0", "b report.csv 2222", "b exit 0"]
     assert tool.differences(saved, saved + [""]) == []
     now = ["a report.json 1111", "a exit 3", "c report.json 3333", "c exit 0"]
     assert tool.differences(saved, now) == [
         "a exit 0 -> 3", "b report.csv 2222 -> absent", "b exit 0 -> absent",
         "c report.json absent -> 3333", "c exit absent -> 0"]
+
+
+def test_bench_pairs_summary_counts_wins_by_the_better_direction():
+    tool = _load_tool("bench_pairs")
+
+    def side(wall, rate):
+        return {"metrics": {"wall_s": {"value": wall, "unit": "s"},
+                            "rate": {"value": rate, "unit": "1/s"}}}
+    runs = [{"pair": i + 1, "first": "parent" if i % 2 == 0 else "change",
+             "parent": side(p, 1.0), "change": side(c, r)}
+            for i, (p, c, r) in enumerate([(2.0, 1.0, 2.0), (3.0, 1.5, 0.5),
+                                           (4.0, 5.0, 3.0), (5.0, 2.0, 1.0)])]
+    out = tool.summary(runs, [{"name": "wall_s", "better": "lower"},
+                              {"name": "rate", "better": "higher"}])
+    assert out["wall_s"] == {
+        "parent_median": 3.5, "parent_q1": 2.75, "parent_q3": 4.25,
+        "change_median": 1.75, "change_q1": 1.375, "change_q3": 2.75,
+        "change_wins": 3, "rel_change": -0.5}
+    # a tie is no win
+    assert out["rate"]["change_wins"] == 2
+    assert out["rate"]["change_median"] == 1.5
+    one = tool.summary(runs[:1], [{"name": "wall_s", "better": "lower"}])["wall_s"]
+    assert (one["parent_q1"], one["parent_median"], one["parent_q3"]) == (2.0, 2.0, 2.0)

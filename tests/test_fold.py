@@ -8,6 +8,7 @@ the spherical half-space family.
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -360,6 +361,22 @@ class TestHausdorff:
         hd = fd.hausdorff_distance(fold, n_grid=21)
         assert hd.sup_fold_to_table == dense.min(axis=1).max()
         assert hd.sup_table_to_fold == dense.min(axis=0).max()
+
+    @pytest.mark.parametrize("table, model", [
+        pytest.param(tb.disk_table(), am.hyperbolic(3), id="hyperbolic"),
+        pytest.param(tb.spherical_halfspace_table(), am.spherical(4), id="spherical"),
+    ])
+    def test_each_sample_set_is_split_once(self, table, model):
+        # both searches share the fold set's and the table set's cells; the
+        # sups are those of two searches that split their own
+        fold = fd.Fold(table, model, 0.2)
+        fold_pts, table_pts, _, foot = fd._hausdorff_samples(fold, 21, 200_000)
+        own = (am._nearest_sup(model, fold_pts, table_pts, pair=foot),
+               am._nearest_sup(model, table_pts, fold_pts, pair=np.arange(len(table_pts))))
+        with mock.patch.object(am, "_cells", wraps=am._cells) as cells:
+            hd = fd.hausdorff_distance(fold, n_grid=21)
+        assert cells.call_count == 2
+        assert (hd.sup_fold_to_table, hd.sup_table_to_fold) == own
 
     def test_hyperbolic_disk_fold_sits_at_asinh_lambda(self):
         # the top of the fold is (0, 0, lambda), at distance asinh(lambda) =

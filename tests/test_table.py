@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from foldbilliards import ambient as am
 from foldbilliards import table as tb
-from foldbilliards.errors import InvalidInputError, PreconditionError
+from foldbilliards.errors import ConfigError, InvalidInputError, PreconditionError
 
 S2 = np.sqrt(2.0) / 2.0
 
@@ -219,6 +219,46 @@ class TestReflectionAndPolarity:
         assert np.allclose(tb.polar_vector(fr, v), u, atol=1e-9)
 
 
+def sample_boundary_points_one_ray_at_a_time(table, model, k, seed=0, max_tries=2000):
+    """The scalar sampler: rays drawn, marched and bisected one by one."""
+    rng = np.random.default_rng(seed)
+    anchor = tb._interior_anchor(table, model)
+    pts = []
+    tries = 0
+    while len(pts) < k and tries < max_tries:
+        tries += 1
+        d = rng.normal(size=table.n)
+        d /= np.linalg.norm(d)
+        lo, hi = 0.0, None
+        t = 0.05
+        while t < 2.0 * table.region.radius:
+            x = anchor + t * d
+            if not table.region.contains(x):
+                break
+            if table.f(x) < 0:
+                hi = t
+                break
+            lo = t
+            t += 0.05
+        if hi is None:
+            continue
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if table.f(anchor + mid * d) < 0:
+                hi = mid
+            else:
+                lo = mid
+        x0 = anchor + 0.5 * (lo + hi) * d
+        if abs(table.f(x0)) > tb.ON_BOUNDARY_TOL:
+            continue
+        if np.linalg.norm(table.grad_f(x0)) < 1e-6:
+            continue
+        pts.append(x0)
+    if len(pts) < k:
+        raise ConfigError(f"found only {len(pts)} boundary points after {tries} tries")
+    return np.array(pts)
+
+
 class TestSampling:
     @pytest.mark.parametrize("model", [am.euclidean(3), am.hyperbolic(3)],
                              ids=lambda m: m.kind)
@@ -229,6 +269,22 @@ class TestSampling:
         for x in pts:
             assert abs(disk.f(x)) <= 1e-8
             assert disk.region.contains(x)
+
+    @pytest.mark.parametrize("table", [build() for build in tb.BUILTIN_TABLES.values()],
+                             ids=lambda t: t.name)
+    @pytest.mark.parametrize("kind", am.MODEL_KINDS)
+    def test_batched_rays_equal_one_ray_at_a_time(self, table, kind):
+        model = am.AmbientModel(kind, table.n + 1)
+        for seed in range(6):
+            ref = sample_boundary_points_one_ray_at_a_time(table, model, 5, seed=seed)
+            pts = tb.sample_boundary_points(table, model, 5, seed=seed)
+            assert pts.shape == ref.shape and np.array_equal(pts, ref)
+        for max_tries in (1, 4):
+            with pytest.raises(ConfigError) as want:
+                sample_boundary_points_one_ray_at_a_time(table, model, 5, seed=2,
+                                                         max_tries=max_tries)
+            with pytest.raises(ConfigError, match=f"^{want.value}$"):
+                tb.sample_boundary_points(table, model, 5, seed=2, max_tries=max_tries)
 
     def test_reflection_iff_polar_counts(self):
         for model, table in [(am.euclidean(3), tb.disk_table()),
