@@ -10,9 +10,11 @@ is h(v, w) = Hess F(v, w) / |grad F|, with the covariant Hessian
 
     Hess F_ij = D^2 F_ij - Gamma^k_ij  dF_k ,
 
-and sectional curvatures follow from the Gauss equation
+and sectional curvatures follow from the Gauss equation (do Carmo, Riemannian
+Geometry, ch. 6), which in the g-orthonormal tangent basis t of frame_at needs
+only the n x n matrix h: for v = a . t and w = b . t,
 
-    sec(v, w) = kappa_ambient + (h(v,v) h(w,w) - h(v,w)^2) / gram(v, w).
+    sec = kappa_ambient + (h(a,a) h(b,b) - h(a,b)^2) / (|a|^2 |b|^2 - (a.b)^2).
 """
 
 from __future__ import annotations
@@ -161,20 +163,19 @@ def second_fundamental_form(fold: Fold, q, v, w) -> float:
     return float(np.asarray(v) @ frame.hessian @ np.asarray(w) / frame.grad_norm)
 
 
-def _gauss_equation(g, hessian, grad_norm, kappa_ambient: float, v, w):
-    """Sectional curvatures of the planes span{v, w}, shape (..., d), and
-    their Gram determinants; g, hessian and grad_norm broadcast against
-    them."""
-    gvv = _form(v, g, v)
-    gww = _form(w, g, w)
-    gvw = _form(v, g, w)
-    gram = gvv * gww - gvw * gvw
-    hv = (hessian @ v[..., None])[..., 0]
-    hvv = _dot(v, hv) / grad_norm
-    hvw = _dot(w, hv) / grad_norm
-    hww = _form(w, hessian, w) / grad_norm
+def _gauss_equation(h, kappa_ambient: float, a, b):
+    """Sectional curvatures of the planes span{a . t, b . t}, for coefficient
+    vectors a, b of shape (..., n) in a g-orthonormal tangent basis t with
+    second fundamental form h, and their Gram determinants; h broadcasts
+    against a and b."""
+    ab = _dot(a, b)
+    gram = _dot(a, a) * _dot(b, b) - ab * ab
+    ha = (h @ a[..., None])[..., 0]
+    haa = _dot(a, ha)
+    hab = _dot(b, ha)
+    hbb = _form(b, h, b)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return kappa_ambient + (hvv * hww - hvw * hvw) / gram, gram
+        return kappa_ambient + (haa * hbb - hab * hab) / gram, gram
 
 
 def sectional_curvature(fold: Fold, q, v, w) -> float:
@@ -191,8 +192,8 @@ def sectional_curvature(fold: Fold, q, v, w) -> float:
         scale = max(1.0, float(np.linalg.norm(vec)))
         if abs(df @ vec) > 1e-8 * scale * max(1.0, frame.grad_norm):
             raise PreconditionError(f"{label} is not tangent to the fold")
-    sec, gram = _gauss_equation(frame.metric.g, frame.hessian, frame.grad_norm,
-                                fold.model.kappa, v, w)
+    tg = frame.tangent_basis @ frame.metric.g   # coefficients a_i = g(t_i, v)
+    sec, gram = _gauss_equation(frame.h, fold.model.kappa, tg @ v, tg @ w)
     if gram < 1e-12:
         raise DegeneratePlaneError("tangent vectors do not span a 2-plane")
     return float(sec)
@@ -277,8 +278,9 @@ def _scan_one_lambda(fold: Fold, points: np.ndarray, n_random_planes: int,
     and the counts of evaluated and skipped samples.
 
     Frames run over (point, sheet) in order, the lower sheet only away from
-    the pinch.  Each frame tests its tangent basis pairs, then random
-    g-orthonormal pairs drawn in frame order; the first minimum wins."""
+    the pinch.  Each frame tests its tangent basis pairs, then random pairs
+    drawn in frame order, as coefficient vectors in its g-orthonormal tangent
+    basis (the random ones orthonormal in R^n); the first minimum wins."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, int(1e6 * fold.lam)]))
     n = fold.table.n
     lower = ~(fold.table.f(points) <= EDGE_EXCLUSION_F)
@@ -289,26 +291,23 @@ def _scan_one_lambda(fold: Fold, points: np.ndarray, n_random_planes: int,
     n_skip = int(np.count_nonzero(~ok))
     q = q[ok]
     tangent = frame.tangent_basis[ok]
-    g = frame.metric.g[ok][:, None]
-    hessian = frame.hessian[ok][:, None]
-    grad_norm = frame.grad_norm[ok][:, None]
 
-    # random planes as g-orthonormal pairs: near-parallel spans amplify
+    # random planes as orthonormal pairs: near-parallel spans amplify
     # roundoff in the Gauss-equation numerator
     normals = rng.normal(size=(len(q), n_random_planes, 2, n))
-    draws = (normals[..., None, :] @ tangent[:, None, None])[..., 0, :]
-    a, b = draws[:, :, 0], draws[:, :, 1]
+    a, b = normals[:, :, 0], normals[:, :, 1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        a = a / np.sqrt(_form(a, g, a))[..., None]
-        b = b - _form(b, g, a)[..., None] * a
-        nb = np.sqrt(_form(b, g, b))
+        a = a / np.sqrt(_dot(a, a))[..., None]
+        b = b - _dot(b, a)[..., None] * a
+        nb = np.sqrt(_dot(b, b))
         b = b / nb[..., None]
     i, j = np.triu_indices(n, 1)
-    v = np.concatenate([tangent[:, i], a], axis=1)
-    w = np.concatenate([tangent[:, j], b], axis=1)
+    basis = np.broadcast_to(np.eye(n), (len(q), n, n))
+    v = np.concatenate([basis[:, i], a], axis=1)
+    w = np.concatenate([basis[:, j], b], axis=1)
     planes = np.concatenate([np.ones((len(q), len(i)), dtype=bool), ~(nb < 1e-8)], axis=1)
 
-    sec, gram = _gauss_equation(g, hessian, grad_norm, fold.model.kappa, v, w)
+    sec, gram = _gauss_equation(frame.h[ok][:, None], fold.model.kappa, v, w)
     flat = gram < 1e-12
     n_skip += int(np.count_nonzero(planes & flat))
     evaluated = planes & ~flat
@@ -318,7 +317,7 @@ def _scan_one_lambda(fold: Fold, points: np.ndarray, n_random_planes: int,
     if not best < np.inf:
         return best, None, None, n_eval, n_skip
     k, p = np.unravel_index(np.argmin(sec), sec.shape)
-    return best, q[k], np.array([v[k, p], w[k, p]]), n_eval, n_skip
+    return best, q[k], np.array([v[k, p], w[k, p]]) @ tangent[k], n_eval, n_skip
 
 
 def scan_curvature(table: TableSpec, model: AmbientModel, lambdas, kappa: float,
@@ -469,7 +468,8 @@ def hausdorff_distance(fold: Fold, n_grid: int = 121,
                                      balls=(table_balls, fold_balls))
 
     gs = ambient.metric_many(model, np.concatenate([fold_pts, table_pts]))
-    eig_max = np.linalg.eigvalsh(gs)[:, -1].max()
+    # the euclidean and spherical metrics are c I, with largest eigenvalue c
+    eig_max = (np.linalg.eigvalsh(gs)[:, -1] if model.kind == "hyperbolic" else gs[:, 0, 0]).max()
     return HausdorffResult(
         lam=fold.lam, sup_fold_to_table=sup_fold, sup_table_to_fold=sup_table,
         d_max=float(np.sqrt(fvals.max())), c_model=float(np.sqrt(eig_max)),

@@ -110,7 +110,9 @@ class PolynomialShape(Shape):
     The derivatives are monomial sums too: d/dx_i of c x^e is c e_i
     x^(e - 1_i), and d2/dx_i dx_j is c e_i (e_j - delta_ij) x^(e - 1_i - 1_j).
     Exponents that would go negative belong to zero coefficients and are
-    clipped to 0, so x = 0 stays finite."""
+    clipped to 0, so x = 0 stays finite.  Every monomial is read off one
+    table of powers x_k^p built by multiplication, so x^2 is x * x and no
+    vectorized pow runs."""
 
     terms: tuple[tuple[tuple[int, ...], float], ...]
 
@@ -128,16 +130,34 @@ class PolynomialShape(Shape):
                             ("_d1", np.maximum(d1, 0)), ("_d2", np.maximum(d2, 0))):
             object.__setattr__(self, name, value)
 
+    def _sum(self, coef, exps, x):
+        """sum_t coef[t] x^exps[t], term by term in order, with shape
+        coef.shape[1:] + x.shape[:-1].  Each monomial is a product in
+        coordinate order of powers x_k^1 = x_k, x_k^(p+1) = x_k^p x_k; the
+        exact factors x_k^0 = 1 are left out."""
+        powers = [[1.0, xk] for xk in np.moveaxis(x, -1, 0)]
+        for row in powers:
+            for _ in range(self._exps.max() - 1):
+                row.append(row[-1] * row[1])
+        mono = np.ones(exps.shape[:-1] + x.shape[:-1])
+        for idx in np.ndindex(exps.shape[:-1]):
+            for k, p in enumerate(exps[idx]):
+                if p:
+                    mono[idx] *= powers[k][p]
+        coef = coef.reshape(coef.shape + (1,) * (x.ndim - 1))
+        out = coef[0] * mono[0]
+        for c, m in zip(coef[1:], mono[1:]):
+            out = out + c * m
+        return out
+
     def f(self, x):
-        return sum(c * np.prod(x ** e, axis=-1) for e, c in zip(self._exps, self._coef))
+        return self._sum(self._coef, self._exps, x)
 
     def grad(self, x):
-        mono = np.prod(x[..., None, None, :] ** self._d1, axis=-1)
-        return (self._c1 * mono).sum(axis=-2)
+        return np.moveaxis(self._sum(self._c1, self._d1, x), 0, -1)
 
     def hess(self, x):
-        mono = np.prod(x[..., None, None, None, :] ** self._d2, axis=-1)
-        return (self._c2 * mono).sum(axis=-3)
+        return np.moveaxis(self._sum(self._c2, self._d2, x), (0, 1), (-2, -1))
 
 
 @dataclass(frozen=True)

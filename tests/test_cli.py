@@ -321,3 +321,23 @@ def test_bench_pairs_summary_counts_wins_by_the_better_direction():
     assert out["rate"]["change_median"] == 1.5
     one = tool.summary(runs[:1], [{"name": "wall_s", "better": "lower"}])["wall_s"]
     assert (one["parent_q1"], one["parent_median"], one["parent_q3"]) == (2.0, 2.0, 2.0)
+
+
+def test_bench_pairs_traced_counts_keep_count_units_and_name_the_differences():
+    tool = _load_tool("bench_pairs")
+
+    def traced(frames, pairs, correct=True):
+        return {"correct": correct, "metrics": {
+            "fold.frame_at.calls": {"value": frames, "unit": "count"},
+            "fold.frame_at.self_s": {"value": 0.5, "unit": "s"},
+            "ambient.distance_cross.pairs": {"value": pairs, "unit": "count"}}}
+    metrics = [{"name": "fold.frame_at.calls", "unit": "count"},
+               {"name": "fold.frame_at.self_s", "unit": "s"},
+               {"name": "ambient.distance_cross.bytes_out", "unit": "bytes"},
+               {"name": "ambient.distance_cross.pairs", "unit": "count"}]
+    out = tool.traced_counts({"parent": traced(4, 100), "change": traced(4, 90, False)}, metrics)
+    # seconds are left out, and so is a count the run did not report
+    assert out["parent"] == {"fold.frame_at.calls": 4, "ambient.distance_cross.pairs": 100}
+    assert out["change"] == {"fold.frame_at.calls": 4, "ambient.distance_cross.pairs": 90}
+    assert out["correct"] == {"parent": True, "change": False}
+    assert out["differ"] == {"ambient.distance_cross.pairs": [100, 90]}

@@ -194,58 +194,99 @@ class TestCurvatureOracles:
             assert fd.sectional_curvature(f, q, vj, vk) >= 1.0 - 1e-9
 
 
-def _reference_scan_one_lambda(fold, points, n_random_planes, seed):
-    """Point-by-point scan loop, kept as the reference for the batched scan."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, int(1e6 * fold.lam)]))
-    best, best_q, best_plane, n_eval, n_skip = np.inf, None, None, 0, 0
-    n = fold.table.n
+def _reference_frames(fold, points):
+    """The scan's frames point by point: (q, frame), or None for a skipped one."""
     for x in points:
         for sign in (1, -1):
             if sign == -1 and fold.table.f(x) <= fd.EDGE_EXCLUSION_F:
                 continue
             try:
                 q = fd.lift(fold, x, sign)
-                frame = fd.frame_at(fold, q)
+                yield q, fd.frame_at(fold, q)
             except (OutsideTableError, SingularPointError, PreconditionError):
+                yield None
+
+
+def _reference_scan_one_lambda(fold, points, n_random_planes, seed):
+    """Point-by-point scan loop in tangent coordinates, kept as the
+    reference for the batched scan."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, int(1e6 * fold.lam)]))
+    best, best_q, best_plane, n_eval, n_skip = np.inf, None, None, 0, 0
+    n = fold.table.n
+    eye = np.eye(n)
+    for item in _reference_frames(fold, points):
+        if item is None:
+            n_skip += 1
+            continue
+        q, frame = item
+        planes = [(eye[i], eye[j]) for i in range(n) for j in range(i + 1, n)]
+        for _ in range(n_random_planes):
+            a = rng.normal(size=n)
+            a = a / np.sqrt(a @ a)
+            b = rng.normal(size=n)
+            b = b - (b @ a) * a
+            nb = np.sqrt(b @ b)
+            if nb < 1e-8:
+                continue
+            planes.append((a, b / nb))
+        for a, b in planes:
+            ab = a @ b
+            gram = (a @ a) * (b @ b) - ab * ab
+            if gram < 1e-12:
                 n_skip += 1
                 continue
-            planes = [(frame.tangent_basis[i], frame.tangent_basis[j])
-                      for i in range(n) for j in range(i + 1, n)]
-            g = frame.metric.g
-            for _ in range(n_random_planes):
-                a = rng.normal(size=n) @ frame.tangent_basis
-                a = a / np.sqrt(a @ g @ a)
-                b = rng.normal(size=n) @ frame.tangent_basis
-                b = b - (b @ g @ a) * a
-                nb = np.sqrt(b @ g @ b)
-                if nb < 1e-8:
-                    continue
-                planes.append((a, b / nb))
-            for v, w in planes:
-                gram = (v @ g @ v) * (w @ g @ w) - (v @ g @ w) ** 2
-                if gram < 1e-12:
-                    n_skip += 1
-                    continue
-                hv = frame.hessian @ v
-                hvv = (v @ hv) / frame.grad_norm
-                hvw = (w @ hv) / frame.grad_norm
-                hww = (w @ frame.hessian @ w) / frame.grad_norm
-                sec = float(fold.model.kappa + (hvv * hww - hvw * hvw) / gram)
-                n_eval += 1
-                if sec < best:
-                    best, best_q, best_plane = sec, q, np.array([v, w])
+            ha = frame.h @ a
+            hab = b @ ha
+            sec = float(fold.model.kappa + ((a @ ha) * (b @ frame.h @ b) - hab * hab) / gram)
+            n_eval += 1
+            if sec < best:
+                best, best_q, best_plane = sec, q, np.array([a, b]) @ frame.tangent_basis
     return best, best_q, best_plane, n_eval, n_skip
 
 
+def _ambient_scan_one_lambda(fold, points, n_random_planes, seed):
+    """Minimum of the same scan with every plane built and evaluated in
+    ambient vectors: g-orthonormal pairs and the Gauss equation with the
+    ambient metric and covariant Hessian of F."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, int(1e6 * fold.lam)]))
+    best = np.inf
+    n = fold.table.n
+    for item in _reference_frames(fold, points):
+        if item is None:
+            continue
+        _, frame = item
+        t, g = frame.tangent_basis, frame.metric.g
+        planes = [(t[i], t[j]) for i in range(n) for j in range(i + 1, n)]
+        for _ in range(n_random_planes):
+            a = rng.normal(size=n) @ t
+            a = a / np.sqrt(a @ g @ a)
+            b = rng.normal(size=n) @ t
+            b = b - (b @ g @ a) * a
+            nb = np.sqrt(b @ g @ b)
+            if nb >= 1e-8:
+                planes.append((a, b / nb))
+        for v, w in planes:
+            gram = (v @ g @ v) * (w @ g @ w) - (v @ g @ w) ** 2
+            if gram >= 1e-12:
+                hv = frame.hessian @ v
+                hvv, hvw = v @ hv / frame.grad_norm, w @ hv / frame.grad_norm
+                hww = w @ frame.hessian @ w / frame.grad_norm
+                best = min(best, float(fold.model.kappa + (hvv * hww - hvw * hvw) / gram))
+    return best
+
+
+_SCAN_CASES = [
+    pytest.param(tb.disk_table(), am.euclidean(3), [0.5, 0.2, 1e-9, 1e-11],
+                 id="disk-euclidean"),
+    pytest.param(tb.disk_table(), am.hyperbolic(3), [0.5, 0.05], id="disk-hyperbolic"),
+    pytest.param(tb.parabola_table(), am.euclidean(3), [0.3, 0.1], id="parabola-euclidean"),
+    pytest.param(tb.spherical_halfspace_table(), am.spherical(4), [0.5, 0.1],
+                 id="spherical-halfspace"),
+]
+
+
 class TestScan:
-    @pytest.mark.parametrize("table, model, lambdas", [
-        pytest.param(tb.disk_table(), am.euclidean(3), [0.5, 0.2, 1e-9, 1e-11],
-                     id="disk-euclidean"),
-        pytest.param(tb.disk_table(), am.hyperbolic(3), [0.5, 0.05], id="disk-hyperbolic"),
-        pytest.param(tb.parabola_table(), am.euclidean(3), [0.3, 0.1], id="parabola-euclidean"),
-        pytest.param(tb.spherical_halfspace_table(), am.spherical(4), [0.5, 0.1],
-                     id="spherical-halfspace"),
-    ])
+    @pytest.mark.parametrize("table, model, lambdas", _SCAN_CASES)
     def test_batched_scan_equals_the_reference_loop(self, table, model, lambdas):
         # dF is singular on most frames at lambda = 1e-9 and on all at 1e-11,
         # so those frames are skipped
@@ -264,6 +305,21 @@ class TestScan:
         assert rep.argmin_plane == ref[k][2].tolist()
         assert rep.n_samples == sum(r[3] for r in ref)
         assert rep.n_skipped == sum(r[4] for r in ref)
+
+    @pytest.mark.parametrize("table, model, lambdas", _SCAN_CASES)
+    def test_tangent_coordinates_agree_with_the_ambient_route(self, table, model, lambdas):
+        points = fd.sample_table_points(table, 8)
+        for lam in lambdas:
+            fold = fd.Fold(table, model, lam)
+            got = fd._scan_one_lambda(fold, points, 4, 0)
+            old = _ambient_scan_one_lambda(fold, points, 4, 0)
+            if got[1] is None:
+                assert old == np.inf
+                continue
+            assert abs(got[0] - old) <= 1e-12 * max(1.0, abs(old))
+            # the witness plane is tangent and its curvature is the minimum
+            witness = fd.sectional_curvature(fold, got[1], *got[2])
+            assert abs(witness - got[0]) <= 1e-12 * max(1.0, abs(got[0]))
 
     def test_euclidean_disk_certified_nonnegative(self):
         rep = fd.scan_curvature(tb.disk_table(), am.euclidean(3),

@@ -1,5 +1,8 @@
 """Tests for table shapes, boundary frames, the reflection law and polarity."""
 
+import hashlib
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -99,6 +102,62 @@ class TestTableSpec:
             tb.TableSpec(n=2, shape=tb.DiskShape(),
                          region=tb.Region(center=(0.0, 0.0), radius=0.5),
                          p0=(1.0, 0.0))
+
+
+def _exact_derivative(shape, x, axes):
+    """d/dx_axes of a PolynomialShape at the float point x, in exact rational
+    arithmetic, and the sum of the absolute values of its terms."""
+    value = scale = Fraction(0)
+    for exps, coeff in shape.terms:
+        term = Fraction(coeff)
+        e = list(exps)
+        for k in axes:
+            term *= e[k]
+            e[k] -= 1
+        if term == 0:
+            continue
+        for xk, ek in zip(x, e):
+            term *= Fraction(float(xk)) ** ek
+        value += term
+        scale += abs(term)
+    return value, scale
+
+
+class TestPolynomialShape:
+    def test_squares_are_products(self):
+        x = np.random.default_rng(3).uniform(-3.0, 3.0, (100_000, 2))
+        square = tb.PolynomialShape(terms=(((2, 0), 1.0),))
+        cube = tb.PolynomialShape(terms=(((0, 3), 1.0),))
+        assert (square.f(x) == x[:, 0] * x[:, 0]).all()
+        assert (square.grad(x)[:, 0] == 2.0 * x[:, 0]).all()
+        assert (cube.f(x) == x[:, 1] * x[:, 1] * x[:, 1]).all()
+        assert (cube.grad(x)[:, 1] == 3.0 * (x[:, 1] * x[:, 1])).all()
+        assert (cube.hess(x)[:, 1, 1] == 6.0 * x[:, 1]).all()
+
+    @pytest.mark.parametrize("shape", [
+        *(pytest.param(t.shape, id=t.name) for t in mixed_tables()),
+        pytest.param(tb.spherical_halfspace_table().region.constraints[0][0],
+                     id="spherical-halfspace-strip"),
+    ])
+    def test_matches_exact_rational_evaluation(self, shape, rng):
+        n = len(shape.terms[0][0])
+        eps = np.finfo(float).eps
+        for x in rng.uniform(-2.0, 2.0, (40, n)):
+            got = {(): shape.f(x), **{(i,): shape.grad(x)[i] for i in range(n)},
+                   **{(i, j): shape.hess(x)[i, j] for i in range(n) for j in range(n)}}
+            for axes, value in got.items():
+                exact, scale = _exact_derivative(shape, x, axes)
+                # a few roundings per term, relative to the sum of |terms|
+                assert abs(Fraction(float(value)) - exact) <= 8 * eps * scale
+
+    def test_spherical_halfspace_lattice_mask_is_unchanged(self):
+        # the mask the 41^3 Hausdorff lattice of the benchmark has had since
+        # the strip was evaluated with vectorized pow
+        axis = np.linspace(-1.0, 1.0, 41)
+        mesh = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+        mask = tb.spherical_halfspace_table().region.contains(mesh)
+        assert int(mask.sum()) == 22084
+        assert hashlib.sha256(np.packbits(mask).tobytes()).hexdigest()[:16] == "fc8d4726fc16d968"
 
 
 class TestModelOnTable:

@@ -5,19 +5,24 @@ pairs of runs, and record both sides in ``BENCH_<pr>.json``:
         --seed 0 --pairs 10 --seconds 40 --claim wall_s --change "what changed"
 
 The change side is the working tree of this checkout; the parent side is a
-detached ``git worktree`` of ``--parent`` in a temporary directory, removed at
-the end.  Pair i runs the parent first when i is odd and the change first when
-it is even, one run at a time.  Each run is
+``git archive`` export of ``--parent`` in a temporary directory, removed at
+the end (no worktree is registered in the repository).  Pair i runs the
+parent first when i is odd and the change first when it is even, one run at
+a time.  Each run is
 
     python perfbench/run.py --workload W --seed S --seconds N --trace 0
 
 in its own checkout, and its last output line (the result object) is kept.
+After the pairs, each side runs once more with ``--trace 1`` for the
+machine-independent per-layer counts (units ``count`` and ``bytes``).
 
 The file holds, under ``end_to_end["<workload> seed <seed>"]``, the number of
 pairs, every run, and for each end-to-end metric of ``BENCHMARK.json`` the
 median and quartiles of both sides, the pairs the change won and the relative
-change of the medians.  Another workload or seed adds its section to an
-existing file; the same workload and seed replace theirs.
+change of the medians; under ``"traced_counts"`` the counts of both sides,
+whether each traced run reported ``correct``, and the counts that differ.
+Another workload or seed adds its section to an existing file; the same
+workload and seed replace theirs.
 """
 
 from __future__ import annotations
@@ -35,6 +40,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
+# per-layer units that do not depend on the machine (perfbench/run.py)
+COUNT_UNITS = ("count", "bytes")
 
 
 def summary(runs: list[dict], metrics: list[dict]) -> dict:
@@ -58,14 +65,28 @@ def summary(runs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
+def traced_counts(traced: dict[str, dict], metrics: list[dict]) -> dict:
+    """From one traced result per side, the per-layer metrics of BENCHMARK.json
+    counted in ``COUNT_UNITS`` (in its order, those the run reported), each
+    side's ``correct`` flag, and {name: [parent, change]} for the counts that
+    differ."""
+    names = [m["name"] for m in metrics if m["unit"] in COUNT_UNITS]
+    out = {side: {name: traced[side]["metrics"][name]["value"] for name in names
+                  if name in traced[side]["metrics"]} for side in SIDES}
+    out["correct"] = {side: traced[side]["correct"] for side in SIDES}
+    out["differ"] = {name: [out["parent"].get(name), out["change"].get(name)]
+                     for name in names if out["parent"].get(name) != out["change"].get(name)}
+    return out
+
+
 def _git(*args: str) -> str:
     return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
                           capture_output=True, text=True).stdout.strip()
 
 
-def _perfbench(checkout: Path, args) -> dict:
+def _perfbench(checkout: Path, args, trace: int = 0) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
-           "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
+           "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"perfbench failed in {checkout}:\n{proc.stderr}")
@@ -104,11 +125,13 @@ def main(argv=None) -> int:
     parent = _git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         parent_dir = Path(tmp) / "parent"
-        _git("worktree", "add", "--detach", str(parent_dir), parent)
-        try:
-            runs = _pairs(parent_dir, args)
-        finally:
-            _git("worktree", "remove", "--force", str(parent_dir))
+        parent_dir.mkdir()
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", parent],
+                                 check=True, capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(parent_dir)], input=archive, check=True)
+        runs = _pairs(parent_dir, args)
+        traced = {side: _perfbench(checkout, args, trace=1)
+                  for side, checkout in (("parent", parent_dir), ("change", ROOT))}
 
     path = ROOT / f"BENCH_{args.pr}.json"
     doc = json.loads(path.read_text()) if path.is_file() else {}
@@ -121,7 +144,7 @@ def main(argv=None) -> int:
                    f"{os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}",
         "command": f"python perfbench/run.py --workload <w> --seed <s> --seconds "
                    f"{args.seconds} --trace 0, parent and change alternating "
-                   f"(odd pairs parent first)",
+                   f"(odd pairs parent first), then --trace 1 once per side",
     })
     if args.change:
         doc["change"] = args.change
@@ -130,7 +153,8 @@ def main(argv=None) -> int:
                         "rule": "change wins >= 9/10 pairs and the median difference "
                                 "exceeds the parent's interquartile range"}
     doc.setdefault("end_to_end", {})[f"{args.workload} seed {args.seed}"] = {
-        "pairs": len(runs), "runs": runs, **summary(runs, bench["end_to_end"])}
+        "pairs": len(runs), "runs": runs, **summary(runs, bench["end_to_end"]),
+        "traced_counts": traced_counts(traced, bench["per_layer"])}
     path.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {path}", file=sys.stderr)
     return 0
