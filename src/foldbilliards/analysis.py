@@ -27,7 +27,6 @@ from .table import (
     TableSpec,
     boundary_frame,
     model_on_table,
-    polar_vector,
     _interior_anchor,
 )
 from .fold import Fold, check_h_sufficient_conditions, scan_curvature

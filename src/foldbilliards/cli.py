@@ -21,7 +21,6 @@ from .runner import run_experiment
 from .table import BUILTIN_TABLES
 
 ENV_OUT_DIR = "FOLDBILLIARDS_OUT_DIR"
-ENV_WORKERS = "FOLDBILLIARDS_WORKERS"
 
 
 def _shipped_configs():
@@ -60,8 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out-dir", help="artifact directory "
                        f"(default: runs/<config name>; env {ENV_OUT_DIR})")
     run_p.add_argument("--seed", type=int, help="override the config RNG seed")
-    run_p.add_argument("--workers", type=int,
-                       help=f"accepted and echoed in the manifest, no effect (env {ENV_WORKERS})")
     sub.add_parser("list-builtins", help="list builtin tables, models, configs")
     return parser
 
@@ -80,18 +77,6 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    workers = args.workers
-    if workers is None and os.environ.get(ENV_WORKERS):
-        try:
-            workers = int(os.environ[ENV_WORKERS])
-        except ValueError:
-            print(f"config error: {ENV_WORKERS} must be an integer", file=sys.stderr)
-            return 2
-    if workers is not None:
-        if workers < 1:
-            print("config error: workers must be >= 1", file=sys.stderr)
-            return 2
-        cfg.workers = workers
     out_dir = (args.out_dir or os.environ.get(ENV_OUT_DIR) or cfg.out_dir
                or str(Path("runs") / Path(args.config).stem))
 

@@ -24,7 +24,7 @@ from .table import BUILTIN_TABLES, PolynomialShape, Region, TableSpec
 CURVE_KINDS = ("arc", "corner", "convex-kink", "billiard")
 TRAJECTORY_TARGETS = ("billiard", "fold-geodesic", "table-geodesic", "boundary-geodesic")
 # optional top-level keys; absent ones take the ExperimentConfig defaults
-_OPTIONAL_TOP_KEYS = ("seed", "workers", "out_dir", "description")
+_OPTIONAL_TOP_KEYS = ("seed", "out_dir", "description")
 
 
 @dataclass
@@ -34,7 +34,6 @@ class ExperimentConfig:
     model: AmbientModel
     parameters: dict
     seed: int = 0
-    workers: int = 1
     out_dir: str | None = None
     description: str = ""
     raw: dict = field(default_factory=dict)
@@ -339,7 +338,7 @@ EXPERIMENTS = {
 
 def validate_config(raw: dict) -> ExperimentConfig:
     _check_keys(raw, "config",
-                ("experiment", "table", "model", "parameters"), _OPTIONAL_TOP_KEYS)
+                ("experiment", "table", "model", "parameters"), (*_OPTIONAL_TOP_KEYS, "workers"))
     experiment = _string(raw, "experiment", "config", choices=EXPERIMENTS)
     table = _build_table(raw["table"])
     model = _build_model(raw["model"], table.n)
@@ -349,6 +348,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
     EXPERIMENTS[experiment].validate(params, "parameters", table.n)
     _tolerances_positive(params, "parameters")
     _integer(raw, "seed", "config", minimum=0, optional=True)
+    # accepted for older configs and ignored: every run is one process
     _integer(raw, "workers", "config", minimum=1, optional=True)
     if raw.get("out_dir") is not None:
         _string(raw, "out_dir", "config")

@@ -26,11 +26,12 @@ refine_tol=None takes fixed RK4 steps on the grid instead.
 A table geodesic is one flow call at the grid times.  A billiard reads
 the grid samples of each free segment (from the launch or the last bounce)
 off one flow call per window of grid times, with event detection on f
-along the exact flow: a batched bound on d^2 f / dt^2 clears the grid
-intervals that cannot hide a dip below f = 0, one flow call and one f call
-scan each other interval for the first sign change, regula falsi on
-f(flow(s)) finds its root to |f| <= 1e-10, and the velocity reflects by the
-mirror law.
+along the exact flow: one guarded search (_first_dip) finds the first dip
+below f = 0.  A batched bound on d^2 f / dt^2 clears the intervals that
+cannot hide one; each other interval is cut into at most _SPLIT steps and
+searched again the same way, down to steps of DELTA_MIN / 2.  Regula falsi
+on f(flow(s)) finds the root to |f| <= 1e-10, and the velocity reflects by
+the mirror law.
 """
 
 from __future__ import annotations
@@ -64,6 +65,8 @@ GRAZING_TOL = 1e-8
 # continuation outside it could reach the stereographic pole or overflow
 # cosh; the samples flowed in vain past a bounce span no more time either.
 _WINDOW_SPAN = 0.5
+# a guarded billiard interval is searched in at most _SPLIT equal steps
+_SPLIT = 256
 
 # The Dormand & Prince (1980) 5(4) pair: the stage weights of stages 2-6,
 # the fifth-order weights and the error weights (fifth minus embedded fourth
@@ -99,7 +102,6 @@ class SampledCurve:
     velocities: np.ndarray | None = None
     truncated: bool = False
     exit_forward: float | None = None
-    exit_backward: float | None = None
 
     def __len__(self) -> int:
         return len(self.times)
@@ -426,8 +428,7 @@ def integrate_fold_geodesic(fold, q0, v0, T, dt, two_sided: bool = True,
                         points=np.concatenate([bwd.points[::-1][:-1], fwd.points]),
                         velocities=np.concatenate([-bwd.velocities[::-1][:-1], fwd.velocities]),
                         truncated=fwd.truncated or bwd.truncated,
-                        exit_forward=fwd.exit_forward,
-                        exit_backward=None if bwd.exit_forward is None else -bwd.exit_forward)
+                        exit_forward=fwd.exit_forward)
 
 
 def integrate_table_geodesic(model: AmbientModel, x0, v0, T, dt) -> SampledCurve:
@@ -469,6 +470,40 @@ def _flow_f_curvature_bound(table, model_H, x, v):
     used to rule out hidden boundary crossings between grid samples."""
     acc = _acceleration(model_H, None, x, v)
     return np.abs(_form(v, table.hess_f(x), v)) + np.abs(_dot(table.grad_f(x), acc))
+
+
+def _first_dip(table, model_H, flow, d, f, m):
+    """The first dip of f below -1e-12 along s -> flow(s) past the ascending
+    offsets d, given f and the bounds m of _flow_f_curvature_bound at d:
+    (i, (lo, hi, f_lo, f_hi)), a bracket of offsets from d[i] with
+    f_lo >= -1e-12 > f_hi, or None.
+
+    The guard clears an interval of length h when f at both ends exceeds
+    0.3 max(m) h^2: 2.4 times the Taylor bound m h^2 / 8 on the sag of f below
+    its chord, with m read at the interval's ends only.  Each other interval,
+    in order, is cut into min(_SPLIT, ceil(h / (DELTA_MIN / 2))) steps, at
+    least 2, with f known at its ends: its first dip closes the bracket when
+    the steps are DELTA_MIN / 2 or shorter, else they are searched the same way.
+    """
+    h = np.diff(d)
+    clear = np.minimum(f[:-1], f[1:]) > (
+        0.15 * (2.0 * np.maximum(m[:-1], m[1:])) * h**2 + 1e-12)
+    for i in np.flatnonzero(~clear):
+        n = max(2, int(np.ceil(h[i] / (0.5 * DELTA_MIN))))
+        s = h[i] * np.arange(min(n, _SPLIT) + 1) / min(n, _SPLIT)
+        xs, vs = flow(d[i] + s[1:-1])
+        fs = np.concatenate([f[i:i + 1], table.f(xs), f[i + 1:i + 2]])
+        if n > _SPLIT:
+            ms = np.concatenate([m[i:i + 1], _flow_f_curvature_bound(table, model_H, xs, vs),
+                                 m[i + 1:i + 2]])
+            hit = _first_dip(table, model_H, lambda u: flow(d[i] + u), s, fs, ms)
+            if hit:
+                k, (lo, hi, f_lo, f_hi) = hit
+                return i, (s[k] + lo, s[k] + hi, f_lo, f_hi)
+        elif (dips := np.flatnonzero(fs[1:] < -1e-12)).size:
+            k = dips[0]
+            return i, (s[k], s[k + 1], fs[k], fs[k + 1])
+    return None
 
 
 def _locate_crossing(table, flow, t, lo, hi, f_lo, f_hi):
@@ -560,7 +595,6 @@ def billiard_trajectory(table: TableSpec, model: AmbientModel, x0, v0, T,
     pts[0], vels[0] = x0, v0
     bounces: list[Bounce] = []
     max_bounces = int(np.ceil(T / DELTA_MIN)) + 4
-    scan_res = 0.5 * DELTA_MIN
     # grid steps per window (times[1] is the grid step)
     n_win = max(1, int(_WINDOW_SPAN / times[1])) if len(times) > 1 else 0
     # the segment start (the launch or the last bounce) and the next sample
@@ -571,32 +605,10 @@ def billiard_trajectory(table: TableSpec, model: AmbientModel, x0, v0, T,
         tw = np.maximum(times[k - 1:k + n_win], t_s)
         off = tw - t_s
         xw, vw = ambient.geodesic_flow(model_H, x, v, off)
-        fw = table.f(xw)
-        mw = _flow_f_curvature_bound(table, model_H, xw, vw)
-        h = np.diff(off)
-        # the guard clears the intervals where f cannot dip below 0 unseen
-        clear = np.minimum(fw[:-1], fw[1:]) > (
-            0.15 * (2.0 * np.maximum(mw[:-1], mw[1:])) * h**2 + 1e-12)
-        hit = None
-        for j in np.flatnonzero(~clear):
-            # scan the interval at sub-bounce resolution, with one flow call
-            # and one f call, so the first crossing is the one located; an
-            # endpoint crossing brackets the whole interval if the scan
-            # misses it
-            n_scan = max(2, int(np.ceil(h[j] / scan_res)))
-            d = h[j] * np.arange(1, n_scan + 1) / n_scan
-            f_scan = table.f(ambient.geodesic_flow(model_H, x, v, off[j] + d)[0])
-            dips = np.flatnonzero(f_scan < -1e-12)
-            if dips.size:
-                i = dips[0]
-                lo, f_lo = (d[i - 1], f_scan[i - 1]) if i else (0.0, fw[j])
-                hit = j, (lo, d[i], f_lo, f_scan[i])
-            elif fw[j + 1] < -1e-12:
-                hit = j, (0.0, h[j], fw[j], fw[j + 1])
-            if hit:
-                break
+        hit = _first_dip(table, model_H, lambda s: ambient.geodesic_flow(model_H, x, v, s),
+                         off, table.f(xw), _flow_f_curvature_bound(table, model_H, xw, vw))
         # keep the samples before the crossing
-        m = len(h) if hit is None else hit[0]
+        m = len(off) - 1 if hit is None else hit[0]
         pts[k:k + m], vels[k:k + m] = xw[1:m + 1], vw[1:m + 1]
         k += m
         if hit is None:

@@ -20,7 +20,7 @@ only the n x n matrix h: for v = a . t and w = b . t,
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -219,22 +219,9 @@ class CurvatureScanReport:
     boundary_clause: str = "unverified"   # behavior of (H) across the dU edge
 
     def to_dict(self) -> dict:
-        return {
-            "table": self.table_name,
-            "model": self.model_kind,
-            "kappa": self.kappa,
-            "tol": self.tol,
-            "lambdas": self.lambdas,
-            "min_sec_per_lambda": self.min_sec_per_lambda,
-            "min_sec": self.min_sec,
-            "argmin_lambda": self.argmin_lambda,
-            "argmin_point": self.argmin_point,
-            "argmin_plane": self.argmin_plane,
-            "n_samples": self.n_samples,
-            "n_skipped": self.n_skipped,
-            "verdict": self.verdict,
-            "boundary_clause": self.boundary_clause,
-        }
+        d = asdict(self)
+        d["table"], d["model"] = d.pop("table_name"), d.pop("model_kind")
+        return d
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import platform
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -92,17 +92,8 @@ def _run_hausdorff(cfg: ExperimentConfig, out_dir: Path):
     results = []
     for lam in options.pop("lambdas"):
         res = hausdorff_distance(Fold(table=cfg.table, model=cfg.model, lam=lam), **options)
-        results.append({
-            "lam": res.lam,
-            "sup_fold_to_table": res.sup_fold_to_table,
-            "sup_table_to_fold": res.sup_table_to_fold,
-            "hausdorff": max(res.sup_fold_to_table, res.sup_table_to_fold),
-            "d_max": res.d_max,
-            "c_model": res.c_model,
-            "bound": res.bound,
-            "n_fold_samples": res.n_fold_samples,
-            "n_table_samples": res.n_table_samples,
-        })
+        results.append({**asdict(res), "bound": res.bound,
+                        "hausdorff": max(res.sup_fold_to_table, res.sup_table_to_fold)})
     header = ("lambda", "sup_fold_to_table", "sup_table_to_fold", "hausdorff",
               "d_max", "c_model", "bound")
     rows = [(r["lam"], *(r[k] for k in header[1:])) for r in results]
@@ -111,7 +102,7 @@ def _run_hausdorff(cfg: ExperimentConfig, out_dir: Path):
 
 def _run_fold_convergence(cfg: ExperimentConfig, out_dir: Path):
     rep = analysis.fold_convergence_experiment(
-        cfg.table, cfg.model, seed=cfg.seed, workers=cfg.workers, **cfg.parameters)
+        cfg.table, cfg.model, seed=cfg.seed, **cfg.parameters)
     rows = [(r.param, r.sup_distance, r.angle_error, r.residual) for r in rep.rows]
     header = ("lambda", "sup_distance", "angle_error", "residual")
     return rep.verdict, rep.verdict == "pass", rep.to_dict(), header, rows, []
@@ -245,7 +236,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
         "experiment": cfg.experiment,
         "verdict": verdict,
         "seed": cfg.seed,
-        "workers": cfg.workers,
         "artifacts": sorted(artifacts),
         "versions": {
             "foldbilliards": __version__,

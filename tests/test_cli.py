@@ -144,12 +144,16 @@ class TestInterface:
         models = next(line for line in lines if line.startswith("ambient models:"))
         assert models.split(":")[1].replace(",", " ").split() == list(MODEL_KINDS)
 
-    def test_env_worker_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FOLDBILLIARDS_WORKERS", "2")
+    def test_workers_flag_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run("disk-hausdorff", tmp_path / "w", "--workers", "2")
+        assert exc.value.code == 2
+
+    def test_workers_env_is_ignored(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("FOLDBILLIARDS_WORKERS", "x")
         out = tmp_path / "env"
         assert run("disk-hausdorff", out) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["workers"] == 2
+        assert "workers" not in json.loads((out / "manifest.json").read_text())
 
     def test_env_out_dir_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FOLDBILLIARDS_OUT_DIR", str(tmp_path / "envdir"))

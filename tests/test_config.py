@@ -27,7 +27,12 @@ class TestValidate:
         assert cfg.model.kind == "euclidean"
         assert cfg.model.dim == 3
         assert cfg.seed == 0
-        assert cfg.workers == 1
+
+    def test_workers_key_is_validated_and_ignored(self):
+        cfg = cf.validate_config({**scan_config(), "workers": 4})
+        assert not hasattr(cfg, "workers")
+        with pytest.raises(ConfigError, match=r"config\.workers: must be >= 1"):
+            cf.validate_config({**scan_config(), "workers": 0})
 
     def test_unknown_experiment(self):
         raw = scan_config()

@@ -7,6 +7,8 @@ sphere; model geodesics through the origin have closed forms; disk and mirror
 billiards are classical geometry.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -569,7 +571,9 @@ def reintegrating_bounces(table, model, x0, v0, T, dt):
 
 
 class TestBilliard:
-    @pytest.mark.parametrize("dt", [1e-2, 1e-3])
+    # at 5e-2 a grid interval is longer than _SPLIT steps of DELTA_MIN / 2, so
+    # the guarded search descends into it
+    @pytest.mark.parametrize("dt", [5e-2, 1e-2, 1e-3])
     @pytest.mark.parametrize("model", [am.euclidean(2), am.hyperbolic(2), am.spherical(2)],
                              ids=lambda m: m.kind)
     def test_dense_output_locator_matches_the_reintegrating_one(self, model, dt):
@@ -771,6 +775,25 @@ class TestBilliard:
         ts = np.array([b.t for b in tr.bounces])
         assert len(ts) == n
         assert np.abs(ts - (2 * np.arange(n) + 1) * np.arcsinh(1.0)).max() <= 1e-9
+
+    def test_guarded_search_bounds_the_flowed_rows(self, monkeypatch):
+        # every grid interval of 12 holds bounces, so the guard clears none;
+        # a uniform scan at DELTA_MIN / 2 flowed 2,065,107 rows for this run,
+        # the guarded search 10,545
+        rows = []
+
+        def counting_flow(model, x, v, t):
+            rows.append(np.size(t))
+            return am.geodesic_flow(model, x, v, t)
+
+        monkeypatch.setattr(dy, "ambient", SimpleNamespace(**{**vars(am),
+                                                               "geodesic_flow": counting_flow}))
+        tr = dy.billiard_trajectory(tb.disk_table(), am.hyperbolic(2), np.zeros(2),
+                                    np.array([1.0, 0.0]), 24.0, 12.0)
+        ts = np.array([b.t for b in tr.bounces])
+        assert len(ts) == 14
+        assert np.abs(ts - (2 * np.arange(14) + 1) * np.arcsinh(1.0)).max() <= 1e-9
+        assert sum(rows) <= 15_000
 
     def test_terminal_bounce_needs_the_patch(self):
         # the run ends on the boundary at t = 5/3, moving out of the table,
