@@ -15,7 +15,6 @@ against the boundary geodesic (incidence angle -> 0).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -41,7 +40,13 @@ from .dynamics import (
 
 TOL_QG_FACTOR = 10.0
 VISIBILITY_F_TOL = 1e-6
+# curve samples whose sight lines _visible checks
+VISIBILITY_CHECKS = 256
 MIN_REFERENCE_DISTANCE = 1e-9
+# reference_points_for_table: fan and random points kept, and their least f
+N_FAN_REFERENCES = 8
+N_RANDOM_REFERENCES = 8
+REFERENCE_MARGIN_F = 0.02
 DEFAULT_KAPPA = {"euclidean": 0.0, "hyperbolic": -1.0, "spherical": 1.0}
 
 
@@ -62,8 +67,8 @@ class QuasigeodesicReport:
     rejected_points: int
     max_residual: float
     residual_per_point: list[float]
-    worst_point: list[float] | None
-    worst_time: float | None
+    worst_point: list[float]
+    worst_time: float
     verdict: str
 
     @property
@@ -84,14 +89,18 @@ def _uniform_dt(times: np.ndarray) -> float:
     return dt
 
 
-def _visible(model: AmbientModel, table: TableSpec, p: np.ndarray,
-             pts: np.ndarray, max_checks: int = 256) -> bool:
-    """Whether the connecting model geodesics from p to the curve stay in K
-    (f >= -1e-6 along them), checked on a subsample of the curve."""
+def _visible(model: AmbientModel, table: TableSpec, refs: np.ndarray,
+             pts: np.ndarray) -> np.ndarray:
+    """Per reference point, whether the connecting model geodesics to the
+    curve stay in K (f >= -VISIBILITY_F_TOL along them), checked on
+    VISIBILITY_CHECKS curve samples; one geodesic_between call per block of
+    references within ambient.BLOCK_BYTES of chain samples."""
     m = len(pts)
-    idx = np.unique(np.linspace(0, m - 1, min(m, max_checks)).astype(int))
-    chains = ambient.geodesic_between(model, p, pts[idx], num=11)
-    return bool(table.f(chains[:, 1:-1]).min() >= -VISIBILITY_F_TOL)
+    q = pts[np.unique(np.linspace(0, m - 1, min(m, VISIBILITY_CHECKS)).astype(int))]
+    out = [table.f(ambient.geodesic_between(model, block[:, None], q, 11)[..., 1:-1, :])
+           .min(axis=(1, 2)) >= -VISIBILITY_F_TOL
+           for block in ambient._row_chunks(refs, 11 * q.size)]
+    return np.concatenate([np.zeros(0, dtype=bool), *out])
 
 
 def quasigeodesic_residual(curve: SampledCurve, model: AmbientModel,
@@ -106,7 +115,9 @@ def quasigeodesic_residual(curve: SampledCurve, model: AmbientModel,
 
         (f_p(t-dt) - 2 f_p(t) + f_p(t+dt)) / dt^2 - (1 - kappa f_p(t))
 
-    over used points stays within tol (default 10 * dt).
+    over used points stays within tol (default 10 * dt); the worst point is
+    the first to reach it.  The profiles of a block of references are one
+    ambient.distance grid of at most ambient.BLOCK_BYTES.
     """
     pts = np.asarray(curve.points, dtype=float)
     dt = _uniform_dt(np.asarray(curve.times, dtype=float))
@@ -117,76 +128,65 @@ def quasigeodesic_residual(curve: SampledCurve, model: AmbientModel,
         raise InvalidInputError("reference points and curve have different dimensions")
     alpha = ambient.alpha_kappa(kappa)
 
-    max_residual = -np.inf
-    per_point: list[float] = []
-    worst_point = None
-    worst_time = None
-    visibility_failures = 0
-    rejected = 0
-    used = 0
-    for p in refs:
-        d = ambient.distance(model, p, pts)
-        if d.min() < MIN_REFERENCE_DISTANCE or d.max() >= alpha - 1e-9:
-            rejected += 1
-            continue
-        if table is not None and not _visible(model, table, p, pts):
-            visibility_failures += 1
-            continue
-        f_p = ambient.rho_kappa(kappa, d)
-        res = (f_p[:-2] - 2 * f_p[1:-1] + f_p[2:]) / dt**2 - (1 - kappa * f_p[1:-1])
-        r = float(res.max())
-        per_point.append(r)
-        used += 1
-        if r > max_residual:
-            max_residual = r
-            worst_point = [float(v) for v in p]
-            worst_time = float(curve.times[1 + int(res.argmax())])
-    if used == 0:
+    admissible, worst, at = [], [], []
+    for block in ambient._row_chunks(refs, len(pts)):
+        d = ambient.distance(model, block[:, None], pts)
+        ok = ~((d.min(axis=1) < MIN_REFERENCE_DISTANCE) | (d.max(axis=1) >= alpha - 1e-9))
+        f_p = ambient.rho_kappa(kappa, d[ok])
+        res = ((f_p[:, :-2] - 2 * f_p[:, 1:-1] + f_p[:, 2:]) / dt**2
+               - (1 - kappa * f_p[:, 1:-1]))
+        admissible.append(ok)
+        worst.append(res.max(axis=1))
+        at.append(res.argmax(axis=1))
+    candidates = np.flatnonzero(np.concatenate(admissible))
+    visible = (np.ones(len(candidates), dtype=bool) if table is None
+               else _visible(model, table, refs[candidates], pts))
+    if not visible.any():
         raise ConfigError("no admissible reference points (all rejected or blocked)")
+    per_point = np.concatenate(worst)[visible]
+    k = int(per_point.argmax())
+    max_residual = float(per_point[k])
     return QuasigeodesicReport(
         kappa=kappa, tol=float(tol), n_curve_samples=len(pts),
-        n_reference_points=len(refs), n_used=used,
-        visibility_failures=visibility_failures, rejected_points=rejected,
-        max_residual=max_residual, residual_per_point=per_point,
-        worst_point=worst_point, worst_time=worst_time,
+        n_reference_points=len(refs), n_used=len(per_point),
+        visibility_failures=int(np.count_nonzero(~visible)),
+        rejected_points=len(refs) - len(candidates),
+        max_residual=max_residual, residual_per_point=per_point.tolist(),
+        worst_point=refs[candidates[visible][k]].tolist(),
+        worst_time=float(curve.times[1 + np.concatenate(at)[visible][k]]),
         verdict="pass" if max_residual <= tol else "fail")
 
 
+def _directions(n: int) -> np.ndarray:
+    """Unit directions +e_0, -e_0, +e_1, ..., then +-(1, ..., 1) / sqrt(n), as rows."""
+    eye = np.eye(n)
+    diag = np.ones(n) / np.sqrt(n)
+    return np.concatenate([np.stack([eye, -eye], axis=1).reshape(-1, n), [diag, -diag]])
+
+
 def reference_points_for_table(table: TableSpec, model: AmbientModel,
-                               n_deterministic: int = 8, n_random: int = 8,
-                               seed: int = 0, margin: float = 0.02) -> np.ndarray:
-    """Interior reference points: a deterministic fan around an anchor plus
-    seeded random draws, all with f >= margin and inside the patch."""
+                               seed: int = 0) -> np.ndarray:
+    """Interior reference points, all inside the patch with f >=
+    REFERENCE_MARGIN_F: a fan of N_FAN_REFERENCES around an anchor (along each
+    of _directions in turn, the first of a few steps that qualifies), the
+    anchor, and seeded uniform draws from the patch's bounding box up to
+    N_RANDOM_REFERENCES more."""
     anchor = _interior_anchor(table, model)
-    points = []
-    k = 0
-    direction_bank = []
-    for i in range(table.n):
-        for s in (+1.0, -1.0):
-            e = np.zeros(table.n)
-            e[i] = s
-            direction_bank.append(e)
-    diag = np.ones(table.n) / np.sqrt(table.n)
-    direction_bank.append(diag)
-    direction_bank.append(-diag)
-    while len(points) < n_deterministic and k < len(direction_bank):
-        d = direction_bank[k]
-        k += 1
-        for step in (0.5, 0.25, 0.1, 0.04):
-            x = anchor + step * d
-            if table.region.contains(x) and table.f(x) >= margin:
-                points.append(x)
-                break
-    if table.f(anchor) >= margin and len(points) < n_deterministic + n_random:
+
+    def admissible(x):
+        return table.region.contains(x) & (table.f(x) >= REFERENCE_MARGIN_F)
+
+    steps = np.array([0.5, 0.25, 0.1, 0.04])
+    fan = anchor + steps[:, None] * _directions(table.n)[:, None, :]
+    ok = admissible(fan)
+    hit = np.flatnonzero(ok.any(axis=1))[:N_FAN_REFERENCES]
+    points = list(fan[hit, ok[hit].argmax(axis=1)])
+    total = N_FAN_REFERENCES + N_RANDOM_REFERENCES
+    if table.f(anchor) >= REFERENCE_MARGIN_F:
         points.append(anchor)
-    rng = np.random.default_rng(seed)
-    tries = 0
-    center = np.asarray(table.region.center, dtype=float)
-    while len(points) < n_deterministic + n_random and tries < 4000:
-        tries += 1
-        x = center + table.region.radius * rng.uniform(-1, 1, size=table.n)
-        if table.region.contains(x) and table.f(x) >= margin:
-            points.append(x)
+    draws = np.random.default_rng(seed).uniform(-1, 1, size=(4000, table.n))
+    draws = np.asarray(table.region.center, dtype=float) + table.region.radius * draws
+    points.extend(draws[admissible(draws)][:total - len(points)])
     if not points:
         raise ConfigError("found no interior reference points")
     return np.array(points)
@@ -252,9 +252,6 @@ class ConvergenceRow:
     expected: float | None = None
     truncated: bool = False
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class ConvergenceReport:
@@ -282,9 +279,6 @@ class ConvergenceReport:
         d["strictly_decreasing"] = self.strictly_decreasing
         return d
 
-    def to_json(self, **kw) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True, **kw)
-
 
 # --------------------------------------------------------------------------
 # fold geodesics -> billiard trajectory
@@ -292,18 +286,9 @@ class ConvergenceReport:
 
 def _patch_holds_ball(table: TableSpec, model_H: AmbientModel, p0, radius, dt) -> bool:
     """Sample geodesic rays from p0 and check the ball stays inside U."""
-    n = table.n
-    dirs = []
-    for i in range(n):
-        for s in (+1.0, -1.0):
-            e = np.zeros(n)
-            e[i] = s
-            dirs.append(e)
-    dirs.append(np.ones(n))
-    dirs.append(-np.ones(n))
-    for d in dirs:
-        v = d / ambient.norm(model_H, np.asarray(p0, float), d)
-        ray = integrate_table_geodesic(model_H, p0, v, radius, max(radius / 32, dt))
+    for d in _directions(table.n):
+        ray = integrate_table_geodesic(model_H, p0, ambient.normalize(model_H, p0, d), radius,
+                                       max(radius / 32, dt))
         if not table.region.contains_many(ray.points).all():
             return False
     return True
@@ -318,43 +303,35 @@ def _fold_convergence_row(fold: Fold, q0, v0, T, dt, bil_p: SampledCurve,
                           bil_m: SampledCurve, frame, refs, kappa, tol_qg) -> ConvergenceRow:
     """One lam of fold_convergence_experiment: the two-sided fold geodesic,
     split at t = 0 into its forward half and its backward half (the run from
-    -v0), against the billiards bil_p and bil_m."""
+    -v0), against the billiards bil_p and bil_m, and the residual of its
+    projection over the times both billiards cover."""
     model_H = fold.model.restricted()
     n = fold.table.n
     crv = integrate_fold_geodesic(fold, q0, v0, T, dt)
     i0 = int(np.searchsorted(crv.times, 0.0))
-    fwd_p, fwd_v = crv.points[i0:], crv.velocities[i0:]
-    bwd_p, bwd_v = crv.points[i0::-1], -crv.velocities[i0::-1]
-    nf = min(len(fwd_p), len(bil_p.points))
-    nb = min(len(bwd_p), len(bil_m.points))
-    sup_f = float(ambient.distance_rowwise(model_H, fwd_p[:nf, :n], bil_p.points[:nf]).max())
-    sup_b = float(ambient.distance_rowwise(model_H, bwd_p[:nb, :n], bil_m.points[:nb]).max())
+    fwd, bwd = crv.points[i0:, :n], crv.points[i0::-1, :n]
+    nf = min(len(fwd), len(bil_p.points))
+    nb = min(len(bwd), len(bil_m.points))
+    sup_f = float(ambient.distance_rowwise(model_H, fwd[:nf], bil_p.points[:nf]).max())
+    sup_b = float(ambient.distance_rowwise(model_H, bwd[:nb], bil_m.points[:nb]).max())
 
-    # direction estimates just outside the pinch layer
+    # direction estimates just outside the pinch layer, on the grid step
     g, nu = frame.metric.g, frame.nu
     t_probe = min(max(25 * dt, 4 * fold.lam * fold.lam), T / 3)
-    ip = min(int(round(t_probe / dt)), min(nf, nb) - 1)
-    u_est_p = fwd_v[ip, :n]
-    u_est_m = bwd_v[ip, :n]
-    u_est_p = u_est_p / np.sqrt(u_est_p @ g @ u_est_p)
-    u_est_m = u_est_m / np.sqrt(u_est_m @ g @ u_est_m)
+    ip = min(int(round(t_probe / (T / (len(_grid(T, dt)) - 1)))), min(nf, nb) - 1)
+    u_est_p, u_est_m = (u / np.sqrt(u @ g @ u) for u in (crv.velocities[i0 + ip, :n],
+                                                         -crv.velocities[i0 - ip, :n]))
     # mirror law at the pinch passage: reversed incoming and outgoing
     # directions must be polar
     pol = 2 * (u_est_m @ g @ nu) * nu - u_est_m
     angle_err = _angle_g(g, pol, u_est_p)
 
-    res = None
-    if refs is not None:
-        t_f = np.arange(nf) * dt
-        t_b = -np.arange(nb)[::-1] * dt
-        proj = SampledCurve(times=np.concatenate([t_b[:-1], t_f]),
-                            points=np.concatenate([bwd_p[:nb][::-1][:-1, :n], fwd_p[:nf, :n]]),
-                            velocities=None)
-        rep = quasigeodesic_residual(proj, model_H, fold.table, kappa, refs, tol=tol_qg)
-        res = rep.max_residual
+    window = slice(i0 + 1 - nb, i0 + nf)
+    proj = SampledCurve(times=crv.times[window], points=crv.points[window, :n])
+    rep = quasigeodesic_residual(proj, model_H, fold.table, kappa, refs, tol=tol_qg)
     return ConvergenceRow(param_name="lambda", param=fold.lam,
-                          sup_distance=max(sup_f, sup_b),
-                          angle_error=angle_err, residual=res, truncated=crv.truncated)
+                          sup_distance=max(sup_f, sup_b), angle_error=angle_err,
+                          residual=rep.max_residual, truncated=crv.truncated)
 
 
 def fold_convergence_experiment(table: TableSpec, model: AmbientModel,
@@ -385,6 +362,8 @@ def fold_convergence_experiment(table: TableSpec, model: AmbientModel,
     if lambdas is None:
         lambdas = [2.0 ** -k for k in range(1, 9)]
     lambdas = [float(l) for l in lambdas]
+    if not T > 0:
+        raise InvalidInputError(f"T must be positive (got {T})")
     if any(not 0 < l < 1 for l in lambdas):
         raise ConfigError("lambda values must lie in (0, 1)")
     if sorted(lambdas, reverse=True) != lambdas:
@@ -420,16 +399,11 @@ def fold_convergence_experiment(table: TableSpec, model: AmbientModel,
     # lifted initial data: vertical and horizontal directions are
     # g-orthogonal at points of H in all three models
     q0 = np.concatenate([p0, [0.0]])
-    e_vert = np.zeros(table.n + 1)
-    e_vert[-1] = 1.0
-    e_vert = e_vert / ambient.norm(model_amb, q0, e_vert)
-    v0 = a * np.concatenate([t_hat, [0.0]]) + b * e_vert
-    v0 = v0 / ambient.norm(model_amb, q0, v0)
+    e_vert = ambient.normalize(model_amb, q0, np.eye(table.n + 1)[-1])
+    v0 = ambient.normalize(model_amb, q0, a * np.concatenate([t_hat, [0.0]]) + b * e_vert)
 
-    u_plus = a * t_hat + b * nu
-    u_minus = -a * t_hat + b * nu
-    bil_p = billiard_trajectory(table, model_H, p0, u_plus, T, dt)
-    bil_m = billiard_trajectory(table, model_H, p0, u_minus, T, dt)
+    bil_p = billiard_trajectory(table, model_H, p0, a * t_hat + b * nu, T, dt)
+    bil_m = billiard_trajectory(table, model_H, p0, -a * t_hat + b * nu, T, dt)
 
     refs = reference_points_for_table(table, model_amb, seed=seed)
     rows = [_fold_convergence_row(Fold(table=table, model=model_amb, lam=lam), q0, v0, T, dt,
@@ -437,12 +411,11 @@ def fold_convergence_experiment(table: TableSpec, model: AmbientModel,
             for lam in lambdas]
 
     final_row = rows[-1]
-    ok = (certified and len(rows) >= 2 and not final_row.truncated
-          and final_row.sup_distance <= tol_conv
-          and final_row.residual is not None and final_row.residual <= tol_qg)
     if not certified or len(rows) < 2:
         verdict = "inconclusive"
     else:
+        ok = (not final_row.truncated and final_row.sup_distance <= tol_conv
+              and final_row.residual <= tol_qg)
         verdict = "pass" if ok else "fail"
     details = {
         "direction": [a, b],
@@ -519,8 +492,7 @@ def boundary_geodesic_experiment(table: TableSpec, model: AmbientModel,
 
     rows = []
     for th in angles:
-        v0 = np.cos(th) * t_hat + np.sin(th) * nu
-        v0 = v0 / ambient.norm(model_H, p0, v0)
+        v0 = ambient.normalize(model_H, p0, np.cos(th) * t_hat + np.sin(th) * nu)
         bil = billiard_trajectory(table, model_H, p0, v0, T, dt)
         same = sup_distance(bil.base, ref_grid, model_H)
         c2s = curve_to_set_sup(model_H, bil.base.points, ref_set)

@@ -270,7 +270,8 @@ def _validate_quasigeodesic(p: dict, path: str, n: int):
     if kind == "billiard":
         _check_keys(c, cpath, ("kind", "x0", "v0", "T"), ())
         _number_list(c, "x0", cpath, length=n)
-        _number_list(c, "v0", cpath, length=n)
+        if not any(_number_list(c, "v0", cpath, length=n)):
+            _fail(f"{cpath}.v0", "a launch velocity must not be the zero vector")
         _number(c, "T", cpath, positive=True)
     else:
         _check_keys(c, cpath, ("kind",), ())
@@ -296,13 +297,16 @@ def _validate_trajectory(p: dict, path: str, n: int):
     _number(p, "dt", path, positive=True)
     dim = n + 1 if target == "fold-geodesic" else n
     _number_list(p, "x0", path, length=dim)
-    _number_list(p, "v0", path, length=dim)
+    if not any(_number_list(p, "v0", path, length=dim)):
+        _fail(f"{path}.v0", "a launch velocity must not be the zero vector")
     if target == "fold-geodesic":
         _number(p, "lam", path, positive=True)
-    elif "lam" in p:
-        _fail(f"{path}.lam", "only meaningful for fold-geodesic targets")
-    if "two_sided" in p and not isinstance(p["two_sided"], bool):
-        _fail(f"{path}.two_sided", "expected a boolean")
+        if "two_sided" in p and not isinstance(p["two_sided"], bool):
+            _fail(f"{path}.two_sided", "expected a boolean")
+    else:
+        for key in ("lam", "two_sided"):
+            if key in p:
+                _fail(f"{path}.{key}", "only meaningful for fold-geodesic targets")
 
 
 # --------------------------------------------------------------------------

@@ -19,7 +19,6 @@ only the n x n matrix h: for v = a . t and w = b . t,
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -34,12 +33,19 @@ from .errors import (
     PreconditionError,
     SingularPointError,
 )
-from .table import TableSpec, _orthonormal_complement
+from .table import TableSpec, _orthonormal_complement, sample_boundary_points
 
 ON_FOLD_TOL = 1e-8
 SINGULAR_GRAD_TOL = 1e-10
 # Curvature sampling stays away from the pinch set by this margin in f.
 EDGE_EXCLUSION_F = 1e-6
+# sample_table_points: boundary points it steps inward from, and the steps
+N_EDGE_POINTS = 24
+EDGE_OFFSETS = np.array([1e-6, 1e-5, 1e-4, 1e-3])
+# lattice points per axis of check_h_sufficient_conditions
+CONDITION_GRID = 24
+# hausdorff_distance thins its lattice to at most this many points
+HAUSDORFF_MAX_POINTS = 200_000
 
 
 @dataclass(frozen=True)
@@ -223,27 +229,27 @@ class CurvatureScanReport:
         d["table"], d["model"] = d.pop("table_name"), d.pop("model_kind")
         return d
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
-
-def sample_table_points(table: TableSpec, n_grid: int, seed: int = 0,
-                        edge_offsets=(1e-6, 1e-5, 1e-4, 1e-3),
-                        n_boundary: int = 24) -> np.ndarray:
-    """Interior grid points of K n U with f > edge margin plus stratified
-    near-boundary points obtained by stepping inward from sampled boundary
-    points along the Euclidean gradient direction."""
+def _lattice(table: TableSpec, n_grid: int) -> np.ndarray:
+    """The n_grid^n lattice over the bounding box of the patch, centered on
+    it, as rows in C order, restricted to the patch."""
     c = np.asarray(table.region.center)
     r = table.region.radius
     axes = [np.linspace(ci - r, ci + r, n_grid) for ci in c]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, table.n)
-    keep = table.region.contains_many(mesh) & (table.f(mesh) > EDGE_EXCLUSION_F)
-    pts = [mesh[keep]]
+    return mesh[table.region.contains_many(mesh)]
 
-    from .table import sample_boundary_points
+
+def sample_table_points(table: TableSpec, n_grid: int, seed: int = 0) -> np.ndarray:
+    """Lattice points of K n U with f > EDGE_EXCLUSION_F plus stratified
+    near-boundary points: N_EDGE_POINTS sampled boundary points stepped
+    inward along the Euclidean gradient direction by each of EDGE_OFFSETS."""
+    lattice = _lattice(table, n_grid)
+    pts = [lattice[table.f(lattice) > EDGE_EXCLUSION_F]]
+
     try:
         bpts = sample_boundary_points(table, ambient.AmbientModel("euclidean", table.n + 1),
-                                      n_boundary, seed=seed)
+                                      N_EDGE_POINTS, seed=seed)
     except ConfigError:
         bpts = np.empty((0, table.n))
     df = table.grad_f(bpts)
@@ -251,7 +257,7 @@ def sample_table_points(table: TableSpec, n_grid: int, seed: int = 0,
     regular = ~(nrm < 1e-10)
     steps = df[regular] / nrm[regular, None]
     near = (bpts[regular, None, :]
-            + np.asarray(edge_offsets)[:, None] * steps[:, None, :]).reshape(-1, table.n)
+            + EDGE_OFFSETS[:, None] * steps[:, None, :]).reshape(-1, table.n)
     pts.append(near[table.region.contains(near) & (table.f(near) > EDGE_EXCLUSION_F)])
     out = np.concatenate(pts, axis=0)
     if len(out) == 0:
@@ -361,14 +367,15 @@ class SufficientConditionReport:
     passed: bool
 
 
-def check_h_sufficient_conditions(table: TableSpec, model: AmbientModel,
-                                  n_grid: int = 24, seed: int = 0) -> SufficientConditionReport:
+def check_h_sufficient_conditions(table: TableSpec,
+                                  model: AmbientModel) -> SufficientConditionReport:
     """Check the closed-form conditions under which the fold family has a
     uniform curvature lower bound: D^2 f <= 0 everywhere on K n U, and for
-    the hyperbolic model additionally 2 f - x . Df >= 0."""
+    the hyperbolic model additionally 2 f - x . Df >= 0, on
+    sample_table_points at CONDITION_GRID."""
     if model.kind == "spherical":
         raise PreconditionError("no closed-form sufficient condition for the spherical model")
-    pts = sample_table_points(table, n_grid, seed=seed)
+    pts = sample_table_points(table, CONDITION_GRID)
     max_eig = float(np.linalg.eigvalsh(table.hess_f(pts))[:, -1].max())
     min_defect = float((2.0 * table.f(pts) - _dot(pts, table.grad_f(pts))).min())
     hess_ok = max_eig <= 1e-9
@@ -397,24 +404,17 @@ class HausdorffResult:
         return self.d_max * self.lam * self.c_model
 
 
-def _hausdorff_samples(fold: Fold, n_grid: int, max_points: int):
+def _hausdorff_samples(fold: Fold, n_grid: int):
     """Fold and table sample points of hausdorff_distance, f on the table
     samples, and the footpoint of each fold sample: the index of the table
     sample below it.  The first len(table_pts) fold samples are the upper
     lifts of the table samples, in their order."""
     table = fold.table
-    if n_grid % 2 == 0:
-        n_grid += 1
-    if n_grid**table.n > max_points:
-        n_grid = int(max_points ** (1.0 / table.n))
-        if n_grid % 2 == 0:
-            n_grid -= 1
-    c = np.asarray(table.region.center)
-    r = table.region.radius
-    axes = [np.linspace(ci - r, ci + r, n_grid) for ci in c]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, table.n)
-    keep = table.region.contains_many(mesh) & (table.f(mesh) >= 0.0)
-    tbl = mesh[keep]
+    # the next odd count per axis, or the largest odd one within
+    # HAUSDORFF_MAX_POINTS if that is smaller
+    n_grid = min(n_grid | 1, (int(HAUSDORFF_MAX_POINTS ** (1.0 / table.n)) - 1) | 1)
+    lattice = _lattice(table, n_grid)
+    tbl = lattice[table.f(lattice) >= 0.0]
     if len(tbl) == 0:
         raise ConfigError("empty table sample; patch and table do not intersect")
     fvals = table.f(tbl)
@@ -428,15 +428,15 @@ def _hausdorff_samples(fold: Fold, n_grid: int, max_points: int):
     return fold_pts, table_pts, fvals, foot
 
 
-def hausdorff_distance(fold: Fold, n_grid: int = 121,
-                       max_points: int = 200_000) -> HausdorffResult:
+def hausdorff_distance(fold: Fold, n_grid: int = 121) -> HausdorffResult:
     """Estimate both one-sided Hausdorff distances between the fold and
     K n U (as subsets of the ambient model) on matching lattice grids.
 
     The fold samples are the lifts (both signs) of the table grid, so each
     fold point has its own footpoint among the table samples and the
-    estimates are grid-consistent.  n_grid is points per axis; the lattice
-    is centered on the patch so the center is always sampled.
+    estimates are grid-consistent.  n_grid is points per axis, made odd and
+    thinned to at most HAUSDORFF_MAX_POINTS; the lattice is centered on the
+    patch so the center is always sampled.
 
     Each side is one exact nearest-set search (ambient._nearest_sup) that
     shares the bounding balls of both sample sets with the other side and
@@ -446,7 +446,7 @@ def hausdorff_distance(fold: Fold, n_grid: int = 121,
     evaluated; the sups equal those of the full distance matrix, and memory
     stays bounded by ambient.BLOCK_BYTES.
     """
-    fold_pts, table_pts, fvals, foot = _hausdorff_samples(fold, n_grid, max_points)
+    fold_pts, table_pts, fvals, foot = _hausdorff_samples(fold, n_grid)
     model = fold.model
     fold_balls, table_balls = ambient._balls(model, fold_pts), ambient._balls(model, table_pts)
     sup_fold = ambient._nearest_sup(model, fold_pts, table_pts, pair=foot,

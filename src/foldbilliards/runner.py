@@ -63,11 +63,6 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _normalized(model, x, v):
-    v = np.asarray(v, dtype=float)
-    return v / ambient.norm(model, np.asarray(x, dtype=float), v)
-
-
 def _given(p: dict, *keys) -> dict:
     """The optional parameters among keys that the config sets."""
     return {k: p[k] for k in keys if k in p}
@@ -138,7 +133,7 @@ def _quasigeodesic_curve(cfg: ExperimentConfig):
                        np.stack([np.zeros_like(t), t], axis=1))
         return dynamics.SampledCurve(times=t, points=pts), None, model_H
     c = p["curve"]
-    v0 = _normalized(model_H, c["x0"], c["v0"])
+    v0 = ambient.normalize(model_H, c["x0"], c["v0"])
     traj = dynamics.billiard_trajectory(cfg.table, cfg.model, np.asarray(c["x0"], float),
                                         v0, c["T"], dt)
     return traj.base, cfg.table, model_H
@@ -173,8 +168,8 @@ def _run_trajectory(cfg: ExperimentConfig, out_dir: Path):
     T, dt = p["T"], p["dt"]
     x0 = np.asarray(p["x0"], dtype=float)
     model_H = model_on_table(cfg.table, cfg.model)
+    v0 = ambient.normalize(cfg.model if target == "fold-geodesic" else model_H, x0, p["v0"])
     if target == "billiard":
-        v0 = _normalized(model_H, x0, p["v0"])
         traj = dynamics.billiard_trajectory(cfg.table, cfg.model, x0, v0, T, dt)
         name = "trajectory_billiard.csv"
         coords = tuple(f"x_{i+1}" for i in range(cfg.table.n))
@@ -194,16 +189,13 @@ def _run_trajectory(cfg: ExperimentConfig, out_dir: Path):
         return None, True, result, ("t", *coords, "grazing"), rows, [name]
     if target == "fold-geodesic":
         fld = Fold(table=cfg.table, model=cfg.model, lam=p["lam"])
-        v0 = _normalized(cfg.model, x0, p["v0"])
         crv = dynamics.integrate_fold_geodesic(fld, x0, v0, T, dt,
                                                **_given(p, "two_sided"))
         name = "trajectory_fold_geodesic.csv"
     elif target == "table-geodesic":
-        v0 = _normalized(model_H, x0, p["v0"])
         crv = dynamics.integrate_table_geodesic(model_H, x0, v0, T, dt)
         name = "trajectory_table_geodesic.csv"
     else:
-        v0 = _normalized(model_H, x0, p["v0"])
         crv = dynamics.integrate_boundary_geodesic(cfg.table, cfg.model, x0, v0, T, dt)
         name = "trajectory_boundary_geodesic.csv"
     dim = crv.points.shape[1]

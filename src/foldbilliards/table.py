@@ -29,6 +29,8 @@ ON_BOUNDARY_TOL = 1e-8
 DEGENERATE_GRAD_TOL = 1e-10
 # Default slack for the polarity tests.
 POLAR_TOL = 1e-9
+# Tangential step of reflection_iff_polar_check's perturbed vectors.
+POLAR_PERTURBATION = 1e-3
 # Tangent vectors with normal component >= -CONE_TOL count as cone members.
 CONE_TOL = 1e-10
 
@@ -462,10 +464,9 @@ def _interior_anchor(table: TableSpec, model: AmbientModel) -> np.ndarray:
 
 
 def reflection_iff_polar_check(table: TableSpec, model: AmbientModel,
-                               n_samples: int, seed: int = 0,
-                               perturbation: float = 1e-3) -> dict:
+                               n_samples: int, seed: int = 0) -> dict:
     """Property check: reflected pairs are polar, tangential perturbations
-    of the outgoing vector are not.  Returns counts for reporting."""
+    of the outgoing vector by POLAR_PERTURBATION are not; returns counts."""
     rng = np.random.default_rng(seed)
     pts = sample_boundary_points(table, model, n_samples, seed=seed)
     ok_polar = 0
@@ -484,11 +485,11 @@ def reflection_iff_polar_check(table: TableSpec, model: AmbientModel,
         if is_polar(frame, u, v_out):
             ok_polar += 1
         t = frame.tangent_basis[rng.integers(table.n - 1)]
-        v_pert = v_out + perturbation * t
+        v_pert = v_out + POLAR_PERTURBATION * t
         v_pert = v_pert / np.sqrt(v_pert @ g @ v_pert)
         if v_pert @ g @ frame.nu < -CONE_TOL:
             # perturbation pushed the vector out of the cone; try the other side
-            v_pert = v_out - perturbation * t
+            v_pert = v_out - POLAR_PERTURBATION * t
             v_pert = v_pert / np.sqrt(v_pert @ g @ v_pert)
         if not is_polar(frame, u, v_pert):
             ok_broken += 1

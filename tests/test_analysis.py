@@ -106,6 +106,40 @@ class TestQuasigeodesicResidual:
         rep = an.quasigeodesic_residual(bil.base, mh, disk, -1.0, refs)
         assert rep.passed
 
+    @pytest.mark.parametrize("table", [tb.disk_table(), tb.parabola_table(),
+                                       tb.half_space_table(3), tb.spherical_halfspace_table()],
+                             ids=lambda t: f"{t.name}-{t.n}")
+    @pytest.mark.parametrize("kind", ["euclidean", "hyperbolic"])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_reference_points_equal_the_draw_loop(self, table, kind, seed):
+        # oracle: the fan direction by direction and step by step, then one
+        # random draw at a time until enough points qualify
+        model = am.AmbientModel(kind, table.n + 1)
+        anchor = tb._interior_anchor(table, model)
+
+        def admissible(x):
+            return bool(table.region.contains(x)) and table.f(x) >= an.REFERENCE_MARGIN_F
+
+        dirs = [s * np.eye(table.n)[i] for i in range(table.n) for s in (1.0, -1.0)]
+        dirs += [s * np.ones(table.n) / np.sqrt(table.n) for s in (1.0, -1.0)]
+        points = []
+        for d in dirs:
+            for step in (0.5, 0.25, 0.1, 0.04):
+                if len(points) < an.N_FAN_REFERENCES and admissible(anchor + step * d):
+                    points.append(anchor + step * d)
+                    break
+        total = an.N_FAN_REFERENCES + an.N_RANDOM_REFERENCES
+        if table.f(anchor) >= an.REFERENCE_MARGIN_F:
+            points.append(anchor)
+        rng = np.random.default_rng(seed)
+        center = np.asarray(table.region.center, dtype=float)
+        for _ in range(4000):
+            x = center + table.region.radius * rng.uniform(-1, 1, size=table.n)
+            if len(points) < total and admissible(x):
+                points.append(x)
+        refs = an.reference_points_for_table(table, model, seed=seed)
+        assert refs.tobytes() == np.array(points).tobytes()
+
     def test_on_curve_reference_is_rejected(self, disk, m2):
         c = arc_curve()
         with pytest.raises(ConfigError):
@@ -132,17 +166,64 @@ class TestQuasigeodesicResidual:
         # ones may cross it
         parab = tb.parabola_table()
         pts = np.stack([np.full(51, -0.6), np.linspace(-0.3, 0.2, 51)], 1)
-        verdicts = []
-        for p in np.stack(np.meshgrid(np.linspace(0.3, 0.7, 5),
-                                      np.linspace(-0.4, 0.2, 7)), -1).reshape(-1, 2):
-            loop = all(parab.f(am.geodesic_between(model, p, x, num=11)[1:-1]).min()
-                       >= -an.VISIBILITY_F_TOL for x in pts)
-            assert an._visible(model, parab, p, pts) == loop
-            verdicts.append((loop, parab.f(am.geodesic_between(model, p, pts[0], 11)).min()
-                             >= -an.VISIBILITY_F_TOL))
+        refs = np.stack(np.meshgrid(np.linspace(0.3, 0.7, 5),
+                                    np.linspace(-0.4, 0.2, 7)), -1).reshape(-1, 2)
+        loop = [all(parab.f(am.geodesic_between(model, p, x, num=11)[1:-1]).min()
+                    >= -an.VISIBILITY_F_TOL for x in pts) for p in refs]
+        assert an._visible(model, parab, refs, pts).tolist() == loop
+        first = [parab.f(am.geodesic_between(model, p, pts[0], 11)).min()
+                 >= -an.VISIBILITY_F_TOL for p in refs]
         # blocked and clear references, and blocked ones whose first line is clear
-        assert {True, False} <= {v for v, _ in verdicts}
-        assert (False, True) in verdicts
+        assert {True, False} <= set(loop)
+        assert (False, True) in set(zip(loop, first))
+
+    @pytest.mark.parametrize("model", MODELS2, ids=lambda m: m.kind)
+    def test_batch_equals_one_reference_at_a_time(self, model, monkeypatch):
+        # a convex curve up the axis of the parabola below its vertex, with
+        # references that are clear, blocked by an arm, beyond the table or
+        # on the curve; the lowest ones are a mirrored pair, whose profiles
+        # agree bit for bit (the models and the table are symmetric in x_1),
+        # so the first of them must be reported as the worst point
+        parab = tb.parabola_table()
+        ts = np.linspace(0.0, 0.5, 51)
+        curve = SampledCurve(times=ts, points=np.stack([np.zeros(51), ts * ts - 0.5], 1))
+        refs = np.array([[0.3, -0.2], [0.7, 0.47], [-0.3, -0.9], [-0.75, 0.55],
+                         [0.3, -0.9], [0.0, 0.5], curve.points[20], [-0.7, 0.47]])
+        kappa = an.DEFAULT_KAPPA[model.kind]
+
+        def one_at_a_time():
+            used, rejected, blocked = [], 0, 0
+            for p in refs:
+                try:
+                    an.quasigeodesic_residual(curve, model, None, kappa, p[None])
+                except ConfigError:
+                    rejected += 1
+                    continue
+                try:
+                    rep = an.quasigeodesic_residual(curve, model, parab, kappa, p[None])
+                except ConfigError:
+                    blocked += 1
+                    continue
+                used.append(rep)
+            return used, rejected, blocked
+
+        used, rejected, blocked = one_at_a_time()
+        assert rejected >= 1 and blocked >= 1
+        residual = {tuple(r.worst_point): r.max_residual for r in used}
+        assert residual[-0.3, -0.9] == residual[0.3, -0.9]
+        best = max(range(len(used)), key=lambda i: (used[i].max_residual, -i))
+        rep = an.quasigeodesic_residual(curve, model, parab, kappa, refs)
+        assert rep.residual_per_point == [r.max_residual for r in used]
+        assert rep.max_residual == used[best].max_residual
+        assert rep.worst_point == used[best].worst_point == [-0.3, -0.9]
+        assert rep.worst_time == used[best].worst_time
+        assert (rep.rejected_points, rep.visibility_failures) == (rejected, blocked)
+        assert rep.n_used == len(used)
+        # three references per distance grid, and blocks smaller than one
+        # profile, which hold one reference each
+        for block_bytes in (8 * 3 * len(ts), 8):
+            monkeypatch.setattr(am, "BLOCK_BYTES", block_bytes)
+            assert an.quasigeodesic_residual(curve, model, parab, kappa, refs) == rep
 
     def test_nonuniform_grid_rejected(self, disk, m2):
         c = SampledCurve(times=np.array([0.0, 1e-3, 3e-3]),
@@ -257,7 +338,25 @@ class TestFoldConvergence:
                   scan_grid=6, scan_planes=2)
         serial = an.fold_convergence_experiment(disk, am.euclidean(3), workers=1, **kw)
         pooled = an.fold_convergence_experiment(disk, am.euclidean(3), workers=2, **kw)
-        assert serial.to_json() == pooled.to_json()
+        assert serial.to_dict() == pooled.to_dict()
+
+    def test_residual_runs_on_the_grid_step(self, disk):
+        # dt = 0.003 does not divide T = 0.5, so the fold geodesic is sampled
+        # on the step 0.5 / 167; the residual must be that of its own samples
+        T, dt = 0.5, 0.003
+        model = am.euclidean(3)
+        rep = an.fold_convergence_experiment(disk, model, lambdas=[0.25, 0.125], T=T, dt=dt)
+        p0 = np.asarray(disk.p0, dtype=float)
+        t_hat = tb.boundary_frame(disk, model, p0).tangent_basis[0]
+        v0 = np.append(0.8 * t_hat, 0.6)
+        crv = dy.integrate_fold_geodesic(Fold(disk, model, 0.125), np.append(p0, 0.0), v0, T, dt)
+        assert np.diff(crv.times) == pytest.approx(np.full(334, T / 167), rel=1e-9)
+        own = an.quasigeodesic_residual(SampledCurve(times=crv.times, points=crv.points[:, :2]),
+                                        am.euclidean(2), disk, 0.0,
+                                        an.reference_points_for_table(disk, model))
+        # 7.1e-4 on the curve's own step, -3.28e-3 when read on the step dt
+        assert own.max_residual == pytest.approx(7.1e-4, abs=1e-5)
+        assert rep.rows[-1].residual == pytest.approx(own.max_residual, abs=1e-9)
 
     def test_single_lambda_is_inconclusive(self, disk):
         rep = an.fold_convergence_experiment(disk, am.euclidean(3),

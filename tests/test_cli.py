@@ -114,6 +114,18 @@ class TestErrorExits:
         assert cli_main(["run", str(bad)]) == 2
         assert "parameters.bogus" in capsys.readouterr().err
 
+    def test_zero_launch_velocity_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "still.json"
+        bad.write_text(json.dumps({
+            "experiment": "trajectory",
+            "table": {"kind": "disk"},
+            "model": {"kind": "hyperbolic"},
+            "parameters": {"target": "billiard", "x0": [0.1, 0.0], "v0": [0, 0],
+                           "T": 1.0, "dt": 0.01},
+        }))
+        assert cli_main(["run", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
+        assert "parameters.v0" in capsys.readouterr().err
+
     def test_geometry_failure_exits_3(self, tmp_path):
         # nonconvex table rejected by the boundary-geodesic precondition
         bad = tmp_path / "nonconvex.json"

@@ -114,6 +114,45 @@ class TestValidate:
         with pytest.raises(ConfigError, match="lam"):
             cf.validate_config(raw)
 
+    @pytest.mark.parametrize("target", ["billiard", "table-geodesic", "boundary-geodesic"])
+    def test_two_sided_is_only_for_fold_geodesics(self, target):
+        raw = {
+            "experiment": "trajectory",
+            "table": {"kind": "disk"},
+            "model": {"kind": "euclidean"},
+            "parameters": {"target": target, "x0": [1, 0], "v0": [0, 1], "T": 1.0,
+                           "dt": 0.01, "two_sided": True},
+        }
+        with pytest.raises(ConfigError, match=r"parameters\.two_sided: only meaningful"):
+            cf.validate_config(raw)
+        raw["parameters"].update(target="fold-geodesic", x0=[1, 0, 0], v0=[0, 1, 0], lam=0.5)
+        assert cf.validate_config(raw).parameters["two_sided"] is True
+
+    @pytest.mark.parametrize("target", ["billiard", "table-geodesic", "boundary-geodesic",
+                                        "fold-geodesic"])
+    def test_zero_launch_velocity_rejected(self, target):
+        dim = 3 if target == "fold-geodesic" else 2
+        raw = {
+            "experiment": "trajectory",
+            "table": {"kind": "disk"},
+            "model": {"kind": "hyperbolic"},
+            "parameters": {"target": target, "x0": [0.0] * dim, "v0": [0, -0.0, 0][:dim],
+                           "T": 1.0, "dt": 0.01, **({"lam": 0.5} if dim == 3 else {})},
+        }
+        with pytest.raises(ConfigError, match=r"parameters\.v0: .*zero vector"):
+            cf.validate_config(raw)
+
+    def test_zero_billiard_curve_velocity_rejected(self):
+        raw = {
+            "experiment": "quasigeodesic-check",
+            "table": {"kind": "disk"},
+            "model": {"kind": "euclidean"},
+            "parameters": {"curve": {"kind": "billiard", "x0": [0.1, 0.0], "v0": [0.0, 0.0],
+                                     "T": 1.0}, "dt": 0.01},
+        }
+        with pytest.raises(ConfigError, match=r"parameters\.curve\.v0: .*zero vector"):
+            cf.validate_config(raw)
+
     def test_builtin_curve_kinds_are_validated(self):
         raw = {
             "experiment": "quasigeodesic-check",

@@ -349,7 +349,7 @@ class TestScan:
         b = fd.scan_curvature(tb.disk_table(), am.euclidean(3), [0.5], 0.0,
                               n_grid=8, seed=5)
         assert a.min_sec == b.min_sec
-        assert a.to_json() == b.to_json()
+        assert a.to_dict() == b.to_dict()
 
     def test_empty_lambda_grid_rejected(self):
         with pytest.raises(ConfigError):
@@ -411,7 +411,7 @@ class TestHausdorff:
     ])
     def test_pruned_sups_equal_the_dense_matrix(self, table, model, lam):
         fold = fd.Fold(table, model, lam)
-        fold_pts, table_pts, _, foot = fd._hausdorff_samples(fold, 21, 200_000)
+        fold_pts, table_pts, _, foot = fd._hausdorff_samples(fold, 21)
         assert np.array_equal(fold_pts[:, :-1], table_pts[foot, :-1])
         dense = am.distance_cross(model, fold_pts, table_pts)
         hd = fd.hausdorff_distance(fold, n_grid=21)
@@ -426,7 +426,7 @@ class TestHausdorff:
         # both searches share the fold set's and the table set's cells; the
         # sups are those of two searches that split their own
         fold = fd.Fold(table, model, 0.2)
-        fold_pts, table_pts, _, foot = fd._hausdorff_samples(fold, 21, 200_000)
+        fold_pts, table_pts, _, foot = fd._hausdorff_samples(fold, 21)
         own = (am._nearest_sup(model, fold_pts, table_pts, pair=foot),
                am._nearest_sup(model, table_pts, fold_pts, pair=np.arange(len(table_pts))))
         with mock.patch.object(am, "_cells", wraps=am._cells) as cells:
