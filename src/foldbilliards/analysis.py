@@ -204,37 +204,51 @@ def sup_distance(a: SampledCurve, b: SampledCurve, model: AmbientModel) -> float
     return float(ambient.distance_rowwise(model, a.points, b.points).max())
 
 
-def curve_to_set_sup(model: AmbientModel, points, ref_points) -> float:
-    """Sup over points of the distance to a densely sampled reference curve:
-    the least distance to the nearest vertex and to its projections onto the
-    two coordinate segments next to it, so segment spacing controls the
-    residual error.  In the curved models a coordinate projection can lie
-    farther than the vertex, so the vertex stays a candidate; that also
-    keeps each point's value at most its distance to any vertex, which lets
-    the nearest-set search (ambient._nearest_sup) skip points that cannot
-    raise the sup.  The nearest vertex is the first one at the least
-    distance_cross, as in a dense search."""
+def curve_to_set_sup(model: AmbientModel, points, ref_points):
+    """Sup over points, shape (..., N, d), of the distance to a densely
+    sampled reference curve, one sup per curve: a float for one curve of
+    shape (N, d), else an array of shape (...).
+
+    A point's distance is the least distance to the nearest vertex and to
+    its projections onto the two coordinate segments next to it, so segment
+    spacing controls the residual error.  In the curved models a coordinate
+    projection can lie farther than the vertex, so the vertex stays a
+    candidate; that also keeps each point's value at most its distance to
+    any vertex, which lets the nearest-set search (ambient._nearest_sup)
+    skip points that cannot raise the sup.  The nearest vertex is the first
+    one at the least distance_cross, as in a dense search.  The reference's
+    bounding balls are built once for all curves."""
     P = np.asarray(points, dtype=float)
     R = np.asarray(ref_points, dtype=float)
     if len(R) == 0:
         raise InvalidInputError("curve_to_set_sup needs a non-empty reference")
     last = len(R) - 1
+    ref_balls = ambient._balls(model, R)
 
-    def value(i, j):
-        p = P[i, None, :]
-        # segments j - 1 and j; one past either end has length zero, and a
-        # segment of length zero projects onto its first vertex
-        seg = j[:, None] + np.array([-1, 0])
-        a = R[np.clip(seg, 0, last)]
-        ab = R[np.clip(seg + 1, 0, last)] - a
-        den = _dot(ab, ab)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s = np.clip(_dot(p - a, ab) / den, 0.0, 1.0)
-        s[den < 1e-300] = 0.0
-        proj = a + s[..., None] * ab
-        return ambient.distance(model, p, proj).min(axis=1)
+    def sup(Pc):
+        def value(i, j):
+            p = Pc[i, None, :]
+            # segments j - 1 and j; one past either end has length zero, and a
+            # segment of length zero projects onto its first vertex
+            seg = j[:, None] + np.array([-1, 0])
+            a = R[np.clip(seg, 0, last)]
+            ab = R[np.clip(seg + 1, 0, last)] - a
+            den = _dot(ab, ab)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                s = np.clip(_dot(p - a, ab) / den, 0.0, 1.0)
+            s[den < 1e-300] = 0.0
+            proj = a + s[..., None] * ab
+            return ambient.distance(model, p, proj).min(axis=1)
 
-    return max(0.0, ambient._nearest_sup(model, P, R, value=value))
+        if not len(Pc):
+            return 0.0
+        balls = (ambient._cells(Pc, ambient.NEAR_CELL), ref_balls)
+        return max(0.0, ambient._nearest_sup(model, Pc, R, value=value, balls=balls))
+
+    if P.ndim == 2:
+        return sup(P)
+    curves = P.reshape((-1,) + P.shape[-2:])
+    return np.array([sup(Pc) for Pc in curves]).reshape(P.shape[:-2])
 
 
 # --------------------------------------------------------------------------
@@ -490,16 +504,13 @@ def boundary_geodesic_experiment(table: TableSpec, model: AmbientModel,
                             velocities=run.velocities[:n + 1])
     ref_set = run.hermite(ref_refine)
 
-    rows = []
-    for th in angles:
-        v0 = ambient.normalize(model_H, p0, np.cos(th) * t_hat + np.sin(th) * nu)
-        bil = billiard_trajectory(table, model_H, p0, v0, T, dt)
-        same = sup_distance(bil.base, ref_grid, model_H)
-        c2s = curve_to_set_sup(model_H, bil.base.points, ref_set)
-        expected = 1 - np.cos(th)
-        rows.append(ConvergenceRow(param_name="theta", param=th,
-                                   sup_distance=c2s, sup_samegrid=same,
-                                   expected=expected))
+    v0s = [ambient.normalize(model_H, p0, np.cos(th) * t_hat + np.sin(th) * nu) for th in angles]
+    bases = [billiard_trajectory(table, model_H, p0, v0, T, dt).base for v0 in v0s]
+    c2s = curve_to_set_sup(model_H, np.stack([b.points for b in bases]), ref_set)
+    rows = [ConvergenceRow(param_name="theta", param=th, sup_distance=float(c),
+                           sup_samegrid=sup_distance(b, ref_grid, model_H),
+                           expected=1 - np.cos(th))
+            for th, b, c in zip(angles, bases, c2s)]
     rels = [abs(r.sup_distance / r.expected - 1) for r in rows]
     ratios = [rows[i].sup_distance / rows[i + 1].sup_distance
               for i in range(len(rows) - 1)]

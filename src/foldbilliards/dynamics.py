@@ -17,11 +17,15 @@ Dormand-Prince 5(4) steps of its own size, with error control at
 REFINE_TOL, so the steps shrink where a fold curls up with extrinsic
 curvature of order 1/lam^2 across the pinch set {f = 0} and grow on its
 flat sheets.  Steps are not tied to the output grid: each grid sample is
-read off the quintic Hermite extension of the step that covers it.  Every
-sample and every step end is Newton-projected back onto the level set, its
-velocity made tangent and of unit speed; a projection still off after
-NEWTON_ITERS iterations, and a step below STEP_FLOOR T, raise NumericError.
-refine_tol=None takes fixed RK4 steps on the grid instead.
+read off the quintic Hermite extension of the step that covers it, after
+the steps (this dense output is a continuous extension of the accepted
+steps), all samples in one call; a row reads its samples early only when
+a step end leaves the patch U, where a sample may stop it.  Each step end
+is Newton-projected back onto the level set as it is taken, and each
+sample when it is read, its velocity made tangent and of unit speed; a
+projection still off after NEWTON_ITERS iterations, and a step below
+STEP_FLOOR T, raise NumericError.  refine_tol=None takes fixed RK4 steps
+on the grid instead.
 
 A table geodesic is one flow call at the grid times.  A billiard reads
 the grid samples of each free segment (from the launch or the last bounce)
@@ -279,12 +283,16 @@ def _level_set_flow(model, constraint, x0, v0, times, refine_tol, inside):
     With refine_tol, Dormand-Prince 5(4) steps of each row's own size, not
     tied to the grid, accepted when the embedded error estimate (max-norm
     over x and v) is at most refine_tol; a rejected row retries with a
-    smaller step while the others advance.  Every grid time in an accepted
-    step is sampled from the step's quintic Hermite extension, and samples
-    and step ends are projected.  NumericError when a step falls below
+    smaller step while the others advance.  Each step end is projected as
+    it is taken.  The grid times of the accepted steps are sampled from
+    their quintic Hermite extensions after the loop, in one _quintic and
+    one _project call; the per-row masked Newton keeps a sample's bits
+    independent of the batch.  NumericError when a step falls below
     STEP_FLOOR T.  refine_tol=None takes fixed RK4 steps on the grid.
 
-    A row stops before its first sample whose point fails inside().
+    A row stops before its first sample whose point fails inside(): a row
+    whose projected step end fails inside() reads its pending samples at
+    once, and stops if one of them does.
     Returns the points and velocities, shape (B, len(times), dim), the
     number of samples of each row and each row's exit time (nan when it
     stayed inside)."""
@@ -300,8 +308,8 @@ def _level_set_flow(model, constraint, x0, v0, times, refine_tol, inside):
         return pts, vel, filled, exits
 
     def record(rows, ks, xs, vs):
-        """Store samples (row-major, ascending in time per row) and stop each
-        row before its first sample outside."""
+        """Store samples (ascending in time per row) and stop each row before
+        its first sample outside."""
         pts[rows, ks], vel[rows, ks] = xs, vs
         np.maximum.at(filled, rows, ks + 1)
         out = ~inside(xs)
@@ -323,11 +331,34 @@ def _level_set_flow(model, constraint, x0, v0, times, refine_tol, inside):
     def f(y):
         return np.concatenate([y[:, d:], _acceleration(model, constraint, y[:, :d], y[:, d:])], 1)
 
+    # the accepted steps whose grid samples are not read yet, one tuple of
+    # (row, t0, h, y0, y0', y1, y1', first grid index, grid count) per step
+    pending = []
+
+    def read(rows):
+        """Read the pending grid samples of the rows off their steps' quintic
+        extensions, projected, and record them; keep the other rows' steps."""
+        nonlocal pending
+        if not pending:
+            return
+        cols = [np.concatenate(c) for c in zip(*pending)]
+        now = np.isin(cols[0], rows)
+        pending = [] if now.all() else [tuple(c[~now] for c in cols)]
+        r, t0, hs, y0, f0, y1, f1, lo, cnt = (c[now] for c in cols)
+        sel = np.repeat(np.arange(r.size), cnt)
+        k_s = np.arange(cnt.sum()) - np.repeat(np.cumsum(cnt) - cnt - lo, cnt)
+        if k_s.size:
+            th = (times[k_s] - t0[sel]) / hs[sel]
+            xs, vs = _quintic(th, hs[sel], y0[sel], f0[sel], y1[sel], f1[sel], d)
+            record(r[sel], k_s, *_project(model, constraint, xs, vs, times[k_s]))
+
     T = times[-1]
     floor = STEP_FLOOR * T
     y = np.concatenate([x0, v0], 1)
     t = np.zeros(B)
     h = _initial_step(f, y, refine_tol)
+    # the first grid index of each row not covered by its accepted steps
+    nxt = np.ones(B, dtype=int)
     while (rows := np.flatnonzero(active)).size:
         y0, t0 = y[rows], t[rows]
         # a step that would end within 1 % of T stretches to end on it
@@ -354,22 +385,25 @@ def _level_set_flow(model, constraint, x0, v0, times, refine_tol, inside):
         if not acc.size:
             continue
         r_acc, t_end = rows[acc], np.where(last[acc], T, t0[acc] + hr[acc])
-        # the grid times in (t0, t_end] of each accepted row, row by row
-        lo = filled[r_acc]
+        # the grid times in (t0, t_end] of each accepted row
+        lo = nxt[r_acc]
         cnt = np.searchsorted(times, t_end, side="right") - lo
-        sel = np.repeat(np.arange(acc.size), cnt)
-        k_s = np.arange(cnt.sum()) - np.repeat(np.cumsum(cnt) - cnt - lo, cnt)
-        if k_s.size:
-            th = (times[k_s] - t0[acc][sel]) / hr[acc][sel]
-            xs, vs = _quintic(th, hr[acc][sel], y0[acc][sel], ks[0][acc][sel],
-                              y1[acc][sel], ks[-1][acc][sel], d)
-            record(r_acc[sel], k_s, *_project(model, constraint, xs, vs, times[k_s]))
-        go = active[r_acc] & (t_end < T)
+        nxt[r_acc] += cnt
+        pending.append((r_acc, t0[acc], hr[acc], y0[acc], ks[0][acc], y1[acc], ks[-1][acc],
+                        lo, cnt))
+        go = t_end < T
         active[r_acc[~go]] = False
         if go.any():
+            r_go = r_acc[go]
             xe, ve = _project(model, constraint, y1[acc[go], :d], y1[acc[go], d:], t_end[go])
-            y[r_acc[go]] = np.concatenate([xe, ve], 1)
-            t[r_acc[go]] = t_end[go]
+            y[r_go] = np.concatenate([xe, ve], 1)
+            t[r_go] = t_end[go]
+            # a row whose step end left U reads its samples now: one of them
+            # may stop it
+            out = ~inside(xe)
+            if out.any():
+                read(r_go[out])
+    read(np.arange(B))
     return pts, vel, filled, exits
 
 

@@ -414,10 +414,10 @@ def _hausdorff_samples(fold: Fold, n_grid: int):
     # HAUSDORFF_MAX_POINTS if that is smaller
     n_grid = min(n_grid | 1, (int(HAUSDORFF_MAX_POINTS ** (1.0 / table.n)) - 1) | 1)
     lattice = _lattice(table, n_grid)
-    tbl = lattice[table.f(lattice) >= 0.0]
+    f = table.f(lattice)
+    tbl, fvals = lattice[f >= 0.0], f[f >= 0.0]
     if len(tbl) == 0:
         raise ConfigError("empty table sample; patch and table do not intersect")
-    fvals = table.f(tbl)
     z = fold.lam * np.sqrt(np.maximum(fvals, 0.0))
     table_pts = np.concatenate([tbl, np.zeros((len(tbl), 1))], axis=1)
     fold_pts = np.concatenate([

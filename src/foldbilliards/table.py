@@ -309,8 +309,23 @@ def _orthonormal_complement(g: np.ndarray, normal: np.ndarray,
     Gram-Schmidt in g over the axes, taken in increasing order of
     |alignment| (a vector or covector along the normal), so each basis is
     deterministic; an axis whose remainder has g-norm below 1e-10 is skipped.
+    One point takes 1-D products in the same order as the batch, with the
+    same bits.
     """
     batch, d = normal.shape[:-1], normal.shape[-1]
+    if not batch:
+        a = np.abs(alignment)
+        basis, count = np.zeros((d - 1, d)), 0
+        for axis in np.argsort(a / np.sqrt(a @ a)):
+            v = _identity(d)[axis]
+            v = v - (v @ g @ normal) * normal
+            for b in basis[:count]:
+                v = v - (v @ g @ b) * b
+            nrm = np.sqrt(np.maximum(v @ g @ v, 0.0))
+            if not nrm < 1e-10 and count < d - 1:
+                basis[count] = v / nrm
+                count += 1
+        return basis, np.bool_(count == d - 1)
     g = g.reshape(-1, d, d)
     normal = normal.reshape(-1, d)
     a = np.abs(alignment.reshape(-1, d))

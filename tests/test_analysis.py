@@ -252,6 +252,11 @@ class TestSupDistance:
             an.sup_distance(c, short, m2)
 
 
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def segment_project(p, a, b):
     ab = b - a
     den = ab @ ab
@@ -316,6 +321,26 @@ class TestCurveToSetSup:
     def test_empty_reference_rejected(self, m2):
         with pytest.raises(InvalidInputError):
             an.curve_to_set_sup(m2, np.zeros((3, 2)), np.empty((0, 2)))
+
+    @pytest.mark.parametrize("model", MODELS2, ids=lambda m: m.kind)
+    def test_stack_equals_one_curve_at_a_time(self, model):
+        r = np.random.default_rng([18, MODELS2.index(model)])
+        ref = arc_curve().points
+        ts = np.linspace(0.0, np.pi, 301)
+        pts = ((1.0 + r.uniform(-0.2, 0.2, (2, 3, 1, 1)))
+               * np.stack([np.cos(ts), np.sin(ts)], 1) + r.normal(0.0, 0.01, (2, 3, 301, 2)))
+        sups = an.curve_to_set_sup(model, pts, ref)
+        assert sups.shape == (2, 3)
+        for i in np.ndindex(2, 3):
+            one = an.curve_to_set_sup(model, pts[i], ref)
+            assert isinstance(one, float) and same_bits(sups[i], one)
+
+    def test_boundary_experiment_builds_the_reference_balls_once(self, disk, m2, monkeypatch):
+        calls = []
+        balls = am._balls
+        monkeypatch.setattr(am, "_balls", lambda *a: calls.append(1) or balls(*a))
+        rep = an.boundary_geodesic_experiment(disk, m2, angles=[0.2, 0.1, 0.05], T=0.8, dt=DT)
+        assert len(rep.rows) == 3 and len(calls) == 1
 
 
 class TestFoldConvergence:

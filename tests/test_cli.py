@@ -357,3 +357,36 @@ def test_bench_pairs_traced_counts_keep_count_units_and_name_the_differences():
     assert out["change"] == {"fold.frame_at.calls": 4, "ambient.distance_cross.pairs": 90}
     assert out["correct"] == {"parent": True, "change": False}
     assert out["differ"] == {"ambient.distance_cross.pairs": [100, 90]}
+
+
+def test_bench_pairs_traced_self_s_keeps_the_self_seconds():
+    tool = _load_tool("bench_pairs")
+
+    def traced(seconds):
+        return {"correct": True, "metrics": {
+            "fold.frame_at.calls": {"value": 4, "unit": "count"},
+            "fold.frame_at.self_s": {"value": seconds, "unit": "s"},
+            "fold.sample_table_points.total_s": {"value": 1.0, "unit": "s"}}}
+    metrics = [{"name": "fold.frame_at.calls", "unit": "count"},
+               {"name": "fold.frame_at.self_s", "unit": "s"},
+               {"name": "fold.sample_table_points.total_s", "unit": "s"},
+               {"name": "fold.lift.self_s", "unit": "s"}]
+    out = tool.traced_self_s({"parent": traced(0.5), "change": traced(0.25)}, metrics)
+    # total seconds and counts are left out, and so is a layer the run did not report
+    assert out == {"parent": {"fold.frame_at.self_s": 0.5},
+                   "change": {"fold.frame_at.self_s": 0.25}}
+
+
+@pytest.mark.parametrize("wins, change_median, better, met", [
+    (9, 2.4, "lower", True),
+    (8, 2.4, "lower", False),
+    # a gap no larger than the parent's interquartile range
+    (10, 2.5, "lower", False),
+    (10, 3.6, "lower", False),
+    (9, 3.6, "higher", True),
+])
+def test_bench_pairs_claim_met_follows_the_rule(wins, change_median, better, met):
+    tool = _load_tool("bench_pairs")
+    stats = {"parent_median": 3.0, "parent_q1": 2.75, "parent_q3": 3.25,
+             "change_median": change_median, "change_wins": wins}
+    assert tool.claim_met(stats, 10, better) is met

@@ -16,7 +16,7 @@ from foldbilliards import ambient as am
 from foldbilliards import dynamics as dy
 from foldbilliards import table as tb
 from foldbilliards.errors import InvalidInputError, NumericError, PreconditionError
-from foldbilliards.fold import Fold
+from foldbilliards.fold import Fold, lift
 
 S2 = np.sqrt(2.0) / 2.0
 
@@ -317,6 +317,114 @@ class TestBatchKernels:
                    dy._acceleration(fold.model, constraint, X[i], V[i]),
                    *dy._project(fold.model, constraint, X[i], V[i]))
             assert all(same_bits(a[i], b) for a, b in zip(batch, one))
+
+
+def stepwise_side(fold, q0, v0, T, dt):
+    """One side of a fold geodesic from the same Dormand-Prince steps as the
+    core, with each accepted step's grid samples read off its quintic
+    extension, projected and tested against U as soon as the step is taken:
+    the side stops before its first sample outside U."""
+    model = fold.model
+    constraint = (fold.value, fold.euclid_grad, fold.euclid_hess)
+    times = dy._grid(T, dt)
+    d = len(q0)
+
+    def f(y):
+        return np.concatenate([y[:, d:], dy._acceleration(model, constraint, y[:, :d],
+                                                           y[:, d:])], 1)
+
+    y = np.concatenate([q0, v0])[None]
+    t = np.zeros(1)
+    h = dy._initial_step(f, y, dy.REFINE_TOL)
+    pts, vel = [q0], [v0]
+    while True:
+        last = t + 1.01 * h >= T
+        hr = np.where(last, T - t, h)
+        hc = hr[:, None]
+        ks = [f(y)]
+        for a in dy._DP_A:
+            ks.append(f(y + hc * dy._combine(a, ks)))
+        y1 = y + hc * dy._combine(dy._DP_B, ks)
+        ks.append(f(y1))
+        err = np.abs(hc * dy._combine(dy._DP_E, ks)).max(axis=1)
+        ok = err <= dy.REFINE_TOL
+        with np.errstate(divide="ignore"):
+            fac = 0.9 * (dy.REFINE_TOL / err) ** 0.2
+        h = hr * np.fmin(np.fmax(fac, 0.2), np.where(ok, 5.0, 1.0))
+        if not ok[0]:
+            continue
+        t_end = T if last[0] else t[0] + hr[0]
+        k = np.arange(len(pts), np.searchsorted(times, t_end, side="right"))
+        if k.size:
+            xs, vs = dy._quintic((times[k] - t[0]) / hr[0], np.repeat(hr, k.size),
+                                 np.repeat(y, k.size, 0), np.repeat(ks[0], k.size, 0),
+                                 np.repeat(y1, k.size, 0), np.repeat(ks[-1], k.size, 0), d)
+            xs, vs = dy._project(model, constraint, xs, vs)
+            for i, x, v in zip(k, xs, vs):
+                if not fold.table.region.contains(x[:-1]):
+                    return dy.SampledCurve(times[:i], np.array(pts), np.array(vel),
+                                           truncated=True, exit_forward=float(times[i]))
+                pts.append(x)
+                vel.append(v)
+        if t_end == T:
+            return dy.SampledCurve(times, np.array(pts), np.array(vel))
+        y = np.concatenate(dy._project(model, constraint, y1[0, :d], y1[0, d:]))[None]
+        t = np.array([t_end])
+
+
+class TestLevelSetExits:
+    """Grid samples are read after the steps; a row whose step end leaves U
+    reads its samples at once.  Exits and truncation must match a sampler
+    that reads every step's samples as it goes."""
+
+    @staticmethod
+    def random_lift(fold, rng):
+        while True:
+            x = rng.uniform(-1.0, 1.0, fold.table.n) * fold.table.region.radius
+            if fold.table.region.contains(x) and fold.table.f(x) >= 0.0:
+                break
+        q = lift(fold, x, rng.choice([1, -1]))
+        df = fold.euclid_grad(q)
+        w = rng.normal(size=q.shape)
+        return q, am.normalize(fold.model, q, w - (df @ w) / (df @ df) * df)
+
+    # most half-space runs leave U; the disk fold lies over the unit disk,
+    # inside U, so its runs never do
+    @pytest.mark.parametrize("table, T", [(tb.half_space_table(radius_U=0.6), 1.0),
+                                          (tb.disk_table(radius_U=1.05), 0.5)],
+                             ids=["half-space", "disk"])
+    @pytest.mark.parametrize("kind", am.MODEL_KINDS)
+    def test_exits_equal_the_stepwise_sampler(self, table, T, kind):
+        rng = np.random.default_rng([81, len(table.name), am.MODEL_KINDS.index(kind)])
+        runs = truncated = 0
+        for lam in (0.3, 0.05):
+            fold = Fold(table, am.AmbientModel(kind, 3), lam)
+            for dt in (1e-2, 3e-3):
+                for _ in range(3):
+                    q0, v0 = self.random_lift(fold, rng)
+                    both = dy.integrate_fold_geodesic(fold, q0, v0, T, dt)
+                    fwd = stepwise_side(fold, q0, v0, T, dt)
+                    bwd = stepwise_side(fold, q0, -v0, T, dt)
+                    i0 = len(bwd) - 1
+                    assert len(both) == i0 + len(fwd)
+                    assert both.truncated == (fwd.truncated or bwd.truncated)
+                    assert both.exit_forward == fwd.exit_forward
+                    assert same_bits(both.points[i0:], fwd.points)
+                    assert same_bits(both.velocities[i0:], fwd.velocities)
+                    assert same_bits(both.points[i0::-1], bwd.points)
+                    assert same_bits(-both.velocities[i0::-1], bwd.velocities)
+                    runs += 2
+                    truncated += fwd.truncated + bwd.truncated
+        assert (truncated > 0) == (table.name == "half-space") and truncated < runs
+
+    def test_run_inside_u_reads_its_samples_once(self, sphere_fold, monkeypatch):
+        calls = []
+        quintic = dy._quintic
+        monkeypatch.setattr(dy, "_quintic", lambda *a: calls.append(1) or quintic(*a))
+        crv = dy.integrate_fold_geodesic(sphere_fold, np.array([0.0, 0.0, 1.0]),
+                                         np.array([1.0, 0.0, 0.0]), 0.5, 1e-2)
+        assert not crv.truncated and len(crv) == 101
+        assert len(calls) == 1
 
 
 class TestTableGeodesic:

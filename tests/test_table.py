@@ -207,6 +207,39 @@ class TestBoundaryFrame:
             tb.boundary_frame(tb.disk_table(), am.euclidean(3), [0.5, 0.0])
 
 
+class TestOrthonormalComplement:
+    """One point takes 1-D products; they must give the batch path's bits."""
+
+    @staticmethod
+    def same_as_batch(g, normal, alignment):
+        basis, spanned = tb._orthonormal_complement(g, normal, alignment)
+        batch, batch_spanned = tb._orthonormal_complement(g[None], normal[None], alignment[None])
+        assert basis.shape == batch.shape[1:] and basis.tobytes() == batch[0].tobytes()
+        assert bool(spanned) == bool(batch_spanned[0])
+        return basis, spanned
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_single_point_equals_the_batch(self, d):
+        rng = np.random.default_rng([71, d])
+        for _ in range(300):
+            m = rng.normal(size=(d, d))
+            g = m @ m.T + 0.1 * np.eye(d)
+            df = rng.normal(size=d)
+            df[rng.random(d) < 0.3] = 0.0
+            if not df.any():
+                df[rng.integers(d)] = 1.0
+            nu = np.linalg.solve(g, df)
+            self.same_as_batch(g, nu / np.sqrt(nu @ g @ nu), df)
+
+    def test_skipped_axis(self):
+        # e1 lies in the span of the normal and e0, the first basis vector,
+        # so it is skipped and e2 completes the basis
+        normal = np.array([S2, S2, 0.0])
+        basis, spanned = self.same_as_batch(np.eye(3), normal, np.array([0.0, 0.1, 1.0]))
+        assert spanned
+        assert np.allclose(basis, [[S2, -S2, 0.0], [0.0, 0.0, 1.0]], atol=1e-15)
+
+
 class TestReflectionAndPolarity:
     def test_halfplane_textbook_pairs(self):
         fr = tb.boundary_frame(halfplane_table(), am.euclidean(3), [0.0, 0.0])

@@ -19,8 +19,11 @@ machine-independent per-layer counts (units ``count`` and ``bytes``).
 The file holds, under ``end_to_end["<workload> seed <seed>"]``, the number of
 pairs, every run, and for each end-to-end metric of ``BENCHMARK.json`` the
 median and quartiles of both sides, the pairs the change won and the relative
-change of the medians; under ``"traced_counts"`` the counts of both sides,
-whether each traced run reported ``correct``, and the counts that differ.
+change of the medians; with ``--claim``, ``claim_met`` under the rule quoted
+in ``"claim"``; under ``"traced_counts"`` the counts of both sides, whether
+each traced run reported ``correct``, and the counts that differ; and under
+``"traced_self_s"`` both sides' traced ``*.self_s`` seconds per layer, which
+show where a saving sits.
 Another workload or seed adds its section to an existing file; the same
 workload and seed replace theirs.
 """
@@ -42,6 +45,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
 # per-layer units that do not depend on the machine (perfbench/run.py)
 COUNT_UNITS = ("count", "bytes")
+CLAIM_RULE = ("change wins >= 9/10 pairs and the median difference exceeds the "
+              "parent's interquartile range")
 
 
 def summary(runs: list[dict], metrics: list[dict]) -> dict:
@@ -77,6 +82,23 @@ def traced_counts(traced: dict[str, dict], metrics: list[dict]) -> dict:
     out["differ"] = {name: [out["parent"].get(name), out["change"].get(name)]
                      for name in names if out["parent"].get(name) != out["change"].get(name)}
     return out
+
+
+def traced_self_s(traced: dict[str, dict], metrics: list[dict]) -> dict:
+    """From one traced result per side, the per-layer ``*.self_s`` metrics of
+    BENCHMARK.json that the run reported, in its order."""
+    names = [m["name"] for m in metrics if m["name"].endswith(".self_s")]
+    return {side: {name: traced[side]["metrics"][name]["value"] for name in names
+                   if name in traced[side]["metrics"]} for side in SIDES}
+
+
+def claim_met(stats: dict, pairs: int, better: str) -> bool:
+    """CLAIM_RULE on one metric's summary: the change won at least nine
+    tenths of the pairs, and its median beats the parent's by more than
+    the parent's interquartile range."""
+    gap = stats["parent_median"] - stats["change_median"]
+    return (10 * stats["change_wins"] >= 9 * pairs
+            and (gap if better == "lower" else -gap) > stats["parent_q3"] - stats["parent_q1"])
 
 
 def _git(*args: str) -> str:
@@ -149,12 +171,15 @@ def main(argv=None) -> int:
     if args.change:
         doc["change"] = args.change
     if args.claim:
-        doc["claim"] = {"workload": args.workload, "metric": args.claim,
-                        "rule": "change wins >= 9/10 pairs and the median difference "
-                                "exceeds the parent's interquartile range"}
-    doc.setdefault("end_to_end", {})[f"{args.workload} seed {args.seed}"] = {
-        "pairs": len(runs), "runs": runs, **summary(runs, bench["end_to_end"]),
-        "traced_counts": traced_counts(traced, bench["per_layer"])}
+        doc["claim"] = {"workload": args.workload, "metric": args.claim, "rule": CLAIM_RULE}
+    stats = summary(runs, bench["end_to_end"])
+    section = {"pairs": len(runs), "runs": runs, **stats}
+    if args.claim:
+        better = {m["name"]: m["better"] for m in bench["end_to_end"]}[args.claim]
+        section["claim_met"] = claim_met(stats[args.claim], len(runs), better)
+    section["traced_counts"] = traced_counts(traced, bench["per_layer"])
+    section["traced_self_s"] = traced_self_s(traced, bench["per_layer"])
+    doc.setdefault("end_to_end", {})[f"{args.workload} seed {args.seed}"] = section
     path.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {path}", file=sys.stderr)
     return 0
