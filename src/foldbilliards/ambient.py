@@ -148,7 +148,8 @@ def metric_tensor(model: AmbientModel, x) -> MetricAt:
         g = eye - xx / s[..., None, None]
         g_inv = eye + xx
     else:
-        c = (4.0 / (1.0 + _dot(x, x)) ** 2)[..., None, None]
+        w = 1.0 + _dot(x, x)
+        c = (4.0 / (w * w))[..., None, None]
         g = c * eye
         g_inv = eye / c
     return MetricAt(point=x, g=g, g_inv=g_inv)
@@ -214,14 +215,11 @@ def christoffel(model: AmbientModel, x) -> np.ndarray:
 
 def christoffel_quadratic(model: AmbientModel, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Gamma^k_ij v^i v^j at the points x with velocities v, shape (..., dim),
-    without building the full tensor (integrator path).  One point takes the
-    1-D ``@``, a batch the stacked row products, with the same bits."""
+    without building the full tensor (integrator path).  One point is a
+    batch of one: the same stacked row products, so the same bits."""
     if model.kind == "euclidean":
         return np.zeros(np.shape(v))
-    if np.ndim(x) == 1:
-        xx, xv, vv = x @ x, x @ v, v @ v
-    else:
-        xx, xv, vv = (_dot(a, b)[..., None] for a, b in ((x, x), (x, v), (v, v)))
+    xx, xv, vv = (_dot(a, b)[..., None] for a, b in ((x, x), (x, v), (v, v)))
     if model.kind == "hyperbolic":
         s = 1.0 + xx
         gvv = vv - xv ** 2 / s

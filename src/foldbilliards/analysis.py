@@ -299,13 +299,11 @@ class ConvergenceReport:
 
 
 def _patch_holds_ball(table: TableSpec, model_H: AmbientModel, p0, radius, dt) -> bool:
-    """Sample geodesic rays from p0 and check the ball stays inside U."""
-    for d in _directions(table.n):
-        ray = integrate_table_geodesic(model_H, p0, ambient.normalize(model_H, p0, d), radius,
-                                       max(radius / 32, dt))
-        if not table.region.contains_many(ray.points).all():
-            return False
-    return True
+    """Whether the geodesic rays of length radius from p0 along each of
+    _directions stay inside U at their samples; all rays are one flow call."""
+    dirs = ambient.normalize(model_H, p0, _directions(table.n))
+    rays = integrate_table_geodesic(model_H, p0, dirs[:, None], radius, max(radius / 32, dt))
+    return bool(table.region.contains_many(rays.points).all())
 
 
 def _angle_g(g: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
@@ -357,7 +355,7 @@ def fold_convergence_experiment(table: TableSpec, model: AmbientModel,
                                 seed: int = 0, workers: int = 1,
                                 scan_grid: int = 12, scan_planes: int = 4) -> ConvergenceReport:
     """Fold geodesics through the lifted boundary point against the limiting
-    billiard trajectory.
+    billiard trajectory.  model is the ambient model or the one on H.
 
     For each lam the geodesic of the fold starts at the pinch lift of p0
     with velocity a * boundary tangent + b * vertical, runs on [-T, T], and
@@ -382,13 +380,8 @@ def fold_convergence_experiment(table: TableSpec, model: AmbientModel,
         raise ConfigError("lambda values must lie in (0, 1)")
     if sorted(lambdas, reverse=True) != lambdas:
         raise ConfigError("lambda values must be strictly decreasing")
-    if model.dim == table.n:
-        model_amb = AmbientModel(model.kind, table.n + 1)
-    elif model.dim == table.n + 1:
-        model_amb = model
-    else:
-        raise InvalidInputError("model dimension does not match the table")
-    model_H = model_amb.restricted()
+    model_H = model_on_table(table, model)
+    model_amb = AmbientModel(model.kind, table.n + 1)
     if kappa is None:
         kappa = DEFAULT_KAPPA[model_amb.kind]
     if tol_qg is None:

@@ -129,16 +129,6 @@ def _decreasing(vals, path):
     return vals
 
 
-def _tolerances_positive(d: dict, path: str):
-    for k, v in d.items():
-        sub = f"{path}.{k}"
-        if isinstance(v, dict):
-            _tolerances_positive(v, sub)
-        elif k.startswith("tol") or k.endswith("tol"):
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or not v > 0:
-                _fail(sub, "tolerances must be positive numbers")
-
-
 # --------------------------------------------------------------------------
 # section builders
 
@@ -350,7 +340,6 @@ def validate_config(raw: dict) -> ExperimentConfig:
     if not isinstance(params, dict):
         _fail("config.parameters", "expected an object")
     EXPERIMENTS[experiment].validate(params, "parameters", table.n)
-    _tolerances_positive(params, "parameters")
     _integer(raw, "seed", "config", minimum=0, optional=True)
     # accepted for older configs and ignored: every run is one process
     _integer(raw, "workers", "config", minimum=1, optional=True)

@@ -417,7 +417,7 @@ def _sampled(times, pts, vel, filled, exits, row) -> SampledCurve:
 
 def _check_unit(model, x, v, label="v0"):
     nrm = ambient.norm(model, x, v)
-    if abs(nrm - 1.0) > 1e-8:
+    if np.any(np.abs(nrm - 1.0) > 1e-8):
         raise PreconditionError(f"{label} must be a unit vector (got |v| = {nrm})")
 
 
@@ -471,6 +471,8 @@ def integrate_table_geodesic(model: AmbientModel, x0, v0, T, dt) -> SampledCurve
     model is the geometry the curve lives in (for a table, the induced
     model on H, i.e. ambient.restricted()).  The samples are one call of
     the closed-form ambient.geodesic_flow from (x0, v0) at the grid times.
+    v0 of shape (..., n) broadcasts against x0: the points and velocities
+    then have shape (..., N, n) for the N grid times, one curve per launch.
     """
     x0 = np.asarray(x0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
@@ -571,22 +573,24 @@ def _locate_crossing(table, flow, t, lo, hi, f_lo, f_hi):
                        f"t = {t}: f = {f_lo} and {f_hi} at its ends, {fd} at the last probe")
 
 
+def _contact(table, model, x, v):
+    """The boundary frame at x, the unit velocity w = v / |v|_g and its
+    normal component g(w, nu), positive into the table."""
+    frame = boundary_frame(table, model, x)
+    g = frame.metric.g
+    w = v / np.sqrt(v @ g @ v)
+    return frame, w, w @ g @ frame.nu
+
+
 def _bounce(table, model, t, xb, vb) -> Bounce:
     """Mirror reflection of the unit velocity at a located crossing; grazing
     contacts continue unreflected.  The point is settled onto the boundary
     so the next segment does not re-trigger on residual negative f."""
-    frame = boundary_frame(table, model, xb)
-    g = frame.metric.g
-    w_in = vb / np.sqrt(vb @ g @ vb)
-    normal_speed = w_in @ g @ frame.nu
+    frame, w_in, normal_speed = _contact(table, model, xb, vb)
     if normal_speed > GRAZING_TOL:
         raise NumericError("crossing detected with inward velocity")
-    if abs(normal_speed) <= GRAZING_TOL:
-        w_out = w_in
-        grazing = True
-    else:
-        w_out = reflect(frame, w_in)
-        grazing = False
+    grazing = bool(abs(normal_speed) <= GRAZING_TOL)
+    w_out = w_in if grazing else reflect(frame, w_in)
     for _ in range(3):
         val = table.f(xb)
         if abs(val) < 1e-14:
@@ -618,17 +622,14 @@ def billiard_trajectory(table: TableSpec, model: AmbientModel, x0, v0, T,
     if not table.region.contains(x0):
         raise PreconditionError("x0 is outside the patch U")
     _check_unit(model_H, x0, v0)
-    if abs(f0) <= 1e-10:
-        frame = boundary_frame(table, model, x0)
-        if v0 @ frame.metric.g @ frame.nu < -1e-10:
-            raise PreconditionError("x0 is on the boundary and v0 leaves the table")
+    if abs(f0) <= 1e-10 and _contact(table, model, x0, v0)[2] < -1e-10:
+        raise PreconditionError("x0 is on the boundary and v0 leaves the table")
 
     times = _grid(T, dt)
     pts = np.empty((len(times), len(x0)))
     vels = np.empty_like(pts)
     pts[0], vels[0] = x0, v0
     bounces: list[Bounce] = []
-    max_bounces = int(np.ceil(T / DELTA_MIN)) + 4
     # grid steps per window (times[1] is the grid step)
     n_win = max(1, int(_WINDOW_SPAN / times[1])) if len(times) > 1 else 0
     # the segment start (the launch or the last bounce) and the next sample
@@ -654,8 +655,6 @@ def billiard_trajectory(table: TableSpec, model: AmbientModel, x0, v0, T,
         if bounces and t_b - bounces[-1].t < DELTA_MIN:
             raise BounceAccumulationError(
                 f"bounces at t = {bounces[-1].t} and {t_b} are closer than {DELTA_MIN}")
-        if len(bounces) >= max_bounces:
-            raise BounceAccumulationError("bounce count exceeded T / DELTA_MIN")
         bounces.append(_bounce(table, model, t_b, xb, vb))
         t_s, x, v = t_b, bounces[-1].x, bounces[-1].w_out
 
@@ -663,11 +662,8 @@ def billiard_trajectory(table: TableSpec, model: AmbientModel, x0, v0, T,
     # (periodic orbits close up there); its point is left unsettled
     x, v = pts[-1], vels[-1]
     if len(times) > 1 and abs(table.f(x)) <= 1e-9 and table.region.contains(x):
-        frame = boundary_frame(table, model, x)
-        g = frame.metric.g
-        n_speed = v @ g @ frame.nu / np.sqrt(v @ g @ v)
+        frame, w_in, n_speed = _contact(table, model, x, v)
         if n_speed < -GRAZING_TOL and (not bounces or T - bounces[-1].t >= DELTA_MIN):
-            w_in = v / np.sqrt(v @ g @ v)
             bounces.append(Bounce(t=float(times[-1]), x=x.copy(), w_in=w_in,
                                   w_out=reflect(frame, w_in), grazing=False))
 

@@ -71,11 +71,14 @@ class TestMetric:
             assert np.linalg.eigvalsh(g).min() > 0
 
     def test_metric_many_matches_pointwise(self, rng):
-        X = rng.uniform(-1, 1, (7, 3))
-        for model in MODELS3:
-            gs = am.metric_many(model, X)
-            for i, x in enumerate(X):
-                assert (gs[i] == am.metric_tensor(model, x).g).all()
+        # bit for bit: one point squares 1 + |x|^2 as a batch does, not by pow
+        for d in (2, 3, 4):
+            X = rng.uniform(-1, 1, (20_000, d))
+            for kind in am.MODEL_KINDS:
+                model = am.AmbientModel(kind, d)
+                gs = am.metric_many(model, X)
+                assert all((gs[i] == am.metric_tensor(model, x).g).all()
+                           for i, x in enumerate(X))
 
     @pytest.mark.parametrize("model", MODELS3, ids=lambda m: m.kind)
     def test_batch_equals_rows(self, model):
@@ -150,6 +153,15 @@ class TestChristoffel:
         for model in MODELS3:
             gamma = am.christoffel(model, x)
             assert np.allclose(gamma, np.swapaxes(gamma, 1, 2))
+
+    def test_quadratic_form_rows_equal_single_points(self, rng):
+        for d in (2, 3, 4):
+            X, V = rng.uniform(-1, 1, (2, 2_000, d))
+            for kind in am.MODEL_KINDS:
+                model = am.AmbientModel(kind, d)
+                batch = am.christoffel_quadratic(model, X, V)
+                assert all((batch[i] == am.christoffel_quadratic(model, x, v)).all()
+                           for i, (x, v) in enumerate(zip(X, V)))
 
     @given(seed=st.integers(0, 10**6))
     def test_quadratic_form_matches_contraction(self, seed):

@@ -408,6 +408,28 @@ class TestFoldConvergence:
                                            direction=(1.0, 0.0),
                                            lambdas=[0.5, 0.25], T=0.2, dt=DT)
 
+    def test_model_of_the_table_or_of_its_ambient_space(self, disk):
+        kw = dict(lambdas=[0.5, 0.25], T=0.2, dt=1e-2, scan_grid=6, scan_planes=2)
+        on_table = an.fold_convergence_experiment(disk, am.euclidean(2), **kw)
+        assert on_table.to_dict() == an.fold_convergence_experiment(
+            disk, am.euclidean(3), **kw).to_dict()
+        with pytest.raises(InvalidInputError, match="model dimension 4"):
+            an.fold_convergence_experiment(disk, am.euclidean(4), **kw)
+
+    @pytest.mark.parametrize("kind", am.MODEL_KINDS)
+    def test_patch_check_equals_one_ray_at_a_time(self, kind):
+        # one flow call over all directions decides as a loop of single rays
+        for table in (tb.disk_table(), tb.disk_table(radius_U=1.3), tb.half_space_table(),
+                      tb.parabola_table(), tb.spherical_halfspace_table()):
+            model = am.AmbientModel(kind, table.n)
+            p0 = np.asarray(table.p0, dtype=float)
+            for radius in (0.1, 0.4, 1.0, 2.0):
+                rays = [dy.integrate_table_geodesic(model, p0, am.normalize(model, p0, d),
+                                                    radius, radius / 32)
+                        for d in an._directions(table.n)]
+                assert an._patch_holds_ball(table, model, p0, radius, 1e-3) == all(
+                    table.region.contains_many(r.points).all() for r in rays)
+
 
 class TestBoundaryGeodesic:
     def test_disk_sagitta_scaling(self, disk, m2):

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from foldbilliards import config as cf
 from foldbilliards import runner
 from foldbilliards.ambient import MODEL_KINDS
 from foldbilliards.cli import main as cli_main
@@ -136,6 +137,71 @@ class TestErrorExits:
             "parameters": {"angles": [0.1], "T": 0.3, "dt": 0.001},
         }))
         assert cli_main(["run", str(bad), "--out-dir", str(tmp_path / "o")]) == 3
+
+    @pytest.mark.parametrize("kind", ["euclidean", "hyperbolic"])
+    def test_bounce_accumulation_exits_3(self, kind, tmp_path, capsys):
+        # launched tangent to the unit circle, the billiard grazes it at t = 0
+        bad = tmp_path / "tangent.json"
+        bad.write_text(json.dumps({
+            "experiment": "trajectory",
+            "table": {"kind": "disk"},
+            "model": {"kind": kind},
+            "parameters": {"target": "billiard", "x0": [1.0, 0.0], "v0": [0.0, 1.0],
+                           "T": 1.0, "dt": 0.01},
+        }))
+        assert cli_main(["run", str(bad), "--out-dir", str(tmp_path / "o")]) == 3
+        assert "bounces at t = 0.0 and 0.0" in capsys.readouterr().err
+
+
+def _hyperbolic_disk(experiment, parameters):
+    return cf.validate_config({"experiment": experiment, "table": {"kind": "disk"},
+                               "model": {"kind": "hyperbolic"}, "parameters": parameters})
+
+
+FOLD = {"target": "fold-geodesic", "x0": [0.0, 0.0, 0.25], "v0": [1.0, 0.0, 0.0],
+        "lam": 0.25, "T": 0.5, "dt": 0.01}
+
+
+class TestRunnerPaths:
+    """The experiment paths no shipped config takes, on the hyperbolic disk."""
+
+    @pytest.mark.parametrize("params, name, t_min, n", [
+        (FOLD, "fold_geodesic", -0.5, 101),
+        ({**FOLD, "two_sided": False}, "fold_geodesic", 0.0, 51),
+        ({"target": "table-geodesic", "x0": [0.1, 0.0], "v0": [0.3, 1.0], "T": 0.5, "dt": 0.01},
+         "table_geodesic", 0.0, 51),
+        ({"target": "boundary-geodesic", "x0": [1.0, 0.0], "v0": [0.0, 1.0],
+          "T": 0.5, "dt": 0.01}, "boundary_geodesic", 0.0, 51),
+    ], ids=["fold-two-sided", "fold-one-sided", "table", "boundary"])
+    def test_geodesic_trajectories(self, params, name, t_min, n, tmp_path):
+        cfg = _hyperbolic_disk("trajectory", params)
+        res = runner.run_experiment(cfg, tmp_path / "a")
+        assert res.passed and res.verdict is None
+        assert res.result == {"n_samples": n, "truncated": False, "t_min": t_min, "t_max": 0.5}
+        sample = f"trajectory_{name}.csv"
+        d = len(params["x0"])
+        assert (tmp_path / "a" / sample).read_text().splitlines()[0] == ",".join(
+            ["t", *(f"x_{i + 1}" for i in range(d))])
+        assert len((tmp_path / "a" / sample).read_text().splitlines()) == n + 1
+        assert (tmp_path / "a" / "report.csv").read_text().splitlines()[0] == (
+            "t_min,t_max,n_samples,truncated")
+        runner.run_experiment(cfg, tmp_path / "b")
+        for artifact in ("report.json", "report.csv", sample):
+            assert filecmp.cmp(tmp_path / "a" / artifact, tmp_path / "b" / artifact,
+                               shallow=False)
+
+    def test_quasigeodesic_billiard_curve(self, tmp_path):
+        cfg = _hyperbolic_disk("quasigeodesic-check", {
+            "curve": {"kind": "billiard", "x0": [0.1, 0.0], "v0": [0.3, 1.0], "T": 2.0},
+            "dt": 0.01})
+        res = runner.run_experiment(cfg, tmp_path / "a")
+        assert res.verdict == "pass" and res.passed
+        assert (tmp_path / "a" / "report.csv").read_text().splitlines()[0] == (
+            "reference_index,residual")
+        runner.run_experiment(cfg, tmp_path / "b")
+        for artifact in ("report.json", "report.csv"):
+            assert filecmp.cmp(tmp_path / "a" / artifact, tmp_path / "b" / artifact,
+                               shallow=False)
 
 
 class TestInterface:

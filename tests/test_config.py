@@ -63,15 +63,23 @@ class TestValidate:
             cf.validate_config(raw)
 
     def test_tolerances_must_be_positive(self):
-        raw = {
-            "experiment": "fold-convergence",
-            "table": {"kind": "disk"},
-            "model": {"kind": "euclidean"},
-            "parameters": {"lambdas": [0.5, 0.25], "T": 0.5, "dt": 1e-3,
-                           "tol_conv": -0.1},
+        # every tolerance key of every schema is a positive number
+        bases = {
+            "curvature-scan": ({"lambdas": [0.5, 0.2], "kappa": 0.0}, ("tol",)),
+            "quasigeodesic-check": ({"curve": {"kind": "arc"}, "dt": 0.01}, ("tol",)),
+            "fold-convergence": ({"lambdas": [0.5, 0.25], "T": 0.5, "dt": 1e-3},
+                                 ("tol_conv", "tol_qg")),
+            "boundary-geodesic": ({"angles": [0.5, 0.25], "T": 0.5, "dt": 1e-3}, ("tol_rel",)),
         }
-        with pytest.raises(ConfigError, match="tol_conv"):
+        for experiment, (params, keys) in bases.items():
+            raw = {"experiment": experiment, "table": {"kind": "disk"},
+                   "model": {"kind": "euclidean"}, "parameters": params}
             cf.validate_config(raw)
+            for key in keys:
+                for bad in (0, -1, True, "x"):
+                    with pytest.raises(ConfigError, match=rf"parameters\.{key}: "):
+                        cf.validate_config({**raw, "parameters": {**params, key: bad}})
+                cf.validate_config({**raw, "parameters": {**params, key: 1e-3}})
 
     def test_convergence_lambdas_must_decrease(self):
         raw = {

@@ -15,7 +15,12 @@ import pytest
 from foldbilliards import ambient as am
 from foldbilliards import dynamics as dy
 from foldbilliards import table as tb
-from foldbilliards.errors import InvalidInputError, NumericError, PreconditionError
+from foldbilliards.errors import (
+    BounceAccumulationError,
+    InvalidInputError,
+    NumericError,
+    PreconditionError,
+)
 from foldbilliards.fold import Fold, lift
 
 S2 = np.sqrt(2.0) / 2.0
@@ -858,6 +863,32 @@ class TestBilliard:
         with pytest.raises(PreconditionError):
             dy.billiard_trajectory(disk, m, np.array([1.0, 0.0]),
                                    np.array([1.0, 0.0]), 1.0, 1e-3)
+        # in the table K but outside the patch U
+        with pytest.raises(PreconditionError, match="outside the patch U"):
+            dy.billiard_trajectory(tb.half_space_table(), m, np.array([6.0, 0.0]),
+                                   np.array([1.0, 0.0]), 1.0, 1e-3)
+
+    def test_grazing_contact_continues_and_an_inward_crossing_raises(self):
+        disk, m, xb = tb.disk_table(), am.euclidean(2), np.array([1.0, 0.0])
+        b = dy._bounce(disk, m, 0.5, xb, np.array([0.0, 1.0]))
+        assert b.grazing is True
+        assert (b.w_out == b.w_in).all()
+        with pytest.raises(NumericError, match="inward velocity"):
+            dy._bounce(disk, m, 0.5, xb, np.array([-0.6, 0.8]))
+
+    @pytest.mark.parametrize("model", MODELS2, ids=lambda m: m.kind)
+    def test_tangent_launch_on_the_unit_circle(self, model):
+        # a tangent line leaves the disk at once, so its grazing contacts
+        # pile up at t = 0; the unit circle is a great circle of the
+        # spherical model, which the launch glides along
+        args = (tb.disk_table(), model, np.array([1.0, 0.0]), np.array([0.0, 1.0]), 1.0, 1e-2)
+        if model.kind == "spherical":
+            tr = dy.billiard_trajectory(*args)
+            assert tr.bounces == []
+            assert np.abs(np.linalg.norm(tr.base.points, axis=1) - 1.0).max() <= 1e-12
+        else:
+            with pytest.raises(BounceAccumulationError, match=r"bounces at t = 0\.0 and 0\.0"):
+                dy.billiard_trajectory(*args)
 
     @pytest.mark.parametrize("T, dt, n", [(8.0, 1e-2, 3), (2 * np.pi, np.pi / 50, 2)],
                              ids=["dt=1e-2", "dt=pi/50"])
