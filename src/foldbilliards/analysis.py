@@ -21,14 +21,14 @@ import numpy as np
 
 from . import ambient
 from .ambient import AmbientModel, _dot
-from .errors import ConfigError, InvalidInputError, PreconditionError
+from .errors import InvalidInputError, PreconditionError
 from .table import (
     TableSpec,
     boundary_frame,
     model_on_table,
     _interior_anchor,
 )
-from .fold import Fold, check_h_sufficient_conditions, scan_curvature
+from .fold import Fold, check_grid, check_h_sufficient_conditions, scan_curvature
 from .dynamics import (
     SampledCurve,
     _grid,
@@ -142,7 +142,7 @@ def quasigeodesic_residual(curve: SampledCurve, model: AmbientModel,
     visible = (np.ones(len(candidates), dtype=bool) if table is None
                else _visible(model, table, refs[candidates], pts))
     if not visible.any():
-        raise ConfigError("no admissible reference points (all rejected or blocked)")
+        raise PreconditionError("no admissible reference points (all rejected or blocked)")
     per_point = np.concatenate(worst)[visible]
     k = int(per_point.argmax())
     max_residual = float(per_point[k])
@@ -188,7 +188,7 @@ def reference_points_for_table(table: TableSpec, model: AmbientModel,
     draws = np.asarray(table.region.center, dtype=float) + table.region.radius * draws
     points.extend(draws[admissible(draws)][:total - len(points)])
     if not points:
-        raise ConfigError("found no interior reference points")
+        raise PreconditionError("found no interior reference points")
     return np.array(points)
 
 
@@ -200,7 +200,7 @@ def sup_distance(a: SampledCurve, b: SampledCurve, model: AmbientModel) -> float
     """Uniform distance over identical time grids."""
     ta, tb = np.asarray(a.times), np.asarray(b.times)
     if ta.shape != tb.shape or np.abs(ta - tb).max() > 1e-9:
-        raise ConfigError("sup_distance needs identical time grids")
+        raise InvalidInputError("sup_distance needs identical time grids")
     return float(ambient.distance_rowwise(model, a.points, b.points).max())
 
 
@@ -371,15 +371,10 @@ def fold_convergence_experiment(table: TableSpec, model: AmbientModel,
     workers is accepted for compatibility and has no effect: each lam is one
     batched integration of both sides.
     """
-    if lambdas is None:
-        lambdas = [2.0 ** -k for k in range(1, 9)]
-    lambdas = [float(l) for l in lambdas]
     if not T > 0:
         raise InvalidInputError(f"T must be positive (got {T})")
-    if any(not 0 < l < 1 for l in lambdas):
-        raise ConfigError("lambda values must lie in (0, 1)")
-    if sorted(lambdas, reverse=True) != lambdas:
-        raise ConfigError("lambda values must be strictly decreasing")
+    lambdas = check_grid([2.0 ** -k for k in range(1, 9)] if lambdas is None else lambdas,
+                         0.0, 1.0, name="lambdas")
     model_H = model_on_table(table, model)
     model_amb = AmbientModel(model.kind, table.n + 1)
     if kappa is None:
@@ -462,13 +457,8 @@ def boundary_geodesic_experiment(table: TableSpec, model: AmbientModel,
     alongside.  The expected column is the flat sagitta 1 - cos(theta),
     exact for the unit disk in the Euclidean model.
     """
-    if angles is None:
-        angles = [0.2 / 2 ** k for k in range(6)]
-    angles = [float(t) for t in angles]
-    if any(not 0 < t < np.pi / 2 for t in angles):
-        raise ConfigError("incidence angles must lie in (0, pi/2)")
-    if sorted(angles, reverse=True) != angles:
-        raise ConfigError("incidence angles must be strictly decreasing")
+    angles = check_grid([0.2 / 2 ** k for k in range(6)] if angles is None else angles,
+                        0.0, np.pi / 2, name="angles")
     if not T > 0:
         raise InvalidInputError(f"T must be positive (got {T})")
     conv = check_h_sufficient_conditions(table, ambient.euclidean(table.n + 1))

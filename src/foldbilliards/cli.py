@@ -1,8 +1,10 @@
 """Command-line front end: run experiment configs, list builtins.
 
 Exit codes: 0 when the experiment passes or has no pass/fail verdict,
-1 when a verdict experiment fails or is inconclusive, 2 on config errors,
-3 on numerical/geometric failures inside a run.
+1 when a verdict experiment fails or is inconclusive, 2 when the config
+file alone is wrong (it is checked in full before anything runs), 3 on a
+numerical or geometric failure inside a run, including a precondition that
+only the run can test (no admissible reference point, no sample point).
 """
 
 from __future__ import annotations
@@ -82,9 +84,6 @@ def main(argv=None) -> int:
 
     try:
         rr = run_experiment(cfg, Path(out_dir))
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
     except GeometryError as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 3

@@ -1,15 +1,17 @@
 """JSON experiment configs with schema validation.
 
 A config names one experiment over one (table, model) pair plus numeric
-parameters.  Validation is strict: unknown keys are rejected with their
-full path, tolerances must be positive, and dimensions must be consistent,
-so a config error never surfaces as a numerics error mid-run.
+parameters, each checked against one declarative schema.  Validation is
+strict: unknown keys are rejected with their full path, numbers must be
+finite, tolerances positive and dimensions consistent, so a config error
+never surfaces as a numerics error mid-run.
 """
 
 from __future__ import annotations
 
 import inspect
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -18,7 +20,8 @@ import numpy as np
 
 from . import runner
 from .ambient import AmbientModel, MODEL_KINDS
-from .errors import ConfigError
+from .errors import ConfigError, InvalidInputError
+from .fold import check_grid
 from .table import BUILTIN_TABLES, PolynomialShape, Region, TableSpec
 
 CURVE_KINDS = ("arc", "corner", "convex-kink", "billiard")
@@ -45,88 +48,121 @@ class ExperimentConfig:
 
 
 # --------------------------------------------------------------------------
-# validation helpers: every failure carries the key path; optional keys
-# that are absent validate to None
+# schemas: key -> (kind, bound, required), checked by _check in this order
+# after the unknown and the missing keys; every failure carries the key path.
+# The bound of a number is an exclusive minimum, of an integer an inclusive
+# one, of a vector its length ("n": the table's), of a grid the (lo, hi,
+# decreasing) of fold.check_grid, of a string its choices, of an object or
+# of a list of terms the schema of its entries.  Numbers are finite; a path
+# is a string or null.  The defaults of optional parameters live in the
+# signatures of the library functions the runners forward them to.
 
 
 def _fail(path: str, msg: str):
     raise ConfigError(f"{path}: {msg}")
 
 
-def _check_keys(d: dict, path: str, required: tuple, optional: tuple):
+def _is_number(x) -> bool:
+    return not isinstance(x, bool) and isinstance(x, (int, float))
+
+
+def _finite(x) -> bool:
+    # False for NaN, the infinities and integers beyond the float range
+    return abs(x) <= sys.float_info.max
+
+
+def _number(v, path: str):
+    if not _is_number(v):
+        _fail(path, "expected a number")
+    if not _finite(v):
+        _fail(path, "must be finite")
+
+
+def _vector(v, path: str, length=None):
+    if not isinstance(v, list) or not v:
+        _fail(path, "expected a nonempty list of numbers")
+    for i, x in enumerate(v):
+        _number(x, f"{path}[{i}]")
+    if length is not None and len(v) != length:
+        _fail(path, f"expected exactly {length} entries")
+
+
+def _check_value(v, path: str, kind: str, bound, n):
+    if kind == "number":
+        _number(v, path)
+        if bound is not None and not v > bound:
+            _fail(path, f"must be > {bound}")
+    elif kind == "integer":
+        if isinstance(v, bool) or not isinstance(v, int):
+            _fail(path, "expected an integer")
+        if v < bound:
+            _fail(path, f"must be >= {bound}")
+    elif kind == "vector":
+        _vector(v, path, n if bound == "n" else bound)
+    elif kind == "grid":
+        _vector(v, path)
+        try:
+            check_grid(v, *bound, name=path)
+        except InvalidInputError as e:
+            raise ConfigError(str(e)) from None
+    elif kind == "points":
+        if not isinstance(v, list) or not v:
+            _fail(path, "expected a nonempty list of points")
+        for i, x in enumerate(v):
+            if (not isinstance(x, list) or len(x) != n
+                    or not all(_is_number(c) and _finite(c) for c in x)):
+                _fail(f"{path}[{i}]", f"expected a point of dimension {n}")
+    elif kind == "exponents":
+        if (not isinstance(v, list) or len(v) != n
+                or any(isinstance(e, bool) or not isinstance(e, int) or e < 0 for e in v)):
+            _fail(path, f"expected {n} nonnegative integers")
+    elif kind == "string" or kind == "path" and v is not None:
+        if not isinstance(v, str):
+            _fail(path, "expected a string")
+        if bound is not None and v not in bound:
+            _fail(path, f"must be one of {list(bound)}")
+    elif kind == "bool" and not isinstance(v, bool):
+        _fail(path, "expected a boolean")
+    elif kind == "object":
+        if bound is not None:
+            _check(v, path, bound, n)
+        elif not isinstance(v, dict):
+            _fail(path, "expected an object")
+    elif kind == "terms":
+        if not isinstance(v, list) or not v:
+            _fail(path, "expected a nonempty list of terms")
+        for i, t in enumerate(v):
+            _check(t, f"{path}[{i}]", bound, n)
+
+
+def _check(d, path: str, schema: dict, n=None) -> None:
     if not isinstance(d, dict):
         _fail(path, "expected an object")
     for k in d:
-        if k not in required and k not in optional:
+        if k not in schema:
             _fail(f"{path}.{k}", "unknown key")
-    for k in required:
-        if k not in d:
+    for k, (_, _, required) in schema.items():
+        if required and k not in d:
             _fail(path, f"missing required key '{k}'")
+    for k, (kind, bound, _) in schema.items():
+        if k in d:
+            _check_value(d[k], f"{path}.{k}", kind, bound, n)
 
 
-def _present(d, key, path, optional) -> bool:
-    if key in d:
-        return True
-    if not optional:
-        _fail(path, f"missing required key '{key}'")
-    return False
-
-
-def _number(d, key, path, positive=False, optional=False):
-    if not _present(d, key, path, optional):
-        return None
-    v = d[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        _fail(f"{path}.{key}", "expected a number")
-    if positive and not v > 0:
-        _fail(f"{path}.{key}", "must be > 0")
-    return float(v)
-
-
-def _integer(d, key, path, minimum=None, optional=False):
-    if not _present(d, key, path, optional):
-        return None
-    v = d[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        _fail(f"{path}.{key}", "expected an integer")
-    if minimum is not None and v < minimum:
-        _fail(f"{path}.{key}", f"must be >= {minimum}")
-    return v
-
-
-def _string(d, key, path, choices=None, optional=False):
-    if not _present(d, key, path, optional):
-        return None
-    v = d[key]
-    if not isinstance(v, str):
-        _fail(f"{path}.{key}", "expected a string")
-    if choices is not None and v not in choices:
-        _fail(f"{path}.{key}", f"must be one of {list(choices)}")
-    return v
-
-
-def _number_list(d, key, path, length=None, positive=False, optional=False):
-    if not _present(d, key, path, optional):
-        return None
-    v = d[key]
-    if not isinstance(v, list) or not v:
-        _fail(f"{path}.{key}", "expected a nonempty list of numbers")
-    out = []
-    for i, x in enumerate(v):
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            _fail(f"{path}.{key}[{i}]", "expected a number")
-        if positive and not x > 0:
-            _fail(f"{path}.{key}[{i}]", "must be > 0")
-        out.append(float(x))
-    if length is not None and len(out) != length:
-        _fail(f"{path}.{key}", f"expected exactly {length} entries")
-    return out
-
-
-def _decreasing(vals, path):
-    if any(vals[i + 1] >= vals[i] for i in range(len(vals) - 1)):
-        _fail(path, "values must be strictly decreasing")
-    return vals
+_POSITIVE = ("number", 0, False)
+_STEPS = {"T": ("number", 0, True), "dt": ("number", 0, True)}
+_LAMBDAS = ("grid", (0.0, np.inf, False), True)
+_CURVE = {"kind": ("string", CURVE_KINDS, True)}
+_BILLIARD_CURVE = {**_CURVE, "x0": ("vector", "n", True), "v0": ("vector", "n", True),
+                   "T": ("number", 0, True)}
+_TABLE_OPTIONS = {"n": ("integer", 1, False), "radius_U": _POSITIVE}
+_POLYNOMIAL = {
+    "kind": ("string", None, True), "n": ("integer", 1, True),
+    "terms": ("terms", {"exponents": ("exponents", None, True),
+                        "coefficient": ("number", None, True)}, True),
+    "region": ("object", {"center": ("vector", "n", True), "radius": ("number", 0, True)}, True),
+    "p0": ("vector", "n", True), "name": ("string", None, False)}
+_MODEL = {"kind": ("string", MODEL_KINDS, True), "dim": ("integer", 2, False)}
 
 
 # --------------------------------------------------------------------------
@@ -134,169 +170,84 @@ def _decreasing(vals, path):
 
 
 def _build_table(d: dict, path: str = "table") -> TableSpec:
-    kind = _string(d, "kind", path, choices=(*BUILTIN_TABLES, "polynomial"))
-    if kind == "polynomial":
-        _check_keys(d, path, ("kind", "n", "terms", "region", "p0"), ("name",))
-        n = _integer(d, "n", path, minimum=1)
-        terms_raw = d["terms"]
-        if not isinstance(terms_raw, list) or not terms_raw:
-            _fail(f"{path}.terms", "expected a nonempty list of terms")
+    if "kind" not in d:
+        _fail(path, "missing required key 'kind'")
+    _check_value(d["kind"], f"{path}.kind", "string", (*BUILTIN_TABLES, "polynomial"), None)
+    if d["kind"] == "polynomial":
+        # n is checked before the keys whose length it sets
+        n = d.get("n")
+        _check(d, path, _POLYNOMIAL, n)
         terms = {}
-        for i, t in enumerate(terms_raw):
-            tp = f"{path}.terms[{i}]"
-            _check_keys(t, tp, ("exponents", "coefficient"), ())
-            exps = t["exponents"]
-            if (not isinstance(exps, list) or len(exps) != n
-                    or any(isinstance(e, bool) or not isinstance(e, int) or e < 0 for e in exps)):
-                _fail(f"{tp}.exponents", f"expected {n} nonnegative integers")
-            coeff = _number(t, "coefficient", tp)
-            terms[tuple(exps)] = terms.get(tuple(exps), 0.0) + coeff
-        rp = f"{path}.region"
-        _check_keys(d["region"], rp, ("center", "radius"), ())
-        center = _number_list(d["region"], "center", rp, length=n)
-        radius = _number(d["region"], "radius", rp, positive=True)
-        p0 = _number_list(d, "p0", path, length=n)
-        _string(d, "name", path, optional=True)
+        for t in d["terms"]:
+            exps = tuple(t["exponents"])
+            terms[exps] = terms.get(exps, 0.0) + float(t["coefficient"])
         try:
             return TableSpec(n=n, shape=PolynomialShape(terms=tuple(terms.items())),
-                             region=Region(center=tuple(center), radius=radius),
-                             p0=tuple(p0), name=d.get("name", "custom-polynomial"))
+                             region=Region(center=tuple(map(float, d["region"]["center"])),
+                                           radius=float(d["region"]["radius"])),
+                             p0=tuple(map(float, d["p0"])), name=d.get("name", "custom-polynomial"))
         except Exception as e:
             _fail(path, f"invalid table: {e}")
-    build = BUILTIN_TABLES[kind].build
+    build = BUILTIN_TABLES[d["kind"]].build
     # a builtin kind takes exactly the keyword options of its builder
-    _check_keys(d, path, ("kind",), tuple(inspect.signature(build).parameters))
-    options = {"n": _integer(d, "n", path, minimum=1, optional=True),
-               "radius_U": _number(d, "radius_U", path, positive=True, optional=True)}
+    options = {k: _TABLE_OPTIONS[k] for k in inspect.signature(build).parameters}
+    _check(d, path, {"kind": ("string", None, True), **options})
     try:
-        return build(**{k: v for k, v in options.items() if v is not None})
+        return build(**{k: d[k] for k in options if k in d})
     except Exception as e:
         _fail(path, f"invalid table: {e}")
 
 
 def _build_model(d: dict, n: int, path: str = "model") -> AmbientModel:
-    _check_keys(d, path, ("kind",), ("dim",))
-    kind = _string(d, "kind", path, choices=MODEL_KINDS)
-    _integer(d, "dim", path, minimum=2, optional=True)
+    _check(d, path, _MODEL)
     dim = d.get("dim", n + 1)
     if dim != n + 1:
         _fail(f"{path}.dim", f"ambient dimension must be table n + 1 = {n + 1}")
-    return AmbientModel(kind, dim)
+    return AmbientModel(d["kind"], dim)
 
 
 # --------------------------------------------------------------------------
-# per-experiment parameter schemas; the defaults of optional keys live in
-# the signatures of the library functions the runners forward them to
+# rules that span keys, checked after the schema of the parameters
 
 
-def _needs_boundary_tangent(n: int):
+def _tangent_launch(p: dict, n: int):
     if n < 2:
         _fail("table.n", "this experiment launches along a boundary tangent and needs n >= 2")
 
 
-def _validate_scan(p: dict, path: str, n: int):
-    _check_keys(p, path, ("lambdas", "kappa"),
-                ("n_grid", "n_random_planes", "tol"))
-    _number_list(p, "lambdas", path, positive=True)
-    _number(p, "kappa", path)
-    _integer(p, "n_grid", path, minimum=2, optional=True)
-    _integer(p, "n_random_planes", path, minimum=0, optional=True)
-    _number(p, "tol", path, positive=True, optional=True)
+def _fold_convergence_rules(p: dict, n: int):
+    _tangent_launch(p, n)
+    if "direction" in p and p["direction"][1] <= 0:
+        _fail("parameters.direction", "vertical component must be positive")
 
 
-def _validate_hausdorff(p: dict, path: str, n: int):
-    _check_keys(p, path, ("lambdas",), ("n_grid",))
-    _number_list(p, "lambdas", path, positive=True)
-    _integer(p, "n_grid", path, minimum=3, optional=True)
+def _moving(v0, path: str):
+    if not any(v0):
+        _fail(path, "a launch velocity must not be the zero vector")
 
 
-def _validate_fold_convergence(p: dict, path: str, n: int):
-    _needs_boundary_tangent(n)
-    _check_keys(p, path, ("lambdas", "T", "dt"),
-                ("direction", "kappa", "tol_conv", "tol_qg", "p0",
-                 "scan_grid", "scan_planes"))
-    lams = _number_list(p, "lambdas", path, positive=True)
-    if any(l >= 1 for l in lams):
-        _fail(f"{path}.lambdas", "values must lie in (0, 1)")
-    _decreasing(lams, f"{path}.lambdas")
-    _number(p, "T", path, positive=True)
-    _number(p, "dt", path, positive=True)
-    d = _number_list(p, "direction", path, length=2, optional=True)
-    if d is not None and d[1] <= 0:
-        _fail(f"{path}.direction", "vertical component must be positive")
-    _number(p, "tol_conv", path, positive=True, optional=True)
-    _number(p, "tol_qg", path, positive=True, optional=True)
-    _number(p, "kappa", path, optional=True)
-    _number_list(p, "p0", path, length=n, optional=True)
-    _integer(p, "scan_grid", path, minimum=2, optional=True)
-    _integer(p, "scan_planes", path, minimum=0, optional=True)
-
-
-def _validate_boundary_geodesic(p: dict, path: str, n: int):
-    _needs_boundary_tangent(n)
-    _check_keys(p, path, ("angles", "T", "dt"),
-                ("tol_rel", "p0", "ref_refine", "extend"))
-    angs = _number_list(p, "angles", path, positive=True)
-    if any(a >= np.pi / 2 for a in angs):
-        _fail(f"{path}.angles", "angles must lie in (0, pi/2)")
-    _decreasing(angs, f"{path}.angles")
-    _number(p, "T", path, positive=True)
-    _number(p, "dt", path, positive=True)
-    _number(p, "tol_rel", path, positive=True, optional=True)
-    _number_list(p, "p0", path, length=n, optional=True)
-    _integer(p, "ref_refine", path, minimum=1, optional=True)
-    _number(p, "extend", path, positive=True, optional=True)
-
-
-def _validate_quasigeodesic(p: dict, path: str, n: int):
-    _check_keys(p, path, ("curve", "dt"),
-                ("kappa", "tol", "reference_points"))
-    _number(p, "dt", path, positive=True)
-    _number(p, "kappa", path, optional=True)
-    _number(p, "tol", path, positive=True, optional=True)
+def _quasigeodesic_rules(p: dict, n: int):
     c = p["curve"]
-    cpath = f"{path}.curve"
-    kind = _string(c, "kind", cpath, choices=CURVE_KINDS)
-    if kind == "billiard":
-        _check_keys(c, cpath, ("kind", "x0", "v0", "T"), ())
-        _number_list(c, "x0", cpath, length=n)
-        if not any(_number_list(c, "v0", cpath, length=n)):
-            _fail(f"{cpath}.v0", "a launch velocity must not be the zero vector")
-        _number(c, "T", cpath, positive=True)
-    else:
-        _check_keys(c, cpath, ("kind",), ())
-        if kind in ("arc", "corner") and n != 2:
-            _fail(cpath, f"'{kind}' is a planar example and needs n = 2")
-    if "reference_points" in p:
-        rps = p["reference_points"]
-        if not isinstance(rps, list) or not rps:
-            _fail(f"{path}.reference_points", "expected a nonempty list of points")
-        for i, rp in enumerate(rps):
-            if (not isinstance(rp, list) or len(rp) != n
-                    or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in rp)):
-                _fail(f"{path}.reference_points[{i}]", f"expected a point of dimension {n}")
-    elif p["curve"]["kind"] == "convex-kink":
-        _fail(path, "'convex-kink' runs in the free plane and needs explicit reference_points")
+    _check(c, "parameters.curve", _BILLIARD_CURVE if c.get("kind") == "billiard" else _CURVE, n)
+    if c["kind"] == "billiard":
+        _moving(c["v0"], "parameters.curve.v0")
+    elif c["kind"] in ("arc", "corner") and n != 2:
+        _fail("parameters.curve", f"'{c['kind']}' is a planar example and needs n = 2")
+    elif c["kind"] == "convex-kink" and "reference_points" not in p:
+        _fail("parameters",
+              "'convex-kink' runs in the free plane and needs explicit reference_points")
 
 
-def _validate_trajectory(p: dict, path: str, n: int):
-    _check_keys(p, path, ("target", "T", "dt", "x0", "v0"),
-                ("lam", "two_sided"))
-    target = _string(p, "target", path, choices=TRAJECTORY_TARGETS)
-    _number(p, "T", path, positive=True)
-    _number(p, "dt", path, positive=True)
-    dim = n + 1 if target == "fold-geodesic" else n
-    _number_list(p, "x0", path, length=dim)
-    if not any(_number_list(p, "v0", path, length=dim)):
-        _fail(f"{path}.v0", "a launch velocity must not be the zero vector")
-    if target == "fold-geodesic":
-        _number(p, "lam", path, positive=True)
-        if "two_sided" in p and not isinstance(p["two_sided"], bool):
-            _fail(f"{path}.two_sided", "expected a boolean")
-    else:
-        for key in ("lam", "two_sided"):
-            if key in p:
-                _fail(f"{path}.{key}", "only meaningful for fold-geodesic targets")
+def _trajectory_rules(p: dict, n: int):
+    fold = p["target"] == "fold-geodesic"
+    for key in ("x0", "v0"):
+        _vector(p[key], f"parameters.{key}", n + fold)
+    _moving(p["v0"], "parameters.v0")
+    if fold and "lam" not in p:
+        _fail("parameters", "missing required key 'lam'")
+    for key in ("lam", "two_sided"):
+        if not fold and key in p:
+            _fail(f"parameters.{key}", "only meaningful for fold-geodesic targets")
 
 
 # --------------------------------------------------------------------------
@@ -305,25 +256,51 @@ def _validate_trajectory(p: dict, path: str, n: int):
 
 @dataclass(frozen=True)
 class Experiment:
-    """One experiment kind: its parameter schema and its runner."""
+    """One experiment kind: its parameter schema, the rules that span its
+    keys and its runner."""
 
-    # (parameters, key path, table n); raises ConfigError
-    validate: Callable[[dict, str, int], None]
+    schema: dict
+    # (parameters, table n); raises ConfigError
+    rules: Callable[[dict, int], None] | None
     # (config, artifact directory) -> (verdict, passed, result, csv header,
     # csv rows, extra artifact names); see runner.py
     run: Callable[[ExperimentConfig, Path], tuple]
 
 
 EXPERIMENTS = {
-    "curvature-scan": Experiment(_validate_scan, runner._run_scan),
-    "hausdorff": Experiment(_validate_hausdorff, runner._run_hausdorff),
-    "fold-convergence": Experiment(_validate_fold_convergence,
-                                   runner._run_fold_convergence),
-    "boundary-geodesic": Experiment(_validate_boundary_geodesic,
-                                    runner._run_boundary_geodesic),
-    "quasigeodesic-check": Experiment(_validate_quasigeodesic, runner._run_quasigeodesic),
-    "trajectory": Experiment(_validate_trajectory, runner._run_trajectory),
+    "curvature-scan": Experiment(
+        {"lambdas": _LAMBDAS, "kappa": ("number", None, True), "n_grid": ("integer", 2, False),
+         "n_random_planes": ("integer", 0, False), "tol": _POSITIVE},
+        None, runner._run_scan),
+    "hausdorff": Experiment({"lambdas": _LAMBDAS, "n_grid": ("integer", 3, False)},
+                            None, runner._run_hausdorff),
+    "fold-convergence": Experiment(
+        {"lambdas": ("grid", (0.0, 1.0, True), True), **_STEPS,
+         "direction": ("vector", 2, False), "kappa": ("number", None, False),
+         "tol_conv": _POSITIVE, "tol_qg": _POSITIVE, "p0": ("vector", "n", False),
+         "scan_grid": ("integer", 2, False), "scan_planes": ("integer", 0, False)},
+        _fold_convergence_rules, runner._run_fold_convergence),
+    "boundary-geodesic": Experiment(
+        {"angles": ("grid", (0.0, np.pi / 2, True), True), **_STEPS, "tol_rel": _POSITIVE,
+         "p0": ("vector", "n", False), "ref_refine": ("integer", 1, False), "extend": _POSITIVE},
+        _tangent_launch, runner._run_boundary_geodesic),
+    "quasigeodesic-check": Experiment(
+        {"curve": ("object", None, True), "dt": ("number", 0, True),
+         "kappa": ("number", None, False), "tol": _POSITIVE,
+         "reference_points": ("points", None, False)},
+        _quasigeodesic_rules, runner._run_quasigeodesic),
+    "trajectory": Experiment(
+        {"target": ("string", TRAJECTORY_TARGETS, True), **_STEPS,
+         "x0": ("vector", None, True), "v0": ("vector", None, True), "lam": _POSITIVE,
+         "two_sided": ("bool", None, False)},
+        _trajectory_rules, runner._run_trajectory),
 }
+_TOP = {"experiment": ("string", EXPERIMENTS, True), "table": ("object", None, True),
+        "model": ("object", None, True), "parameters": ("object", None, True),
+        "seed": ("integer", 0, False),
+        # accepted for older configs and ignored: every run is one process
+        "workers": ("integer", 1, False),
+        "out_dir": ("path", None, False), "description": ("string", None, False)}
 
 
 # --------------------------------------------------------------------------
@@ -331,23 +308,15 @@ EXPERIMENTS = {
 
 
 def validate_config(raw: dict) -> ExperimentConfig:
-    _check_keys(raw, "config",
-                ("experiment", "table", "model", "parameters"), (*_OPTIONAL_TOP_KEYS, "workers"))
-    experiment = _string(raw, "experiment", "config", choices=EXPERIMENTS)
+    _check(raw, "config", _TOP)
     table = _build_table(raw["table"])
     model = _build_model(raw["model"], table.n)
-    params = raw["parameters"]
-    if not isinstance(params, dict):
-        _fail("config.parameters", "expected an object")
-    EXPERIMENTS[experiment].validate(params, "parameters", table.n)
-    _integer(raw, "seed", "config", minimum=0, optional=True)
-    # accepted for older configs and ignored: every run is one process
-    _integer(raw, "workers", "config", minimum=1, optional=True)
-    if raw.get("out_dir") is not None:
-        _string(raw, "out_dir", "config")
-    _string(raw, "description", "config", optional=True)
-    return ExperimentConfig(experiment=experiment, table=table, model=model,
-                            parameters=params, raw=raw,
+    spec = EXPERIMENTS[raw["experiment"]]
+    _check(raw["parameters"], "parameters", spec.schema, table.n)
+    if spec.rules is not None:
+        spec.rules(raw["parameters"], table.n)
+    return ExperimentConfig(experiment=raw["experiment"], table=table, model=model,
+                            parameters=raw["parameters"], raw=raw,
                             **{k: raw[k] for k in _OPTIONAL_TOP_KEYS if k in raw})
 
 

@@ -38,7 +38,7 @@ class BounceAccumulationError(GeometryError):
 
 
 class ConfigError(GeometryError):
-    """Malformed experiment configuration or inconsistent sampled data."""
+    """Malformed experiment configuration, found before anything runs."""
 
 
 class NumericError(GeometryError):

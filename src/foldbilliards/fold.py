@@ -26,7 +26,6 @@ import numpy as np
 from . import ambient
 from .ambient import AmbientModel, _dot, _form
 from .errors import (
-    ConfigError,
     DegeneratePlaneError,
     InvalidInputError,
     OutsideTableError,
@@ -230,6 +229,26 @@ class CurvatureScanReport:
         return d
 
 
+def check_grid(values, lo: float, hi: float, decreasing: bool = True,
+               name: str = "values") -> list[float]:
+    """values as floats when they are a nonempty list of finite numbers in
+    the open interval (lo, hi), strictly decreasing if asked; else
+    InvalidInputError naming the list, or the entry at fault."""
+    out = [float(v) for v in values]
+    if not out:
+        raise InvalidInputError(f"{name}: expected a nonempty list of numbers")
+    for i, v in enumerate(out):
+        if not np.isfinite(v):
+            raise InvalidInputError(f"{name}[{i}]: must be finite")
+        if not v > lo:
+            raise InvalidInputError(f"{name}[{i}]: must be > {lo:g}")
+    if any(not v < hi for v in out):
+        raise InvalidInputError(f"{name}: values must lie in ({lo:g}, {hi:g})")
+    if decreasing and any(b >= a for a, b in zip(out, out[1:])):
+        raise InvalidInputError(f"{name}: values must be strictly decreasing")
+    return out
+
+
 def _lattice(table: TableSpec, n_grid: int) -> np.ndarray:
     """The n_grid^n lattice over the bounding box of the patch, centered on
     it, as rows in C order, restricted to the patch."""
@@ -250,7 +269,7 @@ def sample_table_points(table: TableSpec, n_grid: int, seed: int = 0) -> np.ndar
     try:
         bpts = sample_boundary_points(table, ambient.AmbientModel("euclidean", table.n + 1),
                                       N_EDGE_POINTS, seed=seed)
-    except ConfigError:
+    except PreconditionError:
         bpts = np.empty((0, table.n))
     df = table.grad_f(bpts)
     nrm = np.sqrt(_dot(df, df))
@@ -261,7 +280,7 @@ def sample_table_points(table: TableSpec, n_grid: int, seed: int = 0) -> np.ndar
     pts.append(near[table.region.contains(near) & (table.f(near) > EDGE_EXCLUSION_F)])
     out = np.concatenate(pts, axis=0)
     if len(out) == 0:
-        raise ConfigError("no sample points found in K n U")
+        raise PreconditionError("no sample points found in K n U")
     return out
 
 
@@ -325,9 +344,7 @@ def scan_curvature(table: TableSpec, model: AmbientModel, lambdas, kappa: float,
     interior of K n U; behavior at the edge dU is reported as unverified.
     Each lam is one batch: all its frames and planes are evaluated at once.
     """
-    lambdas = [float(l) for l in lambdas]
-    if not lambdas or any(l <= 0 for l in lambdas):
-        raise ConfigError("lambda grid must be nonempty and positive")
+    lambdas = check_grid(lambdas, 0.0, np.inf, decreasing=False, name="lambdas")
     points = sample_table_points(table, n_grid, seed=seed)
     results = [_scan_one_lambda(Fold(table, model, l), points, n_random_planes, seed)
                for l in lambdas]
@@ -417,7 +434,7 @@ def _hausdorff_samples(fold: Fold, n_grid: int):
     f = table.f(lattice)
     tbl, fvals = lattice[f >= 0.0], f[f >= 0.0]
     if len(tbl) == 0:
-        raise ConfigError("empty table sample; patch and table do not intersect")
+        raise PreconditionError("empty table sample; patch and table do not intersect")
     z = fold.lam * np.sqrt(np.maximum(fvals, 0.0))
     table_pts = np.concatenate([tbl, np.zeros((len(tbl), 1))], axis=1)
     fold_pts = np.concatenate([

@@ -16,7 +16,6 @@ import numpy as np
 from . import ambient
 from .ambient import AmbientModel, _dot, _form, _identity
 from .errors import (
-    ConfigError,
     DegenerateBoundaryError,
     InvalidInputError,
     NumericError,
@@ -464,7 +463,7 @@ def sample_boundary_points(table: TableSpec, model: AmbientModel, k: int,
     g = table.grad_f(x0)
     pts = x0[~(np.abs(table.f(x0)) > ON_BOUNDARY_TOL) & ~(np.sqrt(_dot(g, g)) < 1e-6)]
     if len(pts) < k:
-        raise ConfigError(f"found only {len(pts)} boundary points after {max_tries} tries")
+        raise PreconditionError(f"found only {len(pts)} boundary points after {max_tries} tries")
     return pts[:k]
 
 
@@ -475,7 +474,7 @@ def _interior_anchor(table: TableSpec, model: AmbientModel) -> np.ndarray:
         x = table.p0_array + step * frame.nu
         if table.region.contains(x) and table.f(x) > 0:
             return x
-    raise ConfigError("no interior anchor found near p0")
+    raise PreconditionError("no interior anchor found near p0")
 
 
 def reflection_iff_polar_check(table: TableSpec, model: AmbientModel,

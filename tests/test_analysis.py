@@ -15,7 +15,7 @@ from foldbilliards import analysis as an
 from foldbilliards import dynamics as dy
 from foldbilliards import table as tb
 from foldbilliards.dynamics import SampledCurve
-from foldbilliards.errors import ConfigError, InvalidInputError, PreconditionError
+from foldbilliards.errors import InvalidInputError, PreconditionError
 from foldbilliards.fold import Fold
 
 DT = 1e-3
@@ -142,7 +142,7 @@ class TestQuasigeodesicResidual:
 
     def test_on_curve_reference_is_rejected(self, disk, m2):
         c = arc_curve()
-        with pytest.raises(ConfigError):
+        with pytest.raises(PreconditionError, match="no admissible reference points"):
             an.quasigeodesic_residual(c, m2, disk, 0.0, c.points[[100]])
 
     def test_invisible_reference_is_rejected(self, m2):
@@ -152,7 +152,7 @@ class TestQuasigeodesicResidual:
         ts = np.arange(0, 0.1 + DT / 2, DT)
         pts = np.stack([-0.6 + ts, np.full_like(ts, 0.2)], 1)
         c = SampledCurve(times=ts, points=pts)
-        with pytest.raises(ConfigError):
+        with pytest.raises(PreconditionError, match="no admissible reference points"):
             an.quasigeodesic_residual(c, m2, parab, 0.0, np.array([[0.6, 0.2]]))
         rep = an.quasigeodesic_residual(
             c, m2, parab, 0.0, np.array([[0.6, 0.2], [-0.8, 0.3]]))
@@ -196,12 +196,12 @@ class TestQuasigeodesicResidual:
             for p in refs:
                 try:
                     an.quasigeodesic_residual(curve, model, None, kappa, p[None])
-                except ConfigError:
+                except PreconditionError:
                     rejected += 1
                     continue
                 try:
                     rep = an.quasigeodesic_residual(curve, model, parab, kappa, p[None])
-                except ConfigError:
+                except PreconditionError:
                     blocked += 1
                     continue
                 used.append(rep)
@@ -248,7 +248,7 @@ class TestSupDistance:
     def test_mismatched_grids_rejected(self, m2):
         c = arc_curve()
         short = SampledCurve(times=c.times[:-1], points=c.points[:-1])
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidInputError, match="identical time grids"):
             an.sup_distance(c, short, m2)
 
 
@@ -395,12 +395,16 @@ class TestFoldConvergence:
         assert rep.verdict == "inconclusive"
 
     def test_lambda_grid_validation(self, disk):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidInputError, match="strictly decreasing"):
             an.fold_convergence_experiment(disk, am.euclidean(3),
                                            lambdas=[0.25, 0.5], T=0.2, dt=DT)
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidInputError, match=r"lambdas: values must lie in \(0, 1\)"):
             an.fold_convergence_experiment(disk, am.euclidean(3),
                                            lambdas=[1.5, 0.5], T=0.2, dt=DT)
+        # a repeated value is not strictly decreasing
+        with pytest.raises(InvalidInputError, match="strictly decreasing"):
+            an.fold_convergence_experiment(disk, am.euclidean(3),
+                                           lambdas=[0.5, 0.5], T=0.2, dt=DT)
 
     def test_direction_must_enter_the_fold(self, disk):
         with pytest.raises(InvalidInputError):
@@ -487,11 +491,15 @@ class TestBoundaryGeodesic:
                                             angles=[0.1], T=0.3, dt=DT)
 
     def test_angle_grid_validation(self, disk, m2):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidInputError, match="strictly decreasing"):
             an.boundary_geodesic_experiment(disk, m2, angles=[0.1, 0.2],
                                             T=0.5, dt=DT)
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidInputError, match="angles: values must lie in"):
             an.boundary_geodesic_experiment(disk, m2, angles=[2.0],
+                                            T=0.5, dt=DT)
+        # a repeated value is not strictly decreasing
+        with pytest.raises(InvalidInputError, match="strictly decreasing"):
+            an.boundary_geodesic_experiment(disk, m2, angles=[0.2, 0.2],
                                             T=0.5, dt=DT)
 
 

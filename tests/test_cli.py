@@ -127,6 +127,20 @@ class TestErrorExits:
         assert cli_main(["run", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
         assert "parameters.v0" in capsys.readouterr().err
 
+    def test_run_time_precondition_exits_3(self, tmp_path, capsys):
+        # the config is well formed, but its only reference point lies on
+        # the arc, which only the run can tell
+        cfg = tmp_path / "on-arc.json"
+        cfg.write_text(json.dumps({
+            "experiment": "quasigeodesic-check",
+            "table": {"kind": "disk"},
+            "model": {"kind": "euclidean"},
+            "parameters": {"curve": {"kind": "arc"}, "dt": 0.01,
+                           "reference_points": [[1.0, 0.0]]},
+        }))
+        assert cli_main(["run", str(cfg), "--out-dir", str(tmp_path / "o")]) == 3
+        assert "PreconditionError: no admissible reference points" in capsys.readouterr().err
+
     def test_geometry_failure_exits_3(self, tmp_path):
         # nonconvex table rejected by the boundary-geodesic precondition
         bad = tmp_path / "nonconvex.json"

@@ -1,10 +1,13 @@
 """Tests for config parsing and schema validation."""
 
+import inspect
 import json
 
 import pytest
 
+from foldbilliards import analysis as an
 from foldbilliards import config as cf
+from foldbilliards import fold as fd
 from foldbilliards.errors import ConfigError
 
 
@@ -218,9 +221,40 @@ class TestValidate:
         raw["table"] = {"kind": "spherical-halfspace"}
         assert cf.validate_config(raw).table.n == 3
 
+    @pytest.mark.parametrize("raw, path", [
+        (scan_config(kappa=float("nan")), r"parameters\.kappa"),
+        (scan_config(kappa=-10**400), r"parameters\.kappa"),
+        (scan_config(lambdas=[float("inf")]), r"parameters\.lambdas\[0\]"),
+        ({"experiment": "hausdorff", "table": {"kind": "disk"}, "model": {"kind": "euclidean"},
+          "parameters": {"lambdas": [0.5, float("inf")]}}, r"parameters\.lambdas\[1\]"),
+        ({"experiment": "trajectory", "table": {"kind": "disk"}, "model": {"kind": "euclidean"},
+          "parameters": {"target": "billiard", "x0": [float("nan"), 0.0], "v0": [0.0, 1.0],
+                         "T": 1.0, "dt": 0.01}}, r"parameters\.x0\[0\]"),
+    ], ids=["scan-kappa", "scan-kappa-beyond-float", "scan-lambdas", "hausdorff-lambdas",
+            "trajectory-x0"])
+    def test_non_finite_numbers_rejected(self, tmp_path, raw, path):
+        # the json module reads and writes NaN, Infinity and integers of any size
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError, match=rf"^{path}: must be finite$"):
+            cf.load_config(p)
+
     def test_non_dict_input_rejected(self):
         with pytest.raises(ConfigError):
             cf.validate_config([1, 2, 3])
+
+
+@pytest.mark.parametrize("experiment, function, not_forwarded", [
+    ("curvature-scan", fd.scan_curvature, set()),
+    ("hausdorff", fd.hausdorff_distance, {"lambdas"}),
+    ("fold-convergence", an.fold_convergence_experiment, set()),
+    ("boundary-geodesic", an.boundary_geodesic_experiment, set()),
+])
+def test_schema_keys_are_parameters_of_the_library_function(experiment, function, not_forwarded):
+    # the runners forward the parameters as keywords: a schema key that the
+    # function does not take would pass validation and fail mid-run
+    keys = set(cf.EXPERIMENTS[experiment].schema) - not_forwarded
+    assert keys and keys <= set(inspect.signature(function).parameters)
 
 
 class TestLoad:

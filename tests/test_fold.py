@@ -17,9 +17,9 @@ from hypothesis import given, strategies as st
 from foldbilliards import ambient as am
 from foldbilliards import fold as fd
 from foldbilliards import table as tb
-from foldbilliards.errors import (ConfigError, DegeneratePlaneError,
-                                  InvalidInputError, OutsideTableError,
-                                  PreconditionError, SingularPointError)
+from foldbilliards.errors import (DegeneratePlaneError, InvalidInputError,
+                                  OutsideTableError, PreconditionError,
+                                  SingularPointError)
 
 
 def xi_defect(lam, x):
@@ -352,8 +352,23 @@ class TestScan:
         assert a.to_dict() == b.to_dict()
 
     def test_empty_lambda_grid_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidInputError, match="lambdas: expected a nonempty list"):
             fd.scan_curvature(tb.disk_table(), am.euclidean(3), [], 0.0)
+
+    @pytest.mark.parametrize("values, message", [
+        ([0.5, float("nan")], r"^x\[1\]: must be finite$"),
+        ([0.5, float("inf")], r"^x\[1\]: must be finite$"),
+        ([0.5, 0.0], r"^x\[1\]: must be > 0$"),
+        ([1.0, 0.5], r"^x: values must lie in \(0, 1\)$"),
+        ([0.5, 0.5], r"^x: values must be strictly decreasing$"),
+    ])
+    def test_grid_rule(self, values, message):
+        with pytest.raises(InvalidInputError, match=message):
+            fd.check_grid(values, 0.0, 1.0, name="x")
+
+    def test_grid_rule_returns_floats(self):
+        assert fd.check_grid((1, 0.5), 0.0, 2.0) == [1.0, 0.5]
+        assert fd.check_grid([0.5, 3], 0.0, np.inf, decreasing=False) == [0.5, 3.0]
 
 
 class TestSufficientConditions:

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from foldbilliards import ambient as am
 from foldbilliards import table as tb
-from foldbilliards.errors import ConfigError, InvalidInputError, PreconditionError
+from foldbilliards.errors import InvalidInputError, PreconditionError
 
 S2 = np.sqrt(2.0) / 2.0
 
@@ -347,7 +347,7 @@ def sample_boundary_points_one_ray_at_a_time(table, model, k, seed=0, max_tries=
             continue
         pts.append(x0)
     if len(pts) < k:
-        raise ConfigError(f"found only {len(pts)} boundary points after {tries} tries")
+        raise PreconditionError(f"found only {len(pts)} boundary points after {tries} tries")
     return np.array(pts)
 
 
@@ -372,10 +372,10 @@ class TestSampling:
             pts = tb.sample_boundary_points(table, model, 5, seed=seed)
             assert pts.shape == ref.shape and np.array_equal(pts, ref)
         for max_tries in (1, 4):
-            with pytest.raises(ConfigError) as want:
+            with pytest.raises(PreconditionError) as want:
                 sample_boundary_points_one_ray_at_a_time(table, model, 5, seed=2,
                                                          max_tries=max_tries)
-            with pytest.raises(ConfigError, match=f"^{want.value}$"):
+            with pytest.raises(PreconditionError, match=f"^{want.value}$"):
                 tb.sample_boundary_points(table, model, 5, seed=2, max_tries=max_tries)
 
     def test_reflection_iff_polar_counts(self):
