@@ -59,6 +59,7 @@ from .fold import (
     scan_curvature,
     check_h_sufficient_conditions,
     hausdorff_distance,
+    hausdorff_table,
 )
 from .dynamics import (
     SampledCurve,
@@ -104,6 +105,7 @@ __all__ = [
     "scan_curvature",
     "check_h_sufficient_conditions",
     "hausdorff_distance",
+    "hausdorff_table",
     "SampledCurve",
     "BilliardTrajectory",
     "integrate_fold_geodesic",

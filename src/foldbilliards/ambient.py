@@ -63,10 +63,12 @@ def _all_finite(x: np.ndarray) -> bool:
     return all(map(math.isfinite, x.tolist())) if x.ndim == 1 else bool(np.isfinite(x).all())
 
 
-# Batched products over the last axes.  Stacked matmul runs the same BLAS
-# kernel per row as the 1-D ``@`` of a single point, so a batch and a loop of
-# single-point calls give bit-identical results; einsum and sum() reductions
-# do not.
+# Batched products over the last axes.  A batch and a loop of single-point
+# calls give bit-identical results in two ways: stacked matmul, which runs the
+# same BLAS kernel per row as the 1-D ``@`` of a single point (_dot, _form),
+# and elementwise products summed one coordinate at a time in a fixed order,
+# with no BLAS call (_coordinate_sum, fold._coordinate_dot).  einsum and sum()
+# reductions do not.
 def _dot(u, v):
     """u . v, as ``u @ v`` row by row."""
     return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
@@ -412,13 +414,16 @@ def _row_chunks(rows: np.ndarray, n_cols: int) -> Iterator[np.ndarray]:
         yield rows[lo:lo + step]
 
 
-def _balls(model: AmbientModel, X: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The rows of X (at least one) in _cells of NEAR_CELL points, as
-    (perm, starts, cell, centers, radius): perm and starts from _cells, the
-    cell of each entry of perm, and per cell the member nearest to its
-    coordinate mean as center and the largest distance from the center to a
-    member as radius."""
-    perm, starts = _cells(X, NEAR_CELL)
+def _balls(model: AmbientModel, X: np.ndarray, cells=None) -> tuple[np.ndarray, ...]:
+    """The rows of X (at least one) in cells, as (perm, starts, cell,
+    centers, radius): perm and starts, the cell of each entry of perm, and
+    per cell the member nearest to its coordinate mean as center and the
+    largest distance from the center to a member as radius.  cells is
+    (perm, starts) of nonempty cells in the layout of _cells, by default
+    _cells of NEAR_CELL points; a caller whose points follow a split it has
+    already made, as the fold samples of hausdorff_distance follow the
+    table's, passes that one.  Any split keeps a search exact."""
+    perm, starts = _cells(X, NEAR_CELL) if cells is None else cells
     sizes = np.diff(starts, append=len(X))
     cell = np.repeat(np.arange(len(starts)), sizes)
     Xp = X[perm]

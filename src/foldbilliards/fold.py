@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import ambient
-from .ambient import AmbientModel, _dot, _form
+from .ambient import AmbientModel, _dot
 from .errors import (
     DegeneratePlaneError,
     InvalidInputError,
@@ -168,17 +168,32 @@ def second_fundamental_form(fold: Fold, q, v, w) -> float:
     return float(np.asarray(v) @ frame.hessian @ np.asarray(w) / frame.grad_norm)
 
 
+def _coordinate_dot(u, v):
+    """sum_k u[k] v[k] over the first axis (v may be any iterable), as one
+    product and one sum per coordinate in order, like
+    ambient._coordinate_sum: no BLAS call, so one point rounds as its row
+    of a batch does."""
+    terms = (uk * vk for uk, vk in zip(u, v))
+    out = next(terms)
+    for term in terms:
+        out += term
+    return out
+
+
 def _gauss_equation(h, kappa_ambient: float, a, b):
     """Sectional curvatures of the planes span{a . t, b . t}, for coefficient
-    vectors a, b of shape (..., n) in a g-orthonormal tangent basis t with
-    second fundamental form h, and their Gram determinants; h broadcasts
-    against a and b."""
-    ab = _dot(a, b)
-    gram = _dot(a, a) * _dot(b, b) - ab * ab
-    ha = (h @ a[..., None])[..., 0]
-    haa = _dot(a, ha)
-    hab = _dot(b, ha)
-    hbb = _form(b, h, b)
+    vectors a, b of shape (n, ...), coordinate axis first, in a
+    g-orthonormal tangent basis t with second fundamental form h of shape
+    (..., n, n), and their Gram determinants; h broadcasts against a[0] and
+    b[0].  The dots and the products h a and h b are formed one coordinate
+    at a time (_coordinate_dot), so a point of the scan and the same point
+    in sectional_curvature get the same bits."""
+    h = np.moveaxis(h, (-2, -1), (0, 1))
+    ab = _coordinate_dot(a, b)
+    gram = _coordinate_dot(a, a) * _coordinate_dot(b, b) - ab * ab
+    hbb = _coordinate_dot(b, (_coordinate_dot(row, b) for row in h))
+    ha = [_coordinate_dot(row, a) for row in h]
+    haa, hab = _coordinate_dot(a, ha), _coordinate_dot(b, ha)
     with np.errstate(divide="ignore", invalid="ignore"):
         return kappa_ambient + (haa * hbb - hab * hab) / gram, gram
 
@@ -313,10 +328,11 @@ def _scan_one_lambda(fold: Fold, points: np.ndarray, n_random_planes: int,
         b = b - _dot(b, a)[..., None] * a
         nb = np.sqrt(_dot(b, b))
         b = b / nb[..., None]
+    # coefficient vectors with the coordinate axis first, (n, frames, planes)
     i, j = np.triu_indices(n, 1)
-    basis = np.broadcast_to(np.eye(n), (len(q), n, n))
-    v = np.concatenate([basis[:, i], a], axis=1)
-    w = np.concatenate([basis[:, j], b], axis=1)
+    basis = np.broadcast_to(np.eye(n)[:, None], (n, len(q), n))
+    v = np.concatenate([basis[..., i], np.moveaxis(a, -1, 0)], axis=2)
+    w = np.concatenate([basis[..., j], np.moveaxis(b, -1, 0)], axis=2)
     planes = np.concatenate([np.ones((len(q), len(i)), dtype=bool), ~(nb < 1e-8)], axis=1)
 
     sec, gram = _gauss_equation(frame.h[ok][:, None], fold.model.kappa, v, w)
@@ -329,7 +345,7 @@ def _scan_one_lambda(fold: Fold, points: np.ndarray, n_random_planes: int,
     if not best < np.inf:
         return best, None, None, n_eval, n_skip
     k, p = np.unravel_index(np.argmin(sec), sec.shape)
-    return best, q[k], np.array([v[k, p], w[k, p]]) @ tangent[k], n_eval, n_skip
+    return best, q[k], np.array([v[:, k, p], w[:, k, p]]) @ tangent[k], n_eval, n_skip
 
 
 def scan_curvature(table: TableSpec, model: AmbientModel, lambdas, kappa: float,
@@ -421,12 +437,25 @@ class HausdorffResult:
         return self.d_max * self.lam * self.c_model
 
 
-def _hausdorff_samples(fold: Fold, n_grid: int):
-    """Fold and table sample points of hausdorff_distance, f on the table
-    samples, and the footpoint of each fold sample: the index of the table
-    sample below it.  The first len(table_pts) fold samples are the upper
-    lifts of the table samples, in their order."""
-    table = fold.table
+@dataclass(eq=False, frozen=True)
+class HausdorffTable:
+    """The table side of hausdorff_distance, which no lam changes: the table
+    samples of a table, model and n_grid, f on them, their bounding balls
+    (ambient._balls) and the largest eigenvalue of the metric over them.
+    hausdorff_table builds it; a run over several lam builds it once."""
+
+    table: TableSpec
+    model: AmbientModel
+    n_grid: int
+    points: np.ndarray      # (N, n + 1): the lattice points of K n U, at z = 0
+    fvals: np.ndarray       # (N,): f at them, all >= 0
+    balls: tuple
+    eig_max: float
+
+
+def _table_samples(table: TableSpec, n_grid: int) -> tuple[np.ndarray, np.ndarray]:
+    """The table samples of hausdorff_distance, as points (x, 0), and f on
+    them."""
     # the next odd count per axis, or the largest odd one within
     # HAUSDORFF_MAX_POINTS if that is smaller
     n_grid = min(n_grid | 1, (int(HAUSDORFF_MAX_POINTS ** (1.0 / table.n)) - 1) | 1)
@@ -435,8 +464,35 @@ def _hausdorff_samples(fold: Fold, n_grid: int):
     tbl, fvals = lattice[f >= 0.0], f[f >= 0.0]
     if len(tbl) == 0:
         raise PreconditionError("empty table sample; patch and table do not intersect")
+    return np.concatenate([tbl, np.zeros((len(tbl), 1))], axis=1), fvals
+
+
+def _eig_max(model: AmbientModel, X: np.ndarray) -> float:
+    """The largest eigenvalue of the metric over the rows of X."""
+    gs = ambient.metric_many(model, X)
+    # the euclidean and spherical metrics are c I, with largest eigenvalue c
+    return (np.linalg.eigvalsh(gs)[:, -1] if model.kind == "hyperbolic" else gs[:, 0, 0]).max()
+
+
+def hausdorff_table(table: TableSpec, model: AmbientModel, n_grid: int = 121) -> HausdorffTable:
+    """The table side of hausdorff_distance for the folds of table in model
+    at n_grid, for any lam."""
+    points, fvals = _table_samples(table, n_grid)
+    return HausdorffTable(table=table, model=model, n_grid=n_grid, points=points, fvals=fvals,
+                          balls=ambient._balls(model, points), eig_max=_eig_max(model, points))
+
+
+def _hausdorff_samples(fold: Fold, n_grid: int, side: HausdorffTable | None = None):
+    """Fold and table sample points of hausdorff_distance, f on the table
+    samples, and the footpoint of each fold sample: the index of the table
+    sample below it.  The first len(table_pts) fold samples are the upper
+    lifts of the table samples, in their order, and the lower lifts of those
+    with z > 0 follow.  side, if given, is the HausdorffTable of the fold's
+    table, model and n_grid, whose samples are used."""
+    table_pts, fvals = (_table_samples(fold.table, n_grid) if side is None
+                        else (side.points, side.fvals))
+    tbl = table_pts[:, :-1]
     z = fold.lam * np.sqrt(np.maximum(fvals, 0.0))
-    table_pts = np.concatenate([tbl, np.zeros((len(tbl), 1))], axis=1)
     fold_pts = np.concatenate([
         np.concatenate([tbl, z[:, None]], axis=1),
         np.concatenate([tbl[z > 0], -z[z > 0, None]], axis=1),
@@ -445,7 +501,25 @@ def _hausdorff_samples(fold: Fold, n_grid: int):
     return fold_pts, table_pts, fvals, foot
 
 
-def hausdorff_distance(fold: Fold, n_grid: int = 121) -> HausdorffResult:
+def _lifted_cells(perm: np.ndarray, starts: np.ndarray,
+                  foot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The fold samples in cells that follow the split (perm, starts) of the
+    table samples: the upper lifts of each table cell form one cell, and its
+    lower lifts, if any, another; all upper cells come first.  foot is that
+    of _hausdorff_samples.  Returns (perm, starts) over the fold samples, as
+    ambient._cells does."""
+    n = len(perm)
+    lower = np.full(n, -1)
+    lower[foot[n:]] = np.arange(n, len(foot))
+    low = lower[perm]
+    has = low >= 0
+    counts = np.add.reduceat(has.astype(int), starts)
+    first = n + np.cumsum(counts) - counts
+    return np.concatenate([perm, low[has]]), np.concatenate([starts, first[counts > 0]])
+
+
+def hausdorff_distance(fold: Fold, n_grid: int = 121,
+                       table_side: HausdorffTable | None = None) -> HausdorffResult:
     """Estimate both one-sided Hausdorff distances between the fold and
     K n U (as subsets of the ambient model) on matching lattice grids.
 
@@ -462,18 +536,24 @@ def hausdorff_distance(fold: Fold, n_grid: int = 121) -> HausdorffResult:
     cannot raise it and is skipped, so most of the N x M pairs are never
     evaluated; the sups equal those of the full distance matrix, and memory
     stays bounded by ambient.BLOCK_BYTES.
-    """
-    fold_pts, table_pts, fvals, foot = _hausdorff_samples(fold, n_grid)
-    model = fold.model
-    fold_balls, table_balls = ambient._balls(model, fold_pts), ambient._balls(model, table_pts)
-    sup_fold = ambient._nearest_sup(model, fold_pts, table_pts, pair=foot,
-                                    balls=(fold_balls, table_balls))
-    sup_table = ambient._nearest_sup(model, table_pts, fold_pts, pair=np.arange(len(table_pts)),
-                                     balls=(table_balls, fold_balls))
 
-    gs = ambient.metric_many(model, np.concatenate([fold_pts, table_pts]))
-    # the euclidean and spherical metrics are c I, with largest eigenvalue c
-    eig_max = (np.linalg.eigvalsh(gs)[:, -1] if model.kind == "hyperbolic" else gs[:, 0, 0]).max()
+    The table side (samples, balls, metric) does not depend on lam:
+    table_side, from hausdorff_table(fold.table, fold.model, n_grid), lets a
+    family of folds share it, and without it the call builds its own.  The
+    fold samples are split along the table's cells (_lifted_cells), so
+    no lam splits a sample set.
+    """
+    side = hausdorff_table(fold.table, fold.model, n_grid) if table_side is None else table_side
+    if (side.table, side.model, side.n_grid) != (fold.table, fold.model, n_grid):
+        raise InvalidInputError("table_side was built for another table, model or n_grid")
+    fold_pts, table_pts, fvals, foot = _hausdorff_samples(fold, n_grid, side)
+    model = fold.model
+    fold_balls = ambient._balls(model, fold_pts, cells=_lifted_cells(*side.balls[:2], foot))
+    sup_fold = ambient._nearest_sup(model, fold_pts, table_pts, pair=foot,
+                                    balls=(fold_balls, side.balls))
+    sup_table = ambient._nearest_sup(model, table_pts, fold_pts, pair=np.arange(len(table_pts)),
+                                     balls=(side.balls, fold_balls))
+    eig_max = max(_eig_max(model, fold_pts), side.eig_max)
     return HausdorffResult(
         lam=fold.lam, sup_fold_to_table=sup_fold, sup_table_to_fold=sup_table,
         d_max=float(np.sqrt(fvals.max())), c_model=float(np.sqrt(eig_max)),

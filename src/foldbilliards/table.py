@@ -32,6 +32,8 @@ POLAR_TOL = 1e-9
 POLAR_PERTURBATION = 1e-3
 # Tangent vectors with normal component >= -CONE_TOL count as cone members.
 CONE_TOL = 1e-10
+# Rays per block of sample_boundary_points.
+BOUNDARY_BLOCK = 128
 
 
 class Shape:
@@ -104,6 +106,16 @@ class ParabolaComplementShape(Shape):
         return h
 
 
+def _power_groups(exps: np.ndarray) -> tuple[tuple[int, int, np.ndarray], ...]:
+    """(k, p, terms) for each coordinate k and power p >= 1, in that order,
+    where terms indexes the exponent rows of exps (all axes but the last
+    flattened) whose k-th entry is p."""
+    e = exps.reshape(-1, exps.shape[-1])
+    groups = ((k, p, np.flatnonzero(e[:, k] == p))
+              for k in range(e.shape[1]) for p in range(1, e.max() + 1))
+    return tuple(g for g in groups if len(g[2]))
+
+
 @dataclass(frozen=True)
 class PolynomialShape(Shape):
     """f as a finite sum of monomials: terms ((e_1, ..., e_n), coeff).
@@ -130,21 +142,24 @@ class PolynomialShape(Shape):
         for name, value in (("_exps", exps), ("_coef", coef), ("_c1", c1), ("_c2", c2),
                             ("_d1", np.maximum(d1, 0)), ("_d2", np.maximum(d2, 0))):
             object.__setattr__(self, name, value)
+        for name, e in (("_g0", exps), ("_g1", self._d1), ("_g2", self._d2)):
+            object.__setattr__(self, name, _power_groups(e))
 
-    def _sum(self, coef, exps, x):
+    def _sum(self, coef, groups, x):
         """sum_t coef[t] x^exps[t], term by term in order, with shape
-        coef.shape[1:] + x.shape[:-1].  Each monomial is a product in
-        coordinate order of powers x_k^1 = x_k, x_k^(p+1) = x_k^p x_k; the
-        exact factors x_k^0 = 1 are left out."""
-        powers = [[1.0, xk] for xk in np.moveaxis(x, -1, 0)]
-        for row in powers:
-            for _ in range(self._exps.max() - 1):
-                row.append(row[-1] * row[1])
-        mono = np.ones(exps.shape[:-1] + x.shape[:-1])
-        for idx in np.ndindex(exps.shape[:-1]):
-            for k, p in enumerate(exps[idx]):
-                if p:
-                    mono[idx] *= powers[k][p]
+        coef.shape[1:] + x.shape[:-1], for the _power_groups of exps.  Each
+        monomial is a product in coordinate order of powers x_k^1 = x_k,
+        x_k^(p+1) = x_k^p x_k: one step per group multiplies x_k^p into
+        every monomial that holds it.  The exact factors x_k^0 = 1 are left
+        out."""
+        xs = np.moveaxis(x, -1, 0)
+        powers = [None, xs]
+        for _ in range(self._exps.max() - 1):
+            powers.append(powers[-1] * xs)
+        mono = np.ones(coef.shape + x.shape[:-1])
+        rows = mono.reshape((-1,) + x.shape[:-1])
+        for k, p, terms in groups:
+            rows[terms] *= powers[p][k]
         coef = coef.reshape(coef.shape + (1,) * (x.ndim - 1))
         out = coef[0] * mono[0]
         for c, m in zip(coef[1:], mono[1:]):
@@ -152,13 +167,13 @@ class PolynomialShape(Shape):
         return out
 
     def f(self, x):
-        return self._sum(self._coef, self._exps, x)
+        return self._sum(self._coef, self._g0, x)
 
     def grad(self, x):
-        return np.moveaxis(self._sum(self._c1, self._d1, x), 0, -1)
+        return np.moveaxis(self._sum(self._c1, self._g1, x), 0, -1)
 
     def hess(self, x):
-        return np.moveaxis(self._sum(self._c2, self._d2, x), (0, 1), (-2, -1))
+        return np.moveaxis(self._sum(self._c2, self._g2, x), (0, 1), (-2, -1))
 
 
 @dataclass(frozen=True)
@@ -435,14 +450,29 @@ def sample_boundary_points(table: TableSpec, model: AmbientModel, k: int,
     """k boundary points found by bisecting f along random rays inside U:
     of max_tries rays from an interior anchor, the first k in draw order
     whose march (steps of 0.05) meets f < 0 before it leaves U and whose
-    bisection ends on a regular boundary point.  All rays march and bisect
-    at once."""
+    bisection ends on a regular boundary point.  The rays march and bisect
+    in draw-order blocks of BOUNDARY_BLOCK, and no block starts once k
+    points are found."""
     rng = np.random.default_rng(seed)
     anchor = _interior_anchor(table, model)
     d = rng.normal(size=(max_tries, table.n))
     d /= np.sqrt(_dot(d, d))[:, None]
-    lo, hi = np.zeros(max_tries), np.full(max_tries, np.nan)
-    live = np.arange(max_tries)
+    pts = np.empty((0, table.n))
+    for start in range(0, max_tries, BOUNDARY_BLOCK):
+        if len(pts) >= k:
+            break
+        pts = np.concatenate([pts, _boundary_hits(table, anchor, d[start:start + BOUNDARY_BLOCK])])
+    if len(pts) < k:
+        raise PreconditionError(f"found only {len(pts)} boundary points after {max_tries} tries")
+    return pts[:k]
+
+
+def _boundary_hits(table: TableSpec, anchor: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The regular boundary points that sample_boundary_points finds along
+    the unit rays anchor + t d, in the order of d; all rays march and bisect
+    at once."""
+    lo, hi = np.zeros(len(d)), np.full(len(d), np.nan)
+    live = np.arange(len(d))
     t = 0.05
     while t < 2.0 * table.region.radius and len(live):
         x = anchor + t * d[live]
@@ -461,10 +491,7 @@ def sample_boundary_points(table: TableSpec, model: AmbientModel, k: int,
         lo, hi = np.where(neg, lo, mid), np.where(neg, mid, hi)
     x0 = anchor + (0.5 * (lo + hi))[:, None] * d
     g = table.grad_f(x0)
-    pts = x0[~(np.abs(table.f(x0)) > ON_BOUNDARY_TOL) & ~(np.sqrt(_dot(g, g)) < 1e-6)]
-    if len(pts) < k:
-        raise PreconditionError(f"found only {len(pts)} boundary points after {max_tries} tries")
-    return pts[:k]
+    return x0[~(np.abs(table.f(x0)) > ON_BOUNDARY_TOL) & ~(np.sqrt(_dot(g, g)) < 1e-6)]
 
 
 def _interior_anchor(table: TableSpec, model: AmbientModel) -> np.ndarray:

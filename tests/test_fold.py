@@ -6,6 +6,7 @@ sphere as the disk fold at thickness 1, and the rational curvature defect of
 the spherical half-space family.
 """
 
+import dataclasses
 import math
 import tracemalloc
 from unittest import mock
@@ -15,7 +16,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from foldbilliards import ambient as am
+from foldbilliards import config as cf
 from foldbilliards import fold as fd
+from foldbilliards import runner
 from foldbilliards import table as tb
 from foldbilliards.errors import (DegeneratePlaneError, InvalidInputError,
                                   OutsideTableError, PreconditionError,
@@ -207,6 +210,14 @@ def _reference_frames(fold, points):
                 yield None
 
 
+def _dot_in_order(u, v):
+    """u . v of two vectors as Python floats, coordinate by coordinate."""
+    out = float(u[0]) * float(v[0])
+    for uk, vk in zip(u[1:].tolist(), v[1:].tolist()):
+        out += uk * vk
+    return out
+
+
 def _reference_scan_one_lambda(fold, points, n_random_planes, seed):
     """Point-by-point scan loop in tangent coordinates, kept as the
     reference for the batched scan."""
@@ -230,14 +241,16 @@ def _reference_scan_one_lambda(fold, points, n_random_planes, seed):
                 continue
             planes.append((a, b / nb))
         for a, b in planes:
-            ab = a @ b
-            gram = (a @ a) * (b @ b) - ab * ab
+            ab = _dot_in_order(a, b)
+            gram = _dot_in_order(a, a) * _dot_in_order(b, b) - ab * ab
             if gram < 1e-12:
                 n_skip += 1
                 continue
-            ha = frame.h @ a
-            hab = b @ ha
-            sec = float(fold.model.kappa + ((a @ ha) * (b @ frame.h @ b) - hab * hab) / gram)
+            ha = np.array([_dot_in_order(row, a) for row in frame.h])
+            hb = np.array([_dot_in_order(row, b) for row in frame.h])
+            hab = _dot_in_order(b, ha)
+            sec = float(fold.model.kappa
+                        + (_dot_in_order(a, ha) * _dot_in_order(b, hb) - hab * hab) / gram)
             n_eval += 1
             if sec < best:
                 best, best_q, best_plane = sec, q, np.array([a, b]) @ frame.tangent_basis
@@ -321,6 +334,18 @@ class TestScan:
             witness = fd.sectional_curvature(fold, got[1], *got[2])
             assert abs(witness - got[0]) <= 1e-12 * max(1.0, abs(got[0]))
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_gauss_equation_of_one_point_equals_its_batch_row(self, n):
+        rng = np.random.default_rng([29, n])
+        h = rng.normal(size=(200, n, n))
+        h = 0.5 * (h + h.swapaxes(-1, -2))
+        a, b = rng.normal(size=(2, n, 200, 5))
+        sec, gram = fd._gauss_equation(h[:, None], 0.5, a, b)
+        for i in range(200):
+            for p in range(5):
+                one = fd._gauss_equation(h[i], 0.5, a[:, i, p], b[:, i, p])
+                assert np.shape(one[0]) == () and one[0] == sec[i, p] and one[1] == gram[i, p]
+
     def test_euclidean_disk_certified_nonnegative(self):
         rep = fd.scan_curvature(tb.disk_table(), am.euclidean(3),
                                 [0.9, 0.5, 0.2, 0.05], kappa=0.0, n_grid=12)
@@ -391,6 +416,12 @@ class TestSufficientConditions:
                                              am.spherical(4))
 
 
+def _hausdorff_config(kind, model_kind, lambdas, n_grid):
+    return cf.validate_config({"experiment": "hausdorff", "table": {"kind": kind},
+                               "model": {"kind": model_kind},
+                               "parameters": {"lambdas": lambdas, "n_grid": n_grid}})
+
+
 class TestHausdorff:
     @pytest.mark.parametrize("lam", [0.4, 0.05])
     def test_disk_fold_sits_at_height_lambda(self, lam):
@@ -433,21 +464,58 @@ class TestHausdorff:
         assert hd.sup_fold_to_table == dense.min(axis=1).max()
         assert hd.sup_table_to_fold == dense.min(axis=0).max()
 
-    @pytest.mark.parametrize("table, model", [
-        pytest.param(tb.disk_table(), am.hyperbolic(3), id="hyperbolic"),
-        pytest.param(tb.spherical_halfspace_table(), am.spherical(4), id="spherical"),
+    @pytest.mark.parametrize("kind, model_kind", [
+        pytest.param("disk", "hyperbolic", id="hyperbolic"),
+        pytest.param("spherical-halfspace", "spherical", id="spherical"),
     ])
-    def test_each_sample_set_is_split_once(self, table, model):
-        # both searches share the fold set's and the table set's cells; the
-        # sups are those of two searches that split their own
-        fold = fd.Fold(table, model, 0.2)
-        fold_pts, table_pts, _, foot = fd._hausdorff_samples(fold, 21)
-        own = (am._nearest_sup(model, fold_pts, table_pts, pair=foot),
-               am._nearest_sup(model, table_pts, fold_pts, pair=np.arange(len(table_pts))))
+    def test_each_sample_set_is_split_once(self, kind, model_kind, tmp_path):
+        # a run splits the table samples once; each lambda's fold cells are
+        # the lifts of the table cells, which hold every fold sample once,
+        # and the sups are those of two searches that split their own sets
+        cfg = _hausdorff_config(kind, model_kind, [0.4, 0.2], 21)
+        table, model = cfg.table, cfg.model
         with mock.patch.object(am, "_cells", wraps=am._cells) as cells:
-            hd = fd.hausdorff_distance(fold, n_grid=21)
-        assert cells.call_count == 2
-        assert (hd.sup_fold_to_table, hd.sup_table_to_fold) == own
+            rows = runner.run_experiment(cfg, tmp_path).result["rows"]
+        assert cells.call_count == 1
+        side = fd.hausdorff_table(table, model, 21)
+        table_cell = np.empty(len(side.points), dtype=int)
+        table_cell[side.balls[0]] = side.balls[2]
+        for row in rows:
+            fold = fd.Fold(table, model, row["lam"])
+            fold_pts, table_pts, _, foot = fd._hausdorff_samples(fold, 21)
+            perm, starts = fd._lifted_cells(*side.balls[:2], foot)
+            assert np.array_equal(np.sort(perm), np.arange(len(fold_pts)))
+            sizes = np.diff(starts, append=len(perm))
+            assert starts[0] == 0 and (sizes > 0).all()
+            # a cell is the upper or the lower lifts of members of one table cell
+            for members in np.split(perm, starts[1:]):
+                assert len(set(table_cell[foot[members]])) == 1
+                assert len(set(members >= len(table_pts))) == 1
+            own = (am._nearest_sup(model, fold_pts, table_pts, pair=foot),
+                   am._nearest_sup(model, table_pts, fold_pts, pair=np.arange(len(table_pts))))
+            assert (row["sup_fold_to_table"], row["sup_table_to_fold"]) == own
+
+    @pytest.mark.parametrize("kind, model_kind", [
+        pytest.param("disk", "euclidean", id="euclidean"),
+        pytest.param("disk", "hyperbolic", id="hyperbolic"),
+        pytest.param("spherical-halfspace", "spherical", id="spherical"),
+    ])
+    def test_run_rows_equal_single_lambda_calls(self, kind, model_kind, tmp_path):
+        lambdas = [0.4, 0.1, 0.05]
+        cfg = _hausdorff_config(kind, model_kind, lambdas, 25)
+        table, model = cfg.table, cfg.model
+        rows = runner.run_experiment(cfg, tmp_path).result["rows"]
+        alone = [dataclasses.asdict(fd.hausdorff_distance(fd.Fold(table, model, lam), n_grid=25))
+                 for lam in lambdas]
+        assert [{k: r[k] for k in a} for r, a in zip(rows, alone)] == alone
+
+    def test_table_side_must_match_the_fold(self):
+        side = fd.hausdorff_table(tb.disk_table(), am.euclidean(3), 21)
+        for fold, n_grid in ((fd.Fold(tb.disk_table(), am.hyperbolic(3), 0.2), 21),
+                             (fd.Fold(tb.half_space_table(), am.euclidean(3), 0.2), 21),
+                             (fd.Fold(tb.disk_table(), am.euclidean(3), 0.2), 23)):
+            with pytest.raises(InvalidInputError, match="table_side"):
+                fd.hausdorff_distance(fold, n_grid, side)
 
     def test_hyperbolic_disk_fold_sits_at_asinh_lambda(self):
         # the top of the fold is (0, 0, lambda), at distance asinh(lambda) =

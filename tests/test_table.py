@@ -123,7 +123,47 @@ def _exact_derivative(shape, x, axes):
     return value, scale
 
 
+def _monomial_sum_loop(shape, coef, exps, x):
+    """PolynomialShape._sum as a loop over np.ndindex of the term table:
+    each monomial multiplies its nonzero powers into ones in coordinate
+    order, and the terms are summed in order."""
+    powers = [[1.0, xk] for xk in np.moveaxis(x, -1, 0)]
+    for row in powers:
+        for _ in range(shape._exps.max() - 1):
+            row.append(row[-1] * row[1])
+    mono = np.ones(exps.shape[:-1] + x.shape[:-1])
+    for idx in np.ndindex(exps.shape[:-1]):
+        for k, p in enumerate(exps[idx]):
+            if p:
+                mono[idx] *= powers[k][p]
+    coef = coef.reshape(coef.shape + (1,) * (x.ndim - 1))
+    out = coef[0] * mono[0]
+    for c, m in zip(coef[1:], mono[1:]):
+        out = out + c * m
+    return out
+
+
 class TestPolynomialShape:
+    @pytest.mark.parametrize("shape", [
+        *(pytest.param(t.shape, id=t.name) for t in mixed_tables()),
+        pytest.param(tb.spherical_halfspace_table().region.constraints[0][0],
+                     id="spherical-halfspace-strip"),
+        pytest.param(tb.PolynomialShape(terms=(((0, 0), 2.5),)), id="constant"),
+    ])
+    def test_power_groups_equal_the_term_loop(self, shape, rng):
+        n = len(shape.terms[0][0])
+        x = rng.uniform(-3.0, 3.0, (500, n))
+        x[:20] = np.round(x[:20])          # zeros and integers, signed zeros
+        x[:5, 0] = -0.0
+        for got, args in ((shape.f, (shape._coef, shape._exps)),
+                          (shape.grad, (shape._c1, shape._d1)),
+                          (shape.hess, (shape._c2, shape._d2))):
+            want = np.moveaxis(_monomial_sum_loop(shape, *args, x), range(args[0].ndim - 1),
+                               range(-(args[0].ndim - 1), 0))
+            assert got(x).tobytes() == want.tobytes()
+            for row, point in enumerate(x[:40]):
+                assert got(point).tobytes() == want[row].tobytes()
+
     def test_squares_are_products(self):
         x = np.random.default_rng(3).uniform(-3.0, 3.0, (100_000, 2))
         square = tb.PolynomialShape(terms=(((2, 0), 1.0),))

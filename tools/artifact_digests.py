@@ -12,7 +12,9 @@ compare another against it:
 
 With ``--compare`` only the lines that differ are printed, as
 ``<config> <artifact> <saved> -> <now>`` (``absent`` for a line on one side
-only), and the exit status is 1 on any difference.
+only), and the exit status is 1 on any difference.  ``--out-dir DIR`` keeps
+the artifacts in ``DIR/<config>`` instead of a temporary directory, so that
+two checkouts' reports can be diffed.
 """
 
 from __future__ import annotations
@@ -56,9 +58,14 @@ if __name__ == "__main__":
         description="Print the sha256 of every shipped config's artifacts.")
     parser.add_argument("--compare", type=Path, metavar="FILE",
                         help="print only the lines that differ from a saved output; exit 1 on any")
+    parser.add_argument("--out-dir", type=Path, metavar="DIR",
+                        help="keep the artifacts in DIR/<config> instead of a temporary directory")
     args = parser.parse_args()
-    with tempfile.TemporaryDirectory() as tmp:
-        lines = digests(Path(tmp))
+    if args.out_dir is not None:
+        lines = digests(args.out_dir)
+    else:
+        with tempfile.TemporaryDirectory() as tmp:
+            lines = digests(Path(tmp))
     if args.compare is None:
         print("\n".join(lines))
     else:
