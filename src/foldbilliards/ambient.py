@@ -211,8 +211,11 @@ def christoffel(model: AmbientModel, x) -> np.ndarray:
         return -(x[..., :, None, None] * g[..., None, :, :])
     c = -2.0 / (1.0 + _dot(x, x))
     eye = _identity(d)
-    a = np.einsum("ki,...j->...kij", eye, x)
-    return c[..., None, None, None] * (a + a.swapaxes(-1, -2) - x[..., :, None, None] * eye)
+    # the two product terms contiguous, so the sum walks no strided view
+    out = np.einsum("ki,...j->...kij", eye, x) + np.einsum("kj,...i->...kij", eye, x)
+    out -= x[..., :, None, None] * eye
+    out *= c[..., None, None, None]
+    return out
 
 
 def christoffel_quadratic(model: AmbientModel, x: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -332,11 +335,12 @@ def _coordinate_sum(p, q, plus: bool = False) -> np.ndarray:
     return acc
 
 
-def _guard(x, lo: float, hi: float):
-    """x clipped to [lo, hi]; NumericError beyond CLAMP_SLACK of roundoff."""
+def _guard(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """The array x clipped to [lo, hi] in place; NumericError beyond
+    CLAMP_SLACK of roundoff."""
     if np.any((x < lo - CLAMP_SLACK) | (x > hi + CLAMP_SLACK)):
         raise NumericError(f"argument outside [{lo}, {hi}] beyond slack {CLAMP_SLACK}")
-    return np.clip(x, lo, hi)
+    return np.clip(x, lo, hi, out=x)
 
 
 def distance(model: AmbientModel, p, q):
@@ -354,16 +358,26 @@ def distance(model: AmbientModel, p, q):
 
 
 def _chord_distance(model: AmbientModel, p: np.ndarray, q: np.ndarray):
-    """The chord forms of distance on float arrays whose batches broadcast."""
-    e2 = _coordinate_sum(p, q)
+    """The chord forms of distance on float arrays whose batches broadcast.
+    The curved forms run in place on the buffers of _coordinate_sum, so a
+    grid holds at most a few output-sized arrays at once."""
     if model.kind == "euclidean":
-        return np.sqrt(e2)
+        return np.sqrt(_coordinate_sum(p, q))
     p2, q2 = (_coordinate_sum(x, np.zeros(model.dim)) for x in (p, q))
     if model.kind == "hyperbolic":
-        dz = _coordinate_sum(p, q, plus=True) / (np.sqrt(1.0 + p2) + np.sqrt(1.0 + q2))
-        return 2.0 * np.arcsinh(0.5 * np.sqrt(_guard(e2 - dz * dz, 0.0, np.inf)))
-    half = np.sqrt(e2 / ((1.0 + p2) * (1.0 + q2)))
-    return 2.0 * np.arcsin(_guard(half, 0.0, 1.0))
+        # dz first, so that e2 is not yet held while dz's sum holds its temporaries
+        dz = _coordinate_sum(p, q, plus=True)
+        dz /= np.sqrt(1.0 + p2) + np.sqrt(1.0 + q2)
+        e2 = _coordinate_sum(p, q)
+        dz *= dz
+        np.subtract(e2, dz, out=dz)
+        np.sqrt(_guard(dz, 0.0, np.inf), out=dz)
+        dz *= 0.5
+        return 2.0 * np.arcsinh(dz, out=dz)
+    e2 = _coordinate_sum(p, q)
+    e2 /= (1.0 + p2) * (1.0 + q2)
+    np.sqrt(e2, out=e2)
+    return 2.0 * np.arcsin(_guard(e2, 0.0, 1.0), out=e2)
 
 
 def distance_rowwise(model: AmbientModel, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -428,7 +442,10 @@ def _balls(model: AmbientModel, X: np.ndarray, cells=None) -> tuple[np.ndarray, 
     cell = np.repeat(np.arange(len(starts)), sizes)
     Xp = X[perm]
     off = Xp - (np.add.reduceat(Xp, starts) / sizes[:, None])[cell]
-    centers = perm[np.lexsort((_dot(off, off), cell))[starts]]
+    # per cell, the first entry in perm order at the least squared offset
+    r2 = _dot(off, off)
+    hit = r2 == np.minimum.reduceat(r2, starts)[cell]
+    centers = perm[np.minimum.reduceat(np.where(hit, np.arange(len(X)), len(X)), starts)]
     radius = np.maximum.reduceat(distance(model, Xp, X[centers][cell]), starts)
     return perm, starts, cell, centers, radius
 
@@ -460,13 +477,11 @@ def _nearest_sup(model: AmbientModel, Q: np.ndarray, R: np.ndarray,
     if balls is None:
         balls = (_cells(Q, NEAR_CELL), _balls(model, R))
     (qperm, qstarts, *_), (perm, _, cell, centers, radius) = balls
-    queries = np.split(qperm, qstarts[1:])
-    upper = np.full(len(Q), np.inf)
-    if pair is not None:
-        upper = distance(model, Q, R[pair])
-        queries.sort(key=lambda rows: -upper[rows].max())
+    upper = np.full(len(Q), np.inf) if pair is None else distance(model, Q, R[pair])
+    qends = np.append(qstarts[1:], len(qperm))
     sup = -np.inf
-    for rows in queries:
+    for c in np.argsort(-np.maximum.reduceat(upper[qperm], qstarts), kind="stable"):
+        rows = qperm[qstarts[c]:qends[c]]
         rows = rows[upper[rows] > sup]
         if not len(rows):
             continue
@@ -483,6 +498,7 @@ def _nearest_sup(model: AmbientModel, Q: np.ndarray, R: np.ndarray,
             D = distance_cross(model, Q[part], R[cols])
             j = D.argmin(axis=1)
             val = D[np.arange(len(part)), j]
+            del D  # before the next block's matrix is built
             if value is not None:
                 np.minimum(val, value(part, cols[j]), out=val)
             sup = max(sup, float(val.max()))

@@ -316,8 +316,9 @@ def _scan_one_lambda(fold: Fold, points: np.ndarray, n_random_planes: int,
     frame = frame_at(fold, q)
     ok = frame.defined
     n_skip = int(np.count_nonzero(~ok))
-    q = q[ok]
-    tangent = frame.tangent_basis[ok]
+    q, tangent, h = frame.q, frame.tangent_basis, frame.h
+    if n_skip:
+        q, tangent, h = q[ok], tangent[ok], h[ok]
 
     # random planes as orthonormal pairs: near-parallel spans amplify
     # roundoff in the Gauss-equation numerator
@@ -335,7 +336,7 @@ def _scan_one_lambda(fold: Fold, points: np.ndarray, n_random_planes: int,
     w = np.concatenate([basis[..., j], np.moveaxis(b, -1, 0)], axis=2)
     planes = np.concatenate([np.ones((len(q), len(i)), dtype=bool), ~(nb < 1e-8)], axis=1)
 
-    sec, gram = _gauss_equation(frame.h[ok][:, None], fold.model.kappa, v, w)
+    sec, gram = _gauss_equation(h[:, None], fold.model.kappa, v, w)
     flat = gram < 1e-12
     n_skip += int(np.count_nonzero(planes & flat))
     evaluated = planes & ~flat
@@ -468,10 +469,13 @@ def _table_samples(table: TableSpec, n_grid: int) -> tuple[np.ndarray, np.ndarra
 
 
 def _eig_max(model: AmbientModel, X: np.ndarray) -> float:
-    """The largest eigenvalue of the metric over the rows of X."""
-    gs = ambient.metric_many(model, X)
-    # the euclidean and spherical metrics are c I, with largest eigenvalue c
-    return (np.linalg.eigvalsh(gs)[:, -1] if model.kind == "hyperbolic" else gs[:, 0, 0]).max()
+    """The largest eigenvalue of the metric over the rows of X.  The
+    euclidean and spherical metrics are c I, with c falling as |x|^2 grows,
+    so it is c at the row of least |x|^2 (as metric_tensor rounds it)."""
+    if model.kind == "hyperbolic":
+        return np.linalg.eigvalsh(ambient.metric_many(model, X))[:, -1].max()
+    i = np.argmin(_dot(X, X))
+    return ambient.metric_many(model, X[i:i + 1])[0, 0, 0]
 
 
 def hausdorff_table(table: TableSpec, model: AmbientModel, n_grid: int = 121) -> HausdorffTable:

@@ -322,21 +322,23 @@ def _orthonormal_complement(g: np.ndarray, normal: np.ndarray,
 
     Gram-Schmidt in g over the axes, taken in increasing order of
     |alignment| (a vector or covector along the normal), so each basis is
-    deterministic; an axis whose remainder has g-norm below 1e-10 is skipped.
-    One point takes 1-D products in the same order as the batch, with the
-    same bits.
+    deterministic; an axis whose remainder has g-norm below 1e-10 is skipped,
+    and no axis is visited once every basis holds d - 1 vectors.  One point
+    takes 1-D products in the same order as the batch, with the same bits.
     """
     batch, d = normal.shape[:-1], normal.shape[-1]
     if not batch:
         a = np.abs(alignment)
         basis, count = np.zeros((d - 1, d)), 0
         for axis in np.argsort(a / np.sqrt(a @ a)):
+            if count == d - 1:
+                break
             v = _identity(d)[axis]
             v = v - (v @ g @ normal) * normal
             for b in basis[:count]:
                 v = v - (v @ g @ b) * b
             nrm = np.sqrt(np.maximum(v @ g @ v, 0.0))
-            if not nrm < 1e-10 and count < d - 1:
+            if not nrm < 1e-10:
                 basis[count] = v / nrm
                 count += 1
         return basis, np.bool_(count == d - 1)
@@ -348,11 +350,16 @@ def _orthonormal_complement(g: np.ndarray, normal: np.ndarray,
     count = np.zeros(len(normal), dtype=int)
     rows = np.arange(len(normal))
     for axis in order.T:
+        done = count.min(initial=d - 1)
+        if done == d - 1:
+            break
         v = _identity(d)[axis]
         v = v - _form(v, g, normal)[:, None] * normal
-        for k in range(d - 1):
+        # only the vectors some row holds, with no mask where every row does
+        for k in range(count.max(initial=0)):
             b = basis[:, k]
-            v = np.where((k < count)[:, None], v - _form(v, g, b)[:, None] * b, v)
+            proj = v - _form(v, g, b)[:, None] * b
+            v = proj if k < done else np.where((k < count)[:, None], proj, v)
         nrm = np.sqrt(np.maximum(_form(v, g, v), 0.0))
         take = ~(nrm < 1e-10) & (count < d - 1)
         basis[rows[take], count[take]] = v[take] / nrm[take, None]

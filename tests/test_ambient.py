@@ -142,6 +142,21 @@ class TestChristoffel:
             worst = max(worst, diff)
         assert worst < 5e-7
 
+    def test_spherical_equals_the_strided_sum(self):
+        # reference: the transpose term as a strided swapaxes view, summed
+        # and scaled out of place
+        rng = np.random.default_rng(11)
+        for d in (2, 3, 4):
+            X = rng.uniform(-2, 2, (500, d))
+            X[:50] = 0.0
+            X[50:100, 0] = -0.0
+            for x in (X, X[7], X[:1]):
+                c = -2.0 / (1.0 + am._dot(x, x))
+                a = np.einsum("ki,...j->...kij", np.eye(d), x)
+                ref = c[..., None, None, None] * (a + a.swapaxes(-1, -2)
+                                                  - x[..., :, None, None] * np.eye(d))
+                assert am.christoffel(am.spherical(d), x).tobytes() == ref.tobytes()
+
     def test_euclidean_is_flat(self, rng):
         x = rng.uniform(-2, 2, 4)
         assert np.abs(am.christoffel(am.euclidean(4), x)).max() == 0.0
@@ -293,6 +308,42 @@ class TestDistance:
         assert np.allclose(mink, -1.0, atol=1e-9)
 
 
+def _chord_reference(model, p, q):
+    """Reference: the chord forms of distance out of place, one new array a
+    step."""
+    e2 = am._coordinate_sum(p, q)
+    if model.kind == "euclidean":
+        return np.sqrt(e2)
+    p2, q2 = (am._coordinate_sum(x, np.zeros(model.dim)) for x in (p, q))
+    if model.kind == "hyperbolic":
+        dz = am._coordinate_sum(p, q, plus=True) / (np.sqrt(1.0 + p2) + np.sqrt(1.0 + q2))
+        return 2.0 * np.arcsinh(0.5 * np.sqrt(np.clip(e2 - dz * dz, 0.0, np.inf)))
+    half = np.sqrt(e2 / ((1.0 + p2) * (1.0 + q2)))
+    return 2.0 * np.arcsin(np.clip(half, 0.0, 1.0))
+
+
+class TestChordForms:
+    @pytest.mark.parametrize("kind", am.MODEL_KINDS)
+    def test_in_place_forms_keep_their_bits(self, kind):
+        rng = np.random.default_rng(12)
+        model = am.AmbientModel(kind, 3)
+        A = rng.uniform(-2, 2, (400, 3))
+        A[:5] = 0.0
+        # partners: near-coincident rows and random ones, and in the
+        # spherical model antipodal ones, x -> -x / |x|^2, whose arcsin
+        # argument rounds to 1 or above it and is clipped
+        B = A * (1.0 + 1e-15)
+        B[200:] = rng.uniform(-2, 2, (200, 3))
+        if kind == "spherical":
+            B[5:200] = -A[5:200] / am._dot(A[5:200], A[5:200])[:, None]
+        rows = am.distance_rowwise(model, A, B)
+        assert rows.tobytes() == _chord_reference(model, A, B).tobytes()
+        grid = am.distance_cross(model, A[:60], B[::7])
+        assert grid.tobytes() == _chord_reference(model, A[:60, None], B[None, ::7]).tobytes()
+        one = am.distance(model, A[7], B[7])
+        assert type(one) is np.float64 and one == rows[7]
+
+
 def capped_cross(calls):
     """distance_cross that records the shape of every call."""
     cross = am.distance_cross
@@ -384,6 +435,98 @@ class TestNearestSup:
         # reference for its cells, where the dense matrix alone takes 32 caps
         assert peak < 6 * cap + 8 * R.nbytes
         assert peak < 8 * len(Q) * len(R) / 2
+
+    @pytest.mark.parametrize("model", MODELS3, ids=lambda m: m.kind)
+    def test_chord_forms_hold_a_few_outputs(self, model):
+        # as above at 32 rows a call: a chord-form call holds at most three
+        # output-sized arrays at once, and the search little more than one
+        # matrix besides
+        r = np.random.default_rng(8)
+        Q = r.uniform(-1e-3, 1e-3, (am.NEAR_CELL, 3))
+        u = r.normal(size=(4000, 3))
+        R = 2.0 * u / np.linalg.norm(u, axis=1)[:, None]
+        sup = am.distance_cross(model, Q, R).min(axis=1).max()
+        cap = 8 * len(R) * 32
+        with mock.patch.object(am, "BLOCK_BYTES", cap):
+            tracemalloc.start()
+            try:
+                assert am._nearest_sup(model, Q, R) == sup
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < 4 * cap
+
+    @pytest.mark.parametrize("model", MODELS3, ids=lambda m: m.kind)
+    def test_tied_query_cells_keep_their_order(self, model):
+        # queries and their pairs mirrored in x0, so a cell and its mirror
+        # cell tie in their largest pair distance; the cells go highest
+        # first and, among ties, in their given order
+        r = np.random.default_rng(9)
+        H = r.integers(-4, 5, (90, 3)) / 4
+        H[:, 0] = r.integers(1, 5, 90) / 4
+        Q = np.concatenate([H, H * [-1.0, 1.0, 1.0]])
+        step = np.tile(r.integers(1, 4, (len(H), 1)) / 4, (2, 1))
+        R = np.concatenate([Q + step * np.sign(Q[:, :1]) * np.eye(3)[0],
+                            r.uniform(-1.5, 1.5, (50, 3))])
+        pair = np.arange(len(Q))
+        groups = np.array_split(r.permutation(len(H)), 20)
+        cells = [g for g in groups] + [g + len(H) for g in groups]
+        cells = [r.permutation(cells[i]) for i in r.permutation(len(cells))]
+        qperm = np.concatenate(cells)
+        qstarts = np.cumsum([0] + [len(c) for c in cells[:-1]])
+        upper = am.distance(model, Q, R[pair])
+        queries = np.split(qperm, qstarts[1:])
+        tops = [upper[rows].max() for rows in queries]
+        assert len(set(tops)) <= len(tops) // 2
+        queries.sort(key=lambda rows: -upper[rows].max())
+        assert not np.array_equal(np.concatenate(queries), qperm)
+        seen = []
+
+        def record(rows, j):
+            seen.extend(rows)
+            return np.full(len(rows), -np.inf)
+        balls = ((qperm, qstarts), am._balls(model, R))
+        # value -inf keeps the sup at -inf, so no row is skipped
+        assert am._nearest_sup(model, Q, R, pair=pair, value=record, balls=balls) == -np.inf
+        assert np.array_equal(seen, np.concatenate(queries))
+        sup = am.distance_cross(model, Q, R).min(axis=1).max()
+        assert am._nearest_sup(model, Q, R, pair=pair, balls=balls) == sup
+
+
+def _lexsort_centers(X, perm, starts):
+    """Reference: per cell the first member in perm order at the least
+    squared offset from the cell mean, by a lexsort over (cell, offset)."""
+    sizes = np.diff(starts, append=len(X))
+    cell = np.repeat(np.arange(len(starts)), sizes)
+    Xp = X[perm]
+    off = Xp - (np.add.reduceat(Xp, starts) / sizes[:, None])[cell]
+    return perm[np.lexsort((am._dot(off, off), cell))[starts]]
+
+
+class TestBalls:
+    @pytest.mark.parametrize("model", MODELS3, ids=lambda m: m.kind)
+    def test_centers_equal_the_lexsort_pick(self, model):
+        r = np.random.default_rng(10)
+        # cells of the 2d axis neighbours of a lattice point, each at the
+        # same squared offset from their mean, with duplicates and a cell
+        # of one repeated point, in a shuffled perm
+        star = np.concatenate([np.eye(3), -np.eye(3)]) / 4
+        cells = []
+        for c in r.integers(-4, 5, (30, 3)) / 4:
+            pts = c + star[r.permutation(6)[:r.integers(2, 7)]]
+            cells.append(pts[r.integers(0, len(pts), len(pts) + r.integers(0, 4))])
+        cells.append(np.repeat([[0.5, -0.25, 1.0]], 5, axis=0))
+        X = np.concatenate(cells)
+        perm = r.permutation(len(X))
+        X[perm] = X.copy()
+        starts = np.cumsum([0] + [len(c) for c in cells[:-1]])
+        _, _, _, centers, _ = am._balls(model, X, cells=(perm, starts))
+        assert np.array_equal(centers, _lexsort_centers(X, perm, starts))
+        # lattice points with duplicates in the default cells
+        Y = (r.integers(-3, 4, (200, 3)) / 4)[r.integers(0, 200, 300)]
+        with mock.patch.object(am, "NEAR_CELL", 5):
+            perm, starts, _, centers, _ = am._balls(model, Y)
+        assert np.array_equal(centers, _lexsort_centers(Y, perm, starts))
 
 
 class TestComparisonProfile:

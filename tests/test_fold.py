@@ -423,6 +423,23 @@ def _hausdorff_config(kind, model_kind, lambdas, n_grid):
 
 
 class TestHausdorff:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_eig_max_equals_the_largest_metric_eigenvalue(self, d):
+        # the origin, rows tied in |x|^2 (signs and coordinates swapped) and
+        # rows a few ulps apart, where the least |x|^2 decides the value
+        r = np.random.default_rng([13, d])
+        x = r.uniform(-1.0, 1.0, d)
+        X = np.concatenate([r.uniform(-2.0, 2.0, (300, d)), [x, -x, x[::-1], np.zeros(d)],
+                            x * (1.0 + np.arange(1, 6)[:, None] * 2.0**-52)])
+        for rows in (X, X[:-6], X[:300], X[-3:-2], np.concatenate([X[:-6], X[-5:]])):
+            for kind in ("euclidean", "spherical"):
+                model = am.AmbientModel(kind, d)
+                expect = am.metric_many(model, rows)[:, 0, 0].max()
+                assert fd._eig_max(model, rows).tobytes() == expect.tobytes()
+            model = am.hyperbolic(d)
+            expect = np.linalg.eigvalsh(am.metric_many(model, rows))[:, -1].max()
+            assert fd._eig_max(model, rows).tobytes() == expect.tobytes()
+
     @pytest.mark.parametrize("lam", [0.4, 0.05])
     def test_disk_fold_sits_at_height_lambda(self, lam):
         hd = fd.hausdorff_distance(fd.Fold(tb.disk_table(), am.euclidean(3), lam))

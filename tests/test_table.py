@@ -247,8 +247,67 @@ class TestBoundaryFrame:
             tb.boundary_frame(tb.disk_table(), am.euclidean(3), [0.5, 0.0])
 
 
+def _complement_loop(g, normal, alignment):
+    """Reference: the batch Gram-Schmidt that visits every axis and projects
+    against every basis slot under a per-row mask, for (N, d) rows."""
+    d = normal.shape[-1]
+    a = np.abs(alignment)
+    order = np.argsort(a / np.sqrt(am._dot(a, a))[:, None], axis=-1)
+    basis = np.zeros((len(normal), d - 1, d))
+    count = np.zeros(len(normal), dtype=int)
+    rows = np.arange(len(normal))
+    for axis in order.T:
+        v = np.eye(d)[axis]
+        v = v - am._form(v, g, normal)[:, None] * normal
+        for k in range(d - 1):
+            b = basis[:, k]
+            v = np.where((k < count)[:, None], v - am._form(v, g, b)[:, None] * b, v)
+        nrm = np.sqrt(np.maximum(am._form(v, g, v), 0.0))
+        take = ~(nrm < 1e-10) & (count < d - 1)
+        basis[rows[take], count[take]] = v[take] / nrm[take, None]
+        count += take
+    return basis, count == d - 1
+
+
 class TestOrthonormalComplement:
     """One point takes 1-D products; they must give the batch path's bits."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("kind", am.MODEL_KINDS)
+    def test_rows_that_finish_at_different_axes(self, kind, d):
+        # model metrics at random points; most rows take the normal of a
+        # random covector, some a normal along a coordinate axis that the
+        # alignment visits first, so its remainder is roundoff, that axis is
+        # skipped and the row's count lags the others until the last axis
+        rng = np.random.default_rng([72, d, len(kind)])
+        model = am.AmbientModel(kind, d)
+        n = 60
+        g = am.metric_many(model, rng.uniform(-1.5, 1.5, (n, d)))
+        df = rng.normal(size=(n, d))
+        df[rng.random((n, d)) < 0.2] = 0.0
+        alignment = df.copy()
+        for i in range(0, n, 3):
+            axis = rng.integers(d)
+            df[i] = g[i, axis]
+            alignment[i] = 1.0 + rng.random(d)
+            alignment[i, axis] = 0.01
+        df[~df.any(axis=1), 0] = 1.0
+        alignment[~alignment.any(axis=1), 0] = 1.0
+        nu = np.linalg.solve(g, df[..., None])[..., 0]
+        normal = nu / np.sqrt(am._form(nu, g, nu))[:, None]
+        basis, spanned = tb._orthonormal_complement(g, normal, alignment)
+        ref, ref_spanned = _complement_loop(g, normal, alignment)
+        assert basis.tobytes() == ref.tobytes()
+        assert np.array_equal(spanned, ref_spanned) and spanned.all()
+        for i in range(n):
+            one, one_spanned = tb._orthonormal_complement(g[i], normal[i], alignment[i])
+            assert one.tobytes() == basis[i].tobytes() and bool(one_spanned)
+        # the first axis visited is skipped on the axis rows and only there
+        first = np.argsort(np.abs(alignment), axis=-1)[:, 0]
+        v = np.eye(d)[first]
+        v = v - am._form(v, g, normal)[:, None] * normal
+        skipped = np.sqrt(np.maximum(am._form(v, g, v), 0.0)) < 1e-10
+        assert np.array_equal(np.flatnonzero(skipped), np.arange(0, n, 3))
 
     @staticmethod
     def same_as_batch(g, normal, alignment):
