@@ -59,7 +59,6 @@ from .fold import (
     scan_curvature,
     check_h_sufficient_conditions,
     hausdorff_distance,
-    hausdorff_table,
 )
 from .dynamics import (
     SampledCurve,
@@ -105,7 +104,6 @@ __all__ = [
     "scan_curvature",
     "check_h_sufficient_conditions",
     "hausdorff_distance",
-    "hausdorff_table",
     "SampledCurve",
     "BilliardTrajectory",
     "integrate_fold_geodesic",

@@ -438,22 +438,6 @@ class HausdorffResult:
         return self.d_max * self.lam * self.c_model
 
 
-@dataclass(eq=False, frozen=True)
-class HausdorffTable:
-    """The table side of hausdorff_distance, which no lam changes: the table
-    samples of a table, model and n_grid, f on them, their bounding balls
-    (ambient._balls) and the largest eigenvalue of the metric over them.
-    hausdorff_table builds it; a run over several lam builds it once."""
-
-    table: TableSpec
-    model: AmbientModel
-    n_grid: int
-    points: np.ndarray      # (N, n + 1): the lattice points of K n U, at z = 0
-    fvals: np.ndarray       # (N,): f at them, all >= 0
-    balls: tuple
-    eig_max: float
-
-
 def _table_samples(table: TableSpec, n_grid: int) -> tuple[np.ndarray, np.ndarray]:
     """The table samples of hausdorff_distance, as points (x, 0), and f on
     them."""
@@ -469,40 +453,29 @@ def _table_samples(table: TableSpec, n_grid: int) -> tuple[np.ndarray, np.ndarra
 
 
 def _eig_max(model: AmbientModel, X: np.ndarray) -> float:
-    """The largest eigenvalue of the metric over the rows of X.  The
-    euclidean and spherical metrics are c I, with c falling as |x|^2 grows,
-    so it is c at the row of least |x|^2 (as metric_tensor rounds it)."""
+    """The largest eigenvalue of the metric over the rows of X: 1 in the
+    hyperbolic model, whose metric I - x x^T / (1 + |x|^2) has eigenvalues 1
+    and 1 / (1 + |x|^2); in the others the metric is c I, with c falling as
+    |x|^2 grows, so c at the row of least |x|^2 (as metric_tensor rounds it)."""
     if model.kind == "hyperbolic":
-        return np.linalg.eigvalsh(ambient.metric_many(model, X))[:, -1].max()
+        return 1.0
     i = np.argmin(_dot(X, X))
     return ambient.metric_many(model, X[i:i + 1])[0, 0, 0]
 
 
-def hausdorff_table(table: TableSpec, model: AmbientModel, n_grid: int = 121) -> HausdorffTable:
-    """The table side of hausdorff_distance for the folds of table in model
-    at n_grid, for any lam."""
-    points, fvals = _table_samples(table, n_grid)
-    return HausdorffTable(table=table, model=model, n_grid=n_grid, points=points, fvals=fvals,
-                          balls=ambient._balls(model, points), eig_max=_eig_max(model, points))
-
-
-def _hausdorff_samples(fold: Fold, n_grid: int, side: HausdorffTable | None = None):
-    """Fold and table sample points of hausdorff_distance, f on the table
-    samples, and the footpoint of each fold sample: the index of the table
-    sample below it.  The first len(table_pts) fold samples are the upper
-    lifts of the table samples, in their order, and the lower lifts of those
-    with z > 0 follow.  side, if given, is the HausdorffTable of the fold's
-    table, model and n_grid, whose samples are used."""
-    table_pts, fvals = (_table_samples(fold.table, n_grid) if side is None
-                        else (side.points, side.fvals))
+def _hausdorff_samples(lam: float, table_pts: np.ndarray, fvals: np.ndarray):
+    """The fold samples of hausdorff_distance at lam over the table samples
+    table_pts, f on them fvals, and the footpoint of each: the index of the
+    table sample below it.  The upper lifts of the table samples come first,
+    in their order, then the lower lifts of those with z > 0."""
     tbl = table_pts[:, :-1]
-    z = fold.lam * np.sqrt(np.maximum(fvals, 0.0))
+    z = lam * np.sqrt(np.maximum(fvals, 0.0))
     fold_pts = np.concatenate([
         np.concatenate([tbl, z[:, None]], axis=1),
         np.concatenate([tbl[z > 0], -z[z > 0, None]], axis=1),
     ], axis=0)
     foot = np.concatenate([np.arange(len(tbl)), np.flatnonzero(z > 0)])
-    return fold_pts, table_pts, fvals, foot
+    return fold_pts, foot
 
 
 def _lifted_cells(perm: np.ndarray, starts: np.ndarray,
@@ -522,10 +495,10 @@ def _lifted_cells(perm: np.ndarray, starts: np.ndarray,
     return np.concatenate([perm, low[has]]), np.concatenate([starts, first[counts > 0]])
 
 
-def hausdorff_distance(fold: Fold, n_grid: int = 121,
-                       table_side: HausdorffTable | None = None) -> HausdorffResult:
-    """Estimate both one-sided Hausdorff distances between the fold and
-    K n U (as subsets of the ambient model) on matching lattice grids.
+def hausdorff_distance(table: TableSpec, model: AmbientModel, lambdas,
+                       n_grid: int = 121) -> list[HausdorffResult]:
+    """Estimate both one-sided Hausdorff distances between K n U and the fold
+    at each lam of lambdas (as subsets of model) on matching lattice grids.
 
     The fold samples are the lifts (both signs) of the table grid, so each
     fold point has its own footpoint among the table samples and the
@@ -541,24 +514,28 @@ def hausdorff_distance(fold: Fold, n_grid: int = 121,
     evaluated; the sups equal those of the full distance matrix, and memory
     stays bounded by ambient.BLOCK_BYTES.
 
-    The table side (samples, balls, metric) does not depend on lam:
-    table_side, from hausdorff_table(fold.table, fold.model, n_grid), lets a
-    family of folds share it, and without it the call builds its own.  The
-    fold samples are split along the table's cells (_lifted_cells), so
-    no lam splits a sample set.
+    The table side (samples, f on them, their balls and the metric maximum)
+    does not depend on lam and is built once for the family.  Each lam's
+    fold samples are split along the table's cells (_lifted_cells), so no
+    lam splits a sample set.
     """
-    side = hausdorff_table(fold.table, fold.model, n_grid) if table_side is None else table_side
-    if (side.table, side.model, side.n_grid) != (fold.table, fold.model, n_grid):
-        raise InvalidInputError("table_side was built for another table, model or n_grid")
-    fold_pts, table_pts, fvals, foot = _hausdorff_samples(fold, n_grid, side)
-    model = fold.model
-    fold_balls = ambient._balls(model, fold_pts, cells=_lifted_cells(*side.balls[:2], foot))
-    sup_fold = ambient._nearest_sup(model, fold_pts, table_pts, pair=foot,
-                                    balls=(fold_balls, side.balls))
-    sup_table = ambient._nearest_sup(model, table_pts, fold_pts, pair=np.arange(len(table_pts)),
-                                     balls=(side.balls, fold_balls))
-    eig_max = max(_eig_max(model, fold_pts), side.eig_max)
-    return HausdorffResult(
-        lam=fold.lam, sup_fold_to_table=sup_fold, sup_table_to_fold=sup_table,
-        d_max=float(np.sqrt(fvals.max())), c_model=float(np.sqrt(eig_max)),
-        n_fold_samples=len(fold_pts), n_table_samples=len(table_pts))
+    lambdas = check_grid(lambdas, 0.0, np.inf, decreasing=False, name="lambdas")
+    folds = [Fold(table, model, lam) for lam in lambdas]
+    table_pts, fvals = _table_samples(table, n_grid)
+    table_balls = ambient._balls(model, table_pts)
+    table_eig = _eig_max(model, table_pts)
+    results = []
+    for fold in folds:
+        fold_pts, foot = _hausdorff_samples(fold.lam, table_pts, fvals)
+        fold_balls = ambient._balls(model, fold_pts, cells=_lifted_cells(*table_balls[:2], foot))
+        sup_fold = ambient._nearest_sup(model, fold_pts, table_pts, pair=foot,
+                                        balls=(fold_balls, table_balls))
+        sup_table = ambient._nearest_sup(model, table_pts, fold_pts,
+                                         pair=np.arange(len(table_pts)),
+                                         balls=(table_balls, fold_balls))
+        eig_max = max(_eig_max(model, fold_pts), table_eig)
+        results.append(HausdorffResult(
+            lam=fold.lam, sup_fold_to_table=sup_fold, sup_table_to_fold=sup_table,
+            d_max=float(np.sqrt(fvals.max())), c_model=float(np.sqrt(eig_max)),
+            n_fold_samples=len(fold_pts), n_table_samples=len(table_pts)))
+    return results

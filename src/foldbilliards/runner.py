@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__, ambient, analysis, dynamics
 from .analysis import DEFAULT_KAPPA
-from .fold import Fold, hausdorff_distance, hausdorff_table, scan_curvature
+from .fold import Fold, hausdorff_distance, scan_curvature
 from .table import model_on_table
 
 if TYPE_CHECKING:  # config imports this module to register the runners
@@ -83,15 +83,9 @@ def _run_scan(cfg: ExperimentConfig, out_dir: Path):
 
 
 def _run_hausdorff(cfg: ExperimentConfig, out_dir: Path):
-    options = dict(cfg.parameters)
-    lambdas = options.pop("lambdas")
-    side = hausdorff_table(cfg.table, cfg.model, **options)
-    results = []
-    for lam in lambdas:
-        res = hausdorff_distance(Fold(table=cfg.table, model=cfg.model, lam=lam),
-                                 table_side=side, **options)
-        results.append({**asdict(res), "bound": res.bound,
-                        "hausdorff": max(res.sup_fold_to_table, res.sup_table_to_fold)})
+    results = [{**asdict(res), "bound": res.bound,
+                "hausdorff": max(res.sup_fold_to_table, res.sup_table_to_fold)}
+               for res in hausdorff_distance(cfg.table, cfg.model, **cfg.parameters)]
     header = ("lambda", "sup_fold_to_table", "sup_table_to_fold", "hausdorff",
               "d_max", "c_model", "bound")
     rows = [(r["lam"], *(r[k] for k in header[1:])) for r in results]

@@ -101,8 +101,8 @@ def test_04_spherical_halfspace_matches_rational_defect():
 
 
 def test_05_hausdorff_distance_scales_with_thickness():
-    for lam in (0.4, 0.2, 0.1, 0.05):
-        hd = fd.hausdorff_distance(Fold(tb.disk_table(), am.euclidean(3), lam))
+    lambdas = (0.4, 0.2, 0.1, 0.05)
+    for lam, hd in zip(lambdas, fd.hausdorff_distance(tb.disk_table(), am.euclidean(3), lambdas)):
         assert abs(hd.sup_fold_to_table - lam) <= 1e-3
         assert abs(hd.sup_table_to_fold - lam) <= 1e-3
     cases = [
@@ -113,8 +113,7 @@ def test_05_hausdorff_distance_scales_with_thickness():
         (tb.spherical_halfspace_table(), am.spherical(4)),
     ]
     for table, model in cases:
-        for lam in (0.4, 0.2, 0.1, 0.05):
-            hd = fd.hausdorff_distance(Fold(table, model, lam), n_grid=41)
+        for hd in fd.hausdorff_distance(table, model, lambdas, n_grid=41):
             assert hd.sup_fold_to_table <= hd.bound + 1e-3
             assert hd.sup_table_to_fold <= hd.bound + 1e-3
 

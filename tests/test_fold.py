@@ -436,13 +436,16 @@ class TestHausdorff:
                 model = am.AmbientModel(kind, d)
                 expect = am.metric_many(model, rows)[:, 0, 0].max()
                 assert fd._eig_max(model, rows).tobytes() == expect.tobytes()
+            # the hyperbolic metric has the eigenvalue 1 (d - 1 times) and
+            # 1 / (1 + |x|^2); eigvalsh reads the 1 within roundoff
             model = am.hyperbolic(d)
-            expect = np.linalg.eigvalsh(am.metric_many(model, rows))[:, -1].max()
-            assert fd._eig_max(model, rows).tobytes() == expect.tobytes()
+            assert fd._eig_max(model, rows) == 1.0
+            eig = np.linalg.eigvalsh(am.metric_many(model, rows))[:, -1]
+            assert np.abs(eig - 1.0).max() <= 1e-13
 
     @pytest.mark.parametrize("lam", [0.4, 0.05])
     def test_disk_fold_sits_at_height_lambda(self, lam):
-        hd = fd.hausdorff_distance(fd.Fold(tb.disk_table(), am.euclidean(3), lam))
+        [hd] = fd.hausdorff_distance(tb.disk_table(), am.euclidean(3), [lam])
         assert hd.sup_fold_to_table == pytest.approx(lam, abs=1e-3)
         assert hd.sup_table_to_fold == pytest.approx(lam, abs=1e-3)
 
@@ -455,14 +458,13 @@ class TestHausdorff:
             (tb.spherical_halfspace_table(), am.spherical(4)),
         ]
         for table, model in cases:
-            hd = fd.hausdorff_distance(fd.Fold(table, model, 0.2), n_grid=41)
+            [hd] = fd.hausdorff_distance(table, model, [0.2], n_grid=41)
             assert hd.sup_fold_to_table <= hd.bound + 1e-3
             assert hd.sup_table_to_fold <= hd.bound + 1e-3
 
     def test_shrinks_linearly_in_lambda(self):
-        sups = [fd.hausdorff_distance(
-            fd.Fold(tb.disk_table(), am.euclidean(3), lam), n_grid=61).sup_fold_to_table
-            for lam in (0.4, 0.2, 0.1)]
+        sups = [hd.sup_fold_to_table for hd in fd.hausdorff_distance(
+            tb.disk_table(), am.euclidean(3), (0.4, 0.2, 0.1), n_grid=61)]
         assert sups[0] / sups[1] == pytest.approx(2.0, rel=1e-2)
         assert sups[1] / sups[2] == pytest.approx(2.0, rel=1e-2)
 
@@ -473,34 +475,33 @@ class TestHausdorff:
         pytest.param(tb.spherical_halfspace_table(), am.spherical(4), id="spherical"),
     ])
     def test_pruned_sups_equal_the_dense_matrix(self, table, model, lam):
-        fold = fd.Fold(table, model, lam)
-        fold_pts, table_pts, _, foot = fd._hausdorff_samples(fold, 21)
+        table_pts, fvals = fd._table_samples(table, 21)
+        fold_pts, foot = fd._hausdorff_samples(lam, table_pts, fvals)
         assert np.array_equal(fold_pts[:, :-1], table_pts[foot, :-1])
         dense = am.distance_cross(model, fold_pts, table_pts)
-        hd = fd.hausdorff_distance(fold, n_grid=21)
+        [hd] = fd.hausdorff_distance(table, model, [lam], n_grid=21)
         assert hd.sup_fold_to_table == dense.min(axis=1).max()
         assert hd.sup_table_to_fold == dense.min(axis=0).max()
 
-    @pytest.mark.parametrize("kind, model_kind", [
-        pytest.param("disk", "hyperbolic", id="hyperbolic"),
-        pytest.param("spherical-halfspace", "spherical", id="spherical"),
+    @pytest.mark.parametrize("table, model", [
+        pytest.param(tb.disk_table(), am.hyperbolic(3), id="hyperbolic"),
+        pytest.param(tb.spherical_halfspace_table(), am.spherical(4), id="spherical"),
     ])
-    def test_each_sample_set_is_split_once(self, kind, model_kind, tmp_path):
-        # a run splits the table samples once; each lambda's fold cells are
-        # the lifts of the table cells, which hold every fold sample once,
-        # and the sups are those of two searches that split their own sets
-        cfg = _hausdorff_config(kind, model_kind, [0.4, 0.2], 21)
-        table, model = cfg.table, cfg.model
+    def test_each_sample_set_is_split_once(self, table, model):
+        # a family call splits the table samples once; each lambda's fold
+        # cells are the lifts of the table cells, which hold every fold
+        # sample once, and the sups are those of two searches that split
+        # their own sets
         with mock.patch.object(am, "_cells", wraps=am._cells) as cells:
-            rows = runner.run_experiment(cfg, tmp_path).result["rows"]
+            rows = fd.hausdorff_distance(table, model, [0.4, 0.2], 21)
         assert cells.call_count == 1
-        side = fd.hausdorff_table(table, model, 21)
-        table_cell = np.empty(len(side.points), dtype=int)
-        table_cell[side.balls[0]] = side.balls[2]
+        table_pts, fvals = fd._table_samples(table, 21)
+        balls = am._balls(model, table_pts)
+        table_cell = np.empty(len(table_pts), dtype=int)
+        table_cell[balls[0]] = balls[2]
         for row in rows:
-            fold = fd.Fold(table, model, row["lam"])
-            fold_pts, table_pts, _, foot = fd._hausdorff_samples(fold, 21)
-            perm, starts = fd._lifted_cells(*side.balls[:2], foot)
+            fold_pts, foot = fd._hausdorff_samples(row.lam, table_pts, fvals)
+            perm, starts = fd._lifted_cells(*balls[:2], foot)
             assert np.array_equal(np.sort(perm), np.arange(len(fold_pts)))
             sizes = np.diff(starts, append=len(perm))
             assert starts[0] == 0 and (sizes > 0).all()
@@ -510,35 +511,64 @@ class TestHausdorff:
                 assert len(set(members >= len(table_pts))) == 1
             own = (am._nearest_sup(model, fold_pts, table_pts, pair=foot),
                    am._nearest_sup(model, table_pts, fold_pts, pair=np.arange(len(table_pts))))
-            assert (row["sup_fold_to_table"], row["sup_table_to_fold"]) == own
+            assert (row.sup_fold_to_table, row.sup_table_to_fold) == own
 
     @pytest.mark.parametrize("kind, model_kind", [
         pytest.param("disk", "euclidean", id="euclidean"),
         pytest.param("disk", "hyperbolic", id="hyperbolic"),
         pytest.param("spherical-halfspace", "spherical", id="spherical"),
     ])
-    def test_run_rows_equal_single_lambda_calls(self, kind, model_kind, tmp_path):
+    def test_family_rows_equal_single_lambda_calls(self, kind, model_kind, tmp_path):
+        # a family call's rows equal one-lambda family calls bit for bit, and
+        # a run reports the family call's rows
         lambdas = [0.4, 0.1, 0.05]
         cfg = _hausdorff_config(kind, model_kind, lambdas, 25)
         table, model = cfg.table, cfg.model
-        rows = runner.run_experiment(cfg, tmp_path).result["rows"]
-        alone = [dataclasses.asdict(fd.hausdorff_distance(fd.Fold(table, model, lam), n_grid=25))
+        family = [dataclasses.asdict(hd)
+                  for hd in fd.hausdorff_distance(table, model, lambdas, n_grid=25)]
+        alone = [dataclasses.asdict(fd.hausdorff_distance(table, model, [lam], n_grid=25)[0])
                  for lam in lambdas]
-        assert [{k: r[k] for k in a} for r, a in zip(rows, alone)] == alone
+        assert family == alone
+        rows = runner.run_experiment(cfg, tmp_path).result["rows"]
+        assert [{k: r[k] for k in a} for r, a in zip(rows, family)] == family
 
-    def test_table_side_must_match_the_fold(self):
-        side = fd.hausdorff_table(tb.disk_table(), am.euclidean(3), 21)
-        for fold, n_grid in ((fd.Fold(tb.disk_table(), am.hyperbolic(3), 0.2), 21),
-                             (fd.Fold(tb.half_space_table(), am.euclidean(3), 0.2), 21),
-                             (fd.Fold(tb.disk_table(), am.euclidean(3), 0.2), 23)):
-            with pytest.raises(InvalidInputError, match="table_side"):
-                fd.hausdorff_distance(fold, n_grid, side)
+    @pytest.mark.parametrize("lambdas, message", [
+        ([], r"^lambdas: expected a nonempty list of numbers$"),
+        ([0.4, 0.0], r"^lambdas\[1\]: must be > 0$"),
+        ([-0.1], r"^lambdas\[0\]: must be > 0$"),
+        ([0.4, float("nan")], r"^lambdas\[1\]: must be finite$"),
+        ([float("inf")], r"^lambdas\[0\]: must be finite$"),
+    ])
+    def test_bad_lambda_grid_rejected_before_sampling(self, lambdas, message):
+        with mock.patch.object(fd, "_table_samples") as samples:
+            with pytest.raises(InvalidInputError, match=message):
+                fd.hausdorff_distance(tb.disk_table(), am.euclidean(3), lambdas)
+        samples.assert_not_called()
+
+    def test_wrong_model_dimension_rejected_before_sampling(self):
+        with mock.patch.object(fd, "_table_samples") as samples:
+            with pytest.raises(InvalidInputError, match="dimension"):
+                fd.hausdorff_distance(tb.disk_table(), am.euclidean(4), [0.4, 0.2])
+        samples.assert_not_called()
+
+    @pytest.mark.parametrize("table, model, n_grid, same, fewer, count", [
+        pytest.param(tb.disk_table(), am.euclidean(3), 40, 41, 39, 197, id="made-odd"),
+        pytest.param(tb.disk_table(n=3), am.euclidean(4), 121, 57, 55, 5_887, id="thinned-3d"),
+        pytest.param(tb.disk_table(), am.euclidean(3), 1001, 447, 445, 25_017, id="thinned-2d"),
+    ])
+    def test_lattice_rule(self, table, model, n_grid, same, fewer, count):
+        # n_grid is made odd, then capped at the largest odd count whose
+        # lattice holds at most HAUSDORFF_MAX_POINTS points
+        def n_table_samples(g):
+            return fd.hausdorff_distance(table, model, [0.2], g)[0].n_table_samples
+        assert n_table_samples(n_grid) == n_table_samples(same) == count
+        assert n_table_samples(fewer) < count
 
     def test_hyperbolic_disk_fold_sits_at_asinh_lambda(self):
         # the top of the fold is (0, 0, lambda), at distance asinh(lambda) =
         # 0.009999833340832886 from its footpoint; the chord form keeps it to
         # a few ulps
-        hd = fd.hausdorff_distance(fd.Fold(tb.disk_table(), am.hyperbolic(3), 0.01))
+        [hd] = fd.hausdorff_distance(tb.disk_table(), am.hyperbolic(3), [0.01])
         exact = math.asinh(0.01)
         assert abs(hd.sup_fold_to_table - exact) <= 4 * np.spacing(exact)
 
@@ -546,10 +576,9 @@ class TestHausdorff:
     def test_memory_does_not_grow_with_the_sample_product(self, model):
         # the dense 22,085 x 11,353 matrix of this grid alone is 2,005,848,040
         # bytes; a block's temporaries stay the size of its 16 MiB output
-        fold = fd.Fold(tb.spherical_halfspace_table(), model, 0.05)
         tracemalloc.start()
         try:
-            hd = fd.hausdorff_distance(fold, n_grid=41)
+            [hd] = fd.hausdorff_distance(tb.spherical_halfspace_table(), model, [0.05], n_grid=41)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
