@@ -130,7 +130,6 @@ def spherical(dim: int) -> AmbientModel:
 class MetricAt:
     """Metric tensors and their inverses at points, both symmetric positive."""
 
-    point: np.ndarray
     g: np.ndarray
     g_inv: np.ndarray
 
@@ -154,7 +153,7 @@ def metric_tensor(model: AmbientModel, x) -> MetricAt:
         c = (4.0 / (w * w))[..., None, None]
         g = c * eye
         g_inv = eye / c
-    return MetricAt(point=x, g=g, g_inv=g_inv)
+    return MetricAt(g=g, g_inv=g_inv)
 
 
 def metric_many(model: AmbientModel, X: np.ndarray) -> np.ndarray:

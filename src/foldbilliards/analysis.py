@@ -48,6 +48,8 @@ N_FAN_REFERENCES = 8
 N_RANDOM_REFERENCES = 8
 REFERENCE_MARGIN_F = 0.02
 DEFAULT_KAPPA = {"euclidean": 0.0, "hyperbolic": -1.0, "spherical": 1.0}
+# fold_convergence_experiment's direction needs a vertical component above this
+MIN_DIRECTION_VERTICAL = 1e-9
 
 
 # --------------------------------------------------------------------------
@@ -383,7 +385,7 @@ def fold_convergence_experiment(table: TableSpec, model: AmbientModel,
         tol_qg = TOL_QG_FACTOR * dt
     p0 = np.asarray(table.p0 if p0 is None else p0, dtype=float)
     a, b = float(direction[0]), float(direction[1])
-    if b <= 1e-9:
+    if b <= MIN_DIRECTION_VERTICAL:
         raise InvalidInputError("the direction needs a positive vertical component")
     r = float(np.hypot(a, b))
     a, b = a / r, b / r

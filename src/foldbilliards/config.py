@@ -20,6 +20,7 @@ import numpy as np
 
 from . import runner
 from .ambient import AmbientModel, MODEL_KINDS
+from .analysis import MIN_DIRECTION_VERTICAL
 from .errors import ConfigError, InvalidInputError
 from .fold import check_grid
 from .table import BUILTIN_TABLES, PolynomialShape, Region, TableSpec
@@ -27,7 +28,7 @@ from .table import BUILTIN_TABLES, PolynomialShape, Region, TableSpec
 CURVE_KINDS = ("arc", "corner", "convex-kink", "billiard")
 TRAJECTORY_TARGETS = ("billiard", "fold-geodesic", "table-geodesic", "boundary-geodesic")
 # optional top-level keys; absent ones take the ExperimentConfig defaults
-_OPTIONAL_TOP_KEYS = ("seed", "out_dir", "description")
+_OPTIONAL_TOP_KEYS = ("seed", "out_dir")
 
 
 @dataclass
@@ -38,7 +39,6 @@ class ExperimentConfig:
     parameters: dict
     seed: int = 0
     out_dir: str | None = None
-    description: str = ""
     raw: dict = field(default_factory=dict)
 
     @property
@@ -217,8 +217,8 @@ def _tangent_launch(p: dict, n: int):
 
 def _fold_convergence_rules(p: dict, n: int):
     _tangent_launch(p, n)
-    if "direction" in p and p["direction"][1] <= 0:
-        _fail("parameters.direction", "vertical component must be positive")
+    if "direction" in p and p["direction"][1] <= MIN_DIRECTION_VERTICAL:
+        _fail("parameters.direction", f"vertical component must be > {MIN_DIRECTION_VERTICAL}")
 
 
 def _moving(v0, path: str):

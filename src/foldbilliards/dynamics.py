@@ -655,7 +655,7 @@ def billiard_trajectory(table: TableSpec, model: AmbientModel, x0, v0, T,
         if bounces and t_b - bounces[-1].t < DELTA_MIN:
             raise BounceAccumulationError(
                 f"bounces at t = {bounces[-1].t} and {t_b} are closer than {DELTA_MIN}")
-        bounces.append(_bounce(table, model, t_b, xb, vb))
+        bounces.append(_bounce(table, model, float(t_b), xb, vb))
         t_s, x, v = t_b, bounces[-1].x, bounces[-1].w_out
 
     # terminal boundary hit inside U with outward velocity counts as a bounce

@@ -286,12 +286,10 @@ def sample_table_points(table: TableSpec, n_grid: int, seed: int = 0) -> np.ndar
                                       N_EDGE_POINTS, seed=seed)
     except PreconditionError:
         bpts = np.empty((0, table.n))
+    # sampled boundary points are regular: |Df| >= 1e-6
     df = table.grad_f(bpts)
-    nrm = np.sqrt(_dot(df, df))
-    regular = ~(nrm < 1e-10)
-    steps = df[regular] / nrm[regular, None]
-    near = (bpts[regular, None, :]
-            + EDGE_OFFSETS[:, None] * steps[:, None, :]).reshape(-1, table.n)
+    steps = df / np.sqrt(_dot(df, df))[:, None]
+    near = (bpts[:, None, :] + EDGE_OFFSETS[:, None] * steps[:, None, :]).reshape(-1, table.n)
     pts.append(near[table.region.contains(near) & (table.f(near) > EDGE_EXCLUSION_F)])
     out = np.concatenate(pts, axis=0)
     if len(out) == 0:
@@ -304,15 +302,14 @@ def _scan_one_lambda(fold: Fold, points: np.ndarray, n_random_planes: int,
     """Minimum sampled sectional curvature of one fold, its point and plane,
     and the counts of evaluated and skipped samples.
 
-    Frames run over (point, sheet) in order, the lower sheet only away from
-    the pinch.  Each frame tests its tangent basis pairs, then random pairs
-    drawn in frame order, as coefficient vectors in its g-orthonormal tangent
-    basis (the random ones orthonormal in R^n); the first minimum wins."""
+    Frames run over (point, sheet) in order: sample_table_points keeps only
+    f > EDGE_EXCLUSION_F, so both sheets lie away from the pinch.  Each
+    frame tests its tangent basis pairs, then random pairs drawn in frame
+    order, as coefficient vectors in its g-orthonormal tangent basis (the
+    random ones orthonormal in R^n); the first minimum wins."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, int(1e6 * fold.lam)]))
     n = fold.table.n
-    lower = ~(fold.table.f(points) <= EDGE_EXCLUSION_F)
-    sheets = np.stack([np.ones(len(points), dtype=bool), lower], axis=1)
-    q = np.stack([lift(fold, points, 1), lift(fold, points, -1)], axis=1)[sheets]
+    q = np.stack([lift(fold, points, 1), lift(fold, points, -1)], axis=1).reshape(-1, n + 1)
     frame = frame_at(fold, q)
     ok = frame.defined
     n_skip = int(np.count_nonzero(~ok))

@@ -8,6 +8,7 @@ so the same code serves the Euclidean, hyperbolic and spherical cases.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -67,8 +68,7 @@ class DiskShape(Shape):
         return -2.0 * x
 
     def hess(self, x):
-        h = -2.0 * _identity(x.shape[-1])
-        return h if x.ndim == 1 else h * np.ones(x.shape[:-1] + (1, 1))
+        return -2.0 * _identity(x.shape[-1]) * np.ones(x.shape[:-1] + (1, 1))
 
 
 @dataclass(frozen=True)
@@ -272,16 +272,11 @@ def spherical_halfspace_table(n: int = 3) -> TableSpec:
 
 @dataclass(frozen=True)
 class BuiltinTable:
-    """A named table family: its builder and a one-line description.
-
-    Calling the entry calls the builder, whose keyword arguments are the
-    options a config may set for this kind."""
+    """A named table family: its builder, whose keyword arguments are the
+    options a config may set for this kind, and a one-line description."""
 
     build: Callable[..., TableSpec]
     description: str
-
-    def __call__(self, *args, **kwargs) -> TableSpec:
-        return self.build(*args, **kwargs)
 
 
 BUILTIN_TABLES = {
@@ -296,12 +291,21 @@ BUILTIN_TABLES = {
 
 @dataclass
 class BoundaryFrame:
-    """Inward unit normal and g-orthonormal tangent basis at a boundary point."""
+    """Inward unit normal at a boundary point, and its g-orthonormal tangent
+    basis, built on first read: the reflection law reads only nu."""
 
     x0: np.ndarray
     nu: np.ndarray
-    tangent_basis: np.ndarray  # shape (n-1, n)
     metric: ambient.MetricAt
+    df: np.ndarray  # Df at x0, which orders the Gram-Schmidt axes
+
+    @functools.cached_property
+    def tangent_basis(self) -> np.ndarray:
+        """Shape (n-1, n): Gram-Schmidt in g over the coordinate axes."""
+        basis, spanned = _orthonormal_complement(self.metric.g, self.nu, self.df)
+        if not spanned:
+            raise DegenerateBoundaryError("could not build a tangent basis")
+        return basis
 
 
 def model_on_table(table: TableSpec, model: AmbientModel) -> AmbientModel:
@@ -324,24 +328,9 @@ def _orthonormal_complement(g: np.ndarray, normal: np.ndarray,
     |alignment| (a vector or covector along the normal), so each basis is
     deterministic; an axis whose remainder has g-norm below 1e-10 is skipped,
     and no axis is visited once every basis holds d - 1 vectors.  One point
-    takes 1-D products in the same order as the batch, with the same bits.
+    runs as a batch of one.
     """
     batch, d = normal.shape[:-1], normal.shape[-1]
-    if not batch:
-        a = np.abs(alignment)
-        basis, count = np.zeros((d - 1, d)), 0
-        for axis in np.argsort(a / np.sqrt(a @ a)):
-            if count == d - 1:
-                break
-            v = _identity(d)[axis]
-            v = v - (v @ g @ normal) * normal
-            for b in basis[:count]:
-                v = v - (v @ g @ b) * b
-            nrm = np.sqrt(np.maximum(v @ g @ v, 0.0))
-            if not nrm < 1e-10:
-                basis[count] = v / nrm
-                count += 1
-        return basis, np.bool_(count == d - 1)
     g = g.reshape(-1, d, d)
     normal = normal.reshape(-1, d)
     a = np.abs(alignment.reshape(-1, d))
@@ -370,8 +359,8 @@ def _orthonormal_complement(g: np.ndarray, normal: np.ndarray,
 def boundary_frame(table: TableSpec, model: AmbientModel, x0) -> BoundaryFrame:
     """Frame of the boundary {f = 0} at x0 in the induced metric g on H.
 
-    The inward normal is g^{-1} Df / |g^{-1} Df|_g; the tangent basis comes
-    from Gram-Schmidt (in g) over coordinate seeds, so it is deterministic.
+    The inward normal is g^{-1} Df / |g^{-1} Df|_g; the tangent basis is
+    left to its first read (BoundaryFrame.tangent_basis).
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (table.n,):
@@ -386,10 +375,7 @@ def boundary_frame(table: TableSpec, model: AmbientModel, x0) -> BoundaryFrame:
     metric = ambient.metric_tensor(model_on_table(table, model), x0)
     nu = metric.g_inv @ df
     nu = nu / np.sqrt(nu @ metric.g @ nu)
-    basis, spanned = _orthonormal_complement(metric.g, nu, df)
-    if not spanned:
-        raise DegenerateBoundaryError("could not build a tangent basis")
-    return BoundaryFrame(x0=x0, nu=nu, tangent_basis=basis, metric=metric)
+    return BoundaryFrame(x0=x0, nu=nu, metric=metric, df=df)
 
 
 def _check_unit_cone(frame: BoundaryFrame, v: np.ndarray, label: str) -> None:

@@ -127,6 +127,20 @@ class TestErrorExits:
         assert cli_main(["run", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
         assert "parameters.v0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("vertical", [0.0, 1e-10, 1e-9])
+    def test_direction_without_vertical_component_exits_2(self, vertical, tmp_path, capsys):
+        # the config checks the bound that fold_convergence_experiment enforces
+        bad = tmp_path / "flat.json"
+        bad.write_text(json.dumps({
+            "experiment": "fold-convergence",
+            "table": {"kind": "disk"},
+            "model": {"kind": "euclidean"},
+            "parameters": {"lambdas": [0.5, 0.25], "T": 0.2, "dt": 0.01,
+                           "direction": [0.8, vertical]},
+        }))
+        assert cli_main(["run", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
+        assert "parameters.direction" in capsys.readouterr().err
+
     def test_run_time_precondition_exits_3(self, tmp_path, capsys):
         # the config is well formed, but its only reference point lies on
         # the arc, which only the run can tell

@@ -706,6 +706,15 @@ class TestBilliard:
                 assert np.abs(a.x - b.x).max() <= 1e-9
 
 
+    @pytest.mark.parametrize("kind", am.MODEL_KINDS)
+    def test_bounce_times_are_python_floats(self, kind):
+        model = am.AmbientModel(kind, 2)
+        x0 = np.array([0.3, -0.2])
+        v0 = am.normalize(model, x0, np.array([np.cos(0.7), np.sin(0.7)]))
+        tr = dy.billiard_trajectory(tb.disk_table(), model, x0, v0, 5.0, 1e-2)
+        assert len(tr.bounces) >= 1
+        assert all(type(b.t) is float for b in tr.bounces)
+
     def test_diameter_orbit(self):
         tr = dy.billiard_trajectory(tb.disk_table(), am.euclidean(2),
                                     np.array([1.0, 0.0]), np.array([-1.0, 0.0]),

@@ -298,7 +298,29 @@ _SCAN_CASES = [
 ]
 
 
+# f = 1 - x1^2 + x1 x2 / 2 - 2 x2^4 on the ball of radius 2
+QUARTIC_TABLE = tb.TableSpec(
+    n=2, name="quartic", p0=(1.0, 0.0), region=tb.Region(center=(0.0, 0.0), radius=2.0),
+    shape=tb.PolynomialShape(terms=(((0, 0), 1.0), ((2, 0), -1.0), ((1, 1), 0.5),
+                                    ((0, 4), -2.0))))
+
+
 class TestScan:
+    @pytest.mark.parametrize(
+        "table", [e.build() for e in tb.BUILTIN_TABLES.values()] + [QUARTIC_TABLE],
+        ids=lambda t: t.name)
+    def test_samples_lie_off_the_pinch_and_step_from_regular_points(self, table):
+        # the scan lifts both sheets of every sample, and sample_table_points
+        # steps inward from every sampled boundary point, neither under a mask
+        euclid = am.euclidean(table.n + 1)
+        for seed in (0, 3):
+            for n_grid in (8, 24):
+                pts = fd.sample_table_points(table, n_grid, seed=seed)
+                assert (table.f(pts) > fd.EDGE_EXCLUSION_F).all()
+            bpts = tb.sample_boundary_points(table, euclid, fd.N_EDGE_POINTS, seed=seed)
+            df = table.grad_f(bpts)
+            assert (np.sqrt(am._dot(df, df)) >= 1e-6).all()
+
     @pytest.mark.parametrize("table, model, lambdas", _SCAN_CASES)
     def test_batched_scan_equals_the_reference_loop(self, table, model, lambdas):
         # dF is singular on most frames at lambda = 1e-9 and on all at 1e-11,

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from foldbilliards import ambient as am
+from foldbilliards import dynamics as dy
 from foldbilliards import table as tb
-from foldbilliards.errors import InvalidInputError, PreconditionError
+from foldbilliards.errors import DegenerateBoundaryError, InvalidInputError, PreconditionError
 
 S2 = np.sqrt(2.0) / 2.0
 
@@ -40,7 +41,8 @@ def mixed_tables():
     ]
 
 
-ALL_TABLES = [build() for build in tb.BUILTIN_TABLES.values()] + mixed_tables()
+BUILTIN_TABLES = [entry.build() for entry in tb.BUILTIN_TABLES.values()]
+ALL_TABLES = BUILTIN_TABLES + mixed_tables()
 
 
 class TestTableSpec:
@@ -270,7 +272,8 @@ def _complement_loop(g, normal, alignment):
 
 
 class TestOrthonormalComplement:
-    """One point takes 1-D products; they must give the batch path's bits."""
+    """One point runs as a batch of one: it must give its batch row's bits
+    and the reference loop's."""
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     @pytest.mark.parametrize("kind", am.MODEL_KINDS)
@@ -337,6 +340,73 @@ class TestOrthonormalComplement:
         basis, spanned = self.same_as_batch(np.eye(3), normal, np.array([0.0, 0.1, 1.0]))
         assert spanned
         assert np.allclose(basis, [[S2, -S2, 0.0], [0.0, 0.0, 1.0]], atol=1e-15)
+
+
+def count_complement_calls(monkeypatch):
+    """A list that grows by one entry per table._orthonormal_complement call."""
+    calls, complement = [], tb._orthonormal_complement
+
+    def counted(*args):
+        calls.append(args)
+        return complement(*args)
+
+    monkeypatch.setattr(tb, "_orthonormal_complement", counted)
+    return calls
+
+
+class TestLazyTangentBasis:
+    """A boundary frame builds its tangent basis when the basis is read, once."""
+
+    def test_frames_and_billiards_run_no_gram_schmidt(self, monkeypatch):
+        calls = count_complement_calls(monkeypatch)
+        for kind in am.MODEL_KINDS:
+            tb.boundary_frame(tb.disk_table(), am.AmbientModel(kind, 3), [0.6, 0.8])
+        assert calls == []
+        # the billiards benchmark workload: eight disk billiards launched
+        # from |x0| <= 0.5, four hyperbolic and four spherical
+        rng = np.random.default_rng([0, 3])
+        bounces = 0
+        for kind in ["hyperbolic"] * 4 + ["spherical"] * 4:
+            model = am.AmbientModel(kind, 2)
+            r = 0.5 * np.sqrt(rng.uniform())
+            phi, theta = rng.uniform(0.0, 2.0 * np.pi, size=2)
+            x0 = r * np.array([np.cos(phi), np.sin(phi)])
+            v0 = am.normalize(model, x0, np.array([np.cos(theta), np.sin(theta)]))
+            tr = dy.billiard_trajectory(tb.disk_table(), model, x0, v0, 12.0, 0.01)
+            bounces += len(tr.bounces)
+        assert bounces > 0 and calls == []
+
+    def test_repeated_reads_build_once(self, monkeypatch):
+        calls = count_complement_calls(monkeypatch)
+        frames = [tb.boundary_frame(tb.disk_table(), am.hyperbolic(3), x)
+                  for x in ([1.0, 0.0], [0.0, -1.0])]
+        for fr in frames:
+            first = fr.tangent_basis
+            assert all(fr.tangent_basis is first for _ in range(3))
+        assert len(calls) == len(frames)
+
+    @pytest.mark.parametrize("table", BUILTIN_TABLES, ids=lambda t: t.name)
+    @pytest.mark.parametrize("kind", am.MODEL_KINDS)
+    def test_basis_equals_the_batch_row(self, table, kind):
+        model = am.AmbientModel(kind, table.n + 1)
+        frames = [tb.boundary_frame(table, model, x)
+                  for x in tb.sample_boundary_points(table, model, 8, seed=5)]
+        batch, spanned = tb._orthonormal_complement(np.stack([fr.metric.g for fr in frames]),
+                                                    np.stack([fr.nu for fr in frames]),
+                                                    np.stack([fr.df for fr in frames]))
+        assert spanned.all()
+        for fr, row in zip(frames, batch):
+            assert fr.tangent_basis.tobytes() == row.tobytes()
+
+    def test_unspanned_basis_raises_on_read(self, monkeypatch):
+        monkeypatch.setattr(tb, "_orthonormal_complement",
+                            lambda g, normal, alignment: (np.zeros((1, 2)), np.bool_(False)))
+        fr = tb.boundary_frame(tb.disk_table(), am.euclidean(3), [1.0, 0.0])
+        assert np.allclose(tb.reflect(fr, [1.0, 0.0]), [-1.0, 0.0])
+        with pytest.raises(DegenerateBoundaryError, match="could not build a tangent basis"):
+            fr.tangent_basis
+        with pytest.raises(DegenerateBoundaryError):
+            tb.is_polar(fr, [-1.0, 0.0], [-1.0, 0.0])
 
 
 class TestReflectionAndPolarity:
@@ -461,8 +531,7 @@ class TestSampling:
             assert abs(disk.f(x)) <= 1e-8
             assert disk.region.contains(x)
 
-    @pytest.mark.parametrize("table", [build() for build in tb.BUILTIN_TABLES.values()],
-                             ids=lambda t: t.name)
+    @pytest.mark.parametrize("table", BUILTIN_TABLES, ids=lambda t: t.name)
     @pytest.mark.parametrize("kind", am.MODEL_KINDS)
     def test_batched_rays_equal_one_ray_at_a_time(self, table, kind):
         model = am.AmbientModel(kind, table.n + 1)
