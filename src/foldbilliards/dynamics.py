@@ -52,7 +52,8 @@ from .errors import (
     NumericError,
     PreconditionError,
 )
-from .table import TableSpec, boundary_frame, model_on_table, reflect
+from .table import (ON_LEVEL_SET_TOL, SINGULAR_GRAD_TOL, UNIT_TOL, TableSpec, boundary_frame,
+                    model_on_table, reflect)
 
 REFINE_TOL = 1e-9
 # a level-set step below STEP_FLOOR T raises
@@ -417,7 +418,7 @@ def _sampled(times, pts, vel, filled, exits, row) -> SampledCurve:
 
 def _check_unit(model, x, v, label="v0"):
     nrm = ambient.norm(model, x, v)
-    if np.any(np.abs(nrm - 1.0) > 1e-8):
+    if np.any(np.abs(nrm - 1.0) > UNIT_TOL):
         raise PreconditionError(f"{label} must be a unit vector (got |v| = {nrm})")
 
 
@@ -425,10 +426,10 @@ def _check_start(model, constraint, x0, v0, point: str, surface: str):
     """x0 on the level set with a non-singular gradient, v0 tangent and of
     unit norm in the model."""
     value, egrad, _ = constraint
-    if abs(value(x0)) > 1e-8:
+    if abs(value(x0)) > ON_LEVEL_SET_TOL:
         raise PreconditionError(f"{point} is not on the {surface}")
     df = egrad(x0)
-    if np.linalg.norm(df) < 1e-10:
+    if np.linalg.norm(df) < SINGULAR_GRAD_TOL:
         raise PreconditionError(f"the {surface} is singular at {point}")
     if abs(df @ v0) > 1e-8 * max(1.0, float(np.linalg.norm(df))):
         raise PreconditionError(f"v0 is not tangent to the {surface}")

@@ -32,10 +32,9 @@ from .errors import (
     PreconditionError,
     SingularPointError,
 )
-from .table import TableSpec, _orthonormal_complement, sample_boundary_points
+from .table import (ON_LEVEL_SET_TOL, SINGULAR_GRAD_TOL, LevelSetFrame, TableSpec,
+                    sample_boundary_points)
 
-ON_FOLD_TOL = 1e-8
-SINGULAR_GRAD_TOL = 1e-10
 # Curvature sampling stays away from the pinch set by this margin in f.
 EDGE_EXCLUSION_F = 1e-6
 # sample_table_points: boundary points it steps inward from, and the steps
@@ -82,21 +81,6 @@ class Fold:
         return out
 
 
-@dataclass
-class FoldPointFrame:
-    """Differential data of the fold at its points q, shape (..., n+1)."""
-
-    q: np.ndarray
-    grad_F: np.ndarray          # ambient Riemannian gradient g^{-1} dF
-    grad_norm: np.ndarray       # |grad F| in the ambient metric
-    unit_normal: np.ndarray
-    tangent_basis: np.ndarray   # (..., n, n+1), g-orthonormal
-    h: np.ndarray               # second fundamental form in tangent_basis
-    hessian: np.ndarray         # covariant Hessian of F (full ambient matrix)
-    metric: ambient.MetricAt
-    defined: np.ndarray         # (...,) points where the frame exists
-
-
 def lift(fold: Fold, x, sign: int = 1) -> np.ndarray:
     """Points (x, sign * lam * sqrt(f(x))) of the fold above the table
     points x, shape (..., n); every point must lie in K n U."""
@@ -124,9 +108,9 @@ def riemannian_hessian(fold: Fold, q: np.ndarray) -> np.ndarray:
     return hess - np.einsum("...k,...kij->...ij", df, gamma)
 
 
-def frame_at(fold: Fold, q) -> FoldPointFrame:
+def frame_at(fold: Fold, q) -> LevelSetFrame:
     """Normal/tangent frame and second fundamental form of the fold at the
-    points q, shape (..., n+1).
+    points q, shape (..., n+1): its tangent basis has shape (..., n, n+1).
 
     The frame exists where q is on the fold, dF does not vanish and the
     coordinate axes span the tangent space; ``defined`` marks those points
@@ -138,28 +122,23 @@ def frame_at(fold: Fold, q) -> FoldPointFrame:
         raise InvalidInputError("fold point has wrong dimension")
     value = fold.value(q)
     df = fold.euclid_grad(q)
-    off_fold = np.abs(value) > ON_FOLD_TOL
+    off_fold = np.abs(value) > ON_LEVEL_SET_TOL
     singular = np.sqrt(_dot(df, df)) < SINGULAR_GRAD_TOL
-    metric = ambient.metric_tensor(fold.model, q)
-    grad_F = (metric.g_inv @ df[..., None])[..., 0]
-    grad_norm = np.sqrt(_dot(df, grad_F))
-    hess = riemannian_hessian(fold, q)
+    hessian = riemannian_hessian(fold, q)
     with np.errstate(divide="ignore", invalid="ignore"):
-        unit_normal = grad_F / grad_norm[..., None]
-        tangent, spanned = _orthonormal_complement(metric.g, unit_normal, grad_F)
-        h = tangent @ hess @ tangent.swapaxes(-1, -2) / grad_norm[..., None, None]
-    h = 0.5 * (h + h.swapaxes(-1, -2))
+        frame = LevelSetFrame(fold.model, q, df)
+        frame.defined = ~off_fold & ~singular & frame.spanned
+        tangent = frame.tangent_basis
+        h = tangent @ hessian @ tangent.swapaxes(-1, -2) / frame.grad_norm[..., None, None]
+    frame.hessian, frame.h = hessian, 0.5 * (h + h.swapaxes(-1, -2))
     if q.ndim == 1:
         if off_fold:
             raise PreconditionError(f"q is not on the fold: F(q) = {value}")
         if singular:
             raise SingularPointError("defining gradient vanishes at q")
-        if not spanned:
+        if not frame.spanned:
             raise SingularPointError("could not build a tangent basis")
-    return FoldPointFrame(q=q, grad_F=grad_F, grad_norm=grad_norm,
-                          unit_normal=unit_normal, tangent_basis=tangent,
-                          h=h, hessian=hess, metric=metric,
-                          defined=~off_fold & ~singular & spanned)
+    return frame
 
 
 def second_fundamental_form(fold: Fold, q, v, w) -> float:
@@ -313,7 +292,7 @@ def _scan_one_lambda(fold: Fold, points: np.ndarray, n_random_planes: int,
     frame = frame_at(fold, q)
     ok = frame.defined
     n_skip = int(np.count_nonzero(~ok))
-    q, tangent, h = frame.q, frame.tangent_basis, frame.h
+    q, tangent, h = frame.x, frame.tangent_basis, frame.h
     if n_skip:
         q, tangent, h = q[ok], tangent[ok], h[ok]
 

@@ -23,10 +23,12 @@ from .errors import (
     PreconditionError,
 )
 
-# |f(x)| below this counts as "on the boundary".
-ON_BOUNDARY_TOL = 1e-8
-# |Df| below this is a degenerate boundary point.
-DEGENERATE_GRAD_TOL = 1e-10
+# |F(x)| at most this is on the level set {F = 0}, a table boundary or a fold.
+ON_LEVEL_SET_TOL = 1e-8
+# |DF| below this is a singular point of a level set.
+SINGULAR_GRAD_TOL = 1e-10
+# Slack of a unit vector's g-norm, or of its square, from 1.
+UNIT_TOL = 1e-8
 # Default slack for the polarity tests.
 POLAR_TOL = 1e-9
 # Tangential step of reflection_iff_polar_check's perturbed vectors.
@@ -213,9 +215,9 @@ class TableSpec:
         p0 = np.asarray(self.p0, dtype=float)
         if p0.shape != (self.n,):
             raise InvalidInputError("p0 has wrong dimension")
-        if abs(self.shape.f(p0)) > ON_BOUNDARY_TOL:
+        if abs(self.shape.f(p0)) > ON_LEVEL_SET_TOL:
             raise InvalidInputError("p0 must lie on the boundary {f = 0}")
-        if np.linalg.norm(self.shape.grad(p0)) < DEGENERATE_GRAD_TOL:
+        if np.linalg.norm(self.shape.grad(p0)) < SINGULAR_GRAD_TOL:
             raise InvalidInputError("boundary is degenerate at p0")
         if not self.region.contains(p0):
             raise InvalidInputError("p0 must lie inside the patch U")
@@ -289,23 +291,36 @@ BUILTIN_TABLES = {
 }
 
 
-@dataclass
-class BoundaryFrame:
-    """Inward unit normal at a boundary point, and its g-orthonormal tangent
-    basis, built on first read: the reflection law reads only nu."""
+class LevelSetFrame:
+    """Frame of a level set {F = 0} at its points x, shape (..., d), with
+    differentials dF, in the metric g of model: grad = g^{-1} dF, its g-norm
+    grad_norm, the unit normal nu = grad / grad_norm and a g-orthonormal
+    tangent basis, built on first read.  fold.frame_at adds the covariant
+    Hessian, the second fundamental form h and the mask defined."""
 
-    x0: np.ndarray
-    nu: np.ndarray
-    metric: ambient.MetricAt
-    df: np.ndarray  # Df at x0, which orders the Gram-Schmidt axes
+    hessian = h = defined = None
+
+    def __init__(self, model: AmbientModel, x: np.ndarray, dF: np.ndarray):
+        self.x, self.metric = x, ambient.metric_tensor(model, x)
+        # one point takes the 1-D products, which round as a batch row does
+        one, g_inv = dF.ndim == 1, self.metric.g_inv
+        self.grad = g_inv @ dF if one else (g_inv @ dF[..., None])[..., 0]
+        self.grad_norm = np.sqrt(dF @ self.grad if one else _dot(dF, self.grad))
+        self.nu = self.grad / (self.grad_norm if one else self.grad_norm[..., None])
 
     @functools.cached_property
+    def spanned(self) -> np.ndarray:
+        """Whether the coordinate axes spanned the tangent space at each
+        point; the first read of it or of tangent_basis runs Gram-Schmidt."""
+        self._basis, spanned = _orthonormal_complement(self.metric.g, self.nu, self.grad)
+        return spanned
+
+    @property
     def tangent_basis(self) -> np.ndarray:
-        """Shape (n-1, n): Gram-Schmidt in g over the coordinate axes."""
-        basis, spanned = _orthonormal_complement(self.metric.g, self.nu, self.df)
-        if not spanned:
+        """Shape (..., d - 1, d); raises where unspanned, unless defined is set."""
+        if self.defined is None and not self.spanned.all():
             raise DegenerateBoundaryError("could not build a tangent basis")
-        return basis
+        return self._basis
 
 
 def model_on_table(table: TableSpec, model: AmbientModel) -> AmbientModel:
@@ -356,84 +371,93 @@ def _orthonormal_complement(g: np.ndarray, normal: np.ndarray,
     return basis.reshape(batch + (d - 1, d)), (count == d - 1).reshape(batch)
 
 
-def boundary_frame(table: TableSpec, model: AmbientModel, x0) -> BoundaryFrame:
-    """Frame of the boundary {f = 0} at x0 in the induced metric g on H.
+def _any(mask: np.ndarray) -> bool:
+    """mask.any(), which one point's 0-d mask skips: it costs more than the test."""
+    return bool(mask) if mask.ndim == 0 else bool(mask.any())
 
-    The inward normal is g^{-1} Df / |g^{-1} Df|_g; the tangent basis is
-    left to its first read (BoundaryFrame.tangent_basis).
-    """
+
+def _all(mask: np.ndarray) -> bool:
+    """mask.all(), as _any; a test written ``x <= tol`` fails on NaN."""
+    return bool(mask) if mask.ndim == 0 else bool(mask.all())
+
+
+def boundary_frame(table: TableSpec, model: AmbientModel, x0) -> LevelSetFrame:
+    """Frame of the boundary {f = 0} at the points x0, shape (..., n), in the
+    induced metric g on H; every point must be a regular boundary point
+    inside U.  The inward normal is g^{-1} Df / |g^{-1} Df|_g."""
     x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (table.n,):
+    if x0.shape[-1:] != (table.n,):
         raise InvalidInputError("x0 has wrong dimension")
-    if abs(table.f(x0)) > ON_BOUNDARY_TOL:
+    if _any(abs(table.f(x0)) > ON_LEVEL_SET_TOL):
         raise PreconditionError("x0 is not on the boundary {f = 0}")
-    if not table.region.contains(x0):
+    if not _all(table.region.contains(x0)):
         raise PreconditionError("x0 lies outside the patch U")
     df = table.grad_f(x0)
-    if np.linalg.norm(df) < DEGENERATE_GRAD_TOL:
+    if _any(np.sqrt(_dot(df, df)) < SINGULAR_GRAD_TOL):
         raise DegenerateBoundaryError("boundary gradient vanishes at x0")
-    metric = ambient.metric_tensor(model_on_table(table, model), x0)
-    nu = metric.g_inv @ df
-    nu = nu / np.sqrt(nu @ metric.g @ nu)
-    return BoundaryFrame(x0=x0, nu=nu, metric=metric, df=df)
+    return LevelSetFrame(model_on_table(table, model), x0, df)
 
 
-def _check_unit_cone(frame: BoundaryFrame, v: np.ndarray, label: str) -> None:
-    g = frame.metric.g
-    if abs(v @ g @ v - 1.0) > 1e-8:
+def _normal_component(frame: LevelSetFrame, v: np.ndarray, label: str,
+                      in_cone: bool = False) -> np.ndarray:
+    """g(v, nu) at the frame's points, shape (..., 1) (a scalar for one
+    point), for vectors v that must be unit in g, and in the tangent cone if
+    in_cone.  v^T g is formed once for g(v, v) and g(v, nu), which round as
+    _form's do; one point takes the 1-D products, which round the same."""
+    g, nu = frame.metric.g, frame.nu
+    if v.ndim == nu.ndim == 1:
+        vg = v @ g
+        vv, r = vg @ v, vg @ nu
+    else:
+        vg = v[..., None, :] @ g
+        vv, r = (vg @ v[..., :, None])[..., 0], (vg @ nu[..., :, None])[..., 0]
+    if not _all(abs(vv - 1.0) <= UNIT_TOL):
         raise PreconditionError(f"{label} is not a unit vector in g")
-    if v @ g @ frame.nu < -CONE_TOL:
+    if in_cone and not _all(r >= -CONE_TOL):
         raise PreconditionError(f"{label} is not in the tangent cone")
+    return r
 
 
-def is_polar(frame: BoundaryFrame, u, v, tol: float = POLAR_TOL) -> bool:
-    """Whether unit cone vectors u, v form a polar pair at the frame point.
+def is_polar(frame: LevelSetFrame, u, v, tol: float = POLAR_TOL):
+    """Whether unit cone vectors u, v, shape (..., n), form a polar pair at
+    the frame's points; a bool for one point.
 
     Runs both equivalent tests and insists they agree:
       (a) g(u + v, w) >= -tol for w in the generating set {+-t_i, nu};
       (b) u + v = s nu with s >= -tol and tangential remainder below tol.
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    _check_unit_cone(frame, u, "u")
-    _check_unit_cone(frame, v, "v")
-    g = frame.metric.g
-    s = u + v
-    test_a = (s @ g @ frame.nu) >= -tol
-    for t in frame.tangent_basis:
-        val = s @ g @ t
-        test_a = test_a and (val >= -tol) and (-val >= -tol)
-    r = s @ g @ frame.nu
-    tangential = s - r * frame.nu
-    test_b = (r >= -tol) and np.sqrt(max(tangential @ g @ tangential, 0.0)) <= tol
-    if test_a != test_b:
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    _normal_component(frame, u, "u", in_cone=True)
+    _normal_component(frame, v, "v", in_cone=True)
+    g, s = frame.metric.g, u + v
+    r = _form(s, g, frame.nu)
+    val = _form(s[..., None, :], g[..., None, :, :], frame.tangent_basis)
+    test_a = (r >= -tol) & ((val >= -tol) & (-val >= -tol)).all(axis=-1)
+    tangential = s - r[..., None] * frame.nu
+    test_b = (r >= -tol) & (np.sqrt(np.maximum(_form(tangential, g, tangential), 0.0)) <= tol)
+    if _any(test_a != test_b):
         raise NumericError(
             f"polarity tests disagree for u={u}, v={v}: "
             f"generating-set={test_a}, normal-decomposition={test_b}")
-    return bool(test_a)
+    return test_a if test_a.ndim else bool(test_a)
 
 
-def polar_vector(frame: BoundaryFrame, u) -> np.ndarray:
+def polar_vector(frame: LevelSetFrame, u) -> np.ndarray:
     """The unique polar partner: u = u_tan + r nu maps to -u_tan + r nu."""
     u = np.asarray(u, dtype=float)
-    _check_unit_cone(frame, u, "u")
-    g = frame.metric.g
-    r = u @ g @ frame.nu
+    r = _normal_component(frame, u, "u", in_cone=True)
     return 2.0 * r * frame.nu - u
 
 
-def reflect(frame: BoundaryFrame, w_in) -> np.ndarray:
-    """Mirror law for an incoming unit velocity: w - 2 g(w, nu) nu.
+def reflect(frame: LevelSetFrame, w_in) -> np.ndarray:
+    """Mirror law for incoming unit velocities, shape (..., n): w - 2 g(w, nu) nu.
 
     Incoming means the normal component g(w_in, nu) is <= 1e-10; an outgoing
     vector is a precondition error.  Grazing vectors reflect to themselves.
     """
     w_in = np.asarray(w_in, dtype=float)
-    g = frame.metric.g
-    if abs(w_in @ g @ w_in - 1.0) > 1e-8:
-        raise PreconditionError("w_in is not a unit vector in g")
-    r = w_in @ g @ frame.nu
-    if r > 1e-10:
+    r = _normal_component(frame, w_in, "w_in")
+    if not _all(r <= 1e-10):
         raise PreconditionError("w_in points into the table; not an incoming velocity")
     return w_in - 2.0 * r * frame.nu
 
@@ -484,7 +508,7 @@ def _boundary_hits(table: TableSpec, anchor: np.ndarray, d: np.ndarray) -> np.nd
         lo, hi = np.where(neg, lo, mid), np.where(neg, mid, hi)
     x0 = anchor + (0.5 * (lo + hi))[:, None] * d
     g = table.grad_f(x0)
-    return x0[~(np.abs(table.f(x0)) > ON_BOUNDARY_TOL) & ~(np.sqrt(_dot(g, g)) < 1e-6)]
+    return x0[~(np.abs(table.f(x0)) > ON_LEVEL_SET_TOL) & ~(np.sqrt(_dot(g, g)) < 1e-6)]
 
 
 def _interior_anchor(table: TableSpec, model: AmbientModel) -> np.ndarray:
@@ -500,31 +524,25 @@ def _interior_anchor(table: TableSpec, model: AmbientModel) -> np.ndarray:
 def reflection_iff_polar_check(table: TableSpec, model: AmbientModel,
                                n_samples: int, seed: int = 0) -> dict:
     """Property check: reflected pairs are polar, tangential perturbations
-    of the outgoing vector by POLAR_PERTURBATION are not; returns counts."""
+    of the outgoing vector by POLAR_PERTURBATION are not; returns counts.
+    All sampled points run as one batch."""
     rng = np.random.default_rng(seed)
     pts = sample_boundary_points(table, model, n_samples, seed=seed)
-    ok_polar = 0
-    ok_broken = 0
-    for x0 in pts:
-        frame = boundary_frame(table, model, x0)
-        g = frame.metric.g
-        # random incoming unit vector, kept away from grazing: for nearly
-        # tangent vectors the perturbation is parallel to the vector and is
-        # absorbed by renormalization, so the breakage property degenerates
-        coeffs = rng.normal(size=table.n - 1)
-        w = coeffs @ frame.tangent_basis - (0.1 + abs(rng.normal())) * frame.nu
-        w = w / np.sqrt(w @ g @ w)
-        v_out = reflect(frame, w)
-        u = -w
-        if is_polar(frame, u, v_out):
-            ok_polar += 1
-        t = frame.tangent_basis[rng.integers(table.n - 1)]
-        v_pert = v_out + POLAR_PERTURBATION * t
-        v_pert = v_pert / np.sqrt(v_pert @ g @ v_pert)
-        if v_pert @ g @ frame.nu < -CONE_TOL:
-            # perturbation pushed the vector out of the cone; try the other side
-            v_pert = v_out - POLAR_PERTURBATION * t
-            v_pert = v_pert / np.sqrt(v_pert @ g @ v_pert)
-        if not is_polar(frame, u, v_pert):
-            ok_broken += 1
-    return {"n": len(pts), "polar_ok": ok_polar, "perturbation_breaks": ok_broken}
+    frame = boundary_frame(table, model, pts)
+    nu, basis = frame.nu, frame.tangent_basis
+    model_H = model_on_table(table, model)
+    # random incoming unit vectors, kept away from grazing: for nearly
+    # tangent vectors the perturbation is parallel to the vector and is
+    # absorbed by renormalization, so the breakage property degenerates
+    coeffs = rng.normal(size=(len(pts), 1, table.n - 1))
+    w = (coeffs @ basis)[:, 0] - (0.1 + np.abs(rng.normal(size=len(pts))))[:, None] * nu
+    w = ambient.normalize(model_H, pts, w)
+    v_out = reflect(frame, w)
+    polar = is_polar(frame, -w, v_out)
+    t = basis[np.arange(len(pts)), rng.integers(table.n - 1, size=len(pts))]
+    v_pert = ambient.normalize(model_H, pts, v_out + POLAR_PERTURBATION * t)
+    # a perturbation that pushed the vector out of the cone tries the other side
+    out = _form(v_pert, frame.metric.g, nu) < -CONE_TOL
+    v_pert[out] = ambient.normalize(model_H, pts[out], v_out[out] - POLAR_PERTURBATION * t[out])
+    broken = ~is_polar(frame, -w, v_pert)
+    return {"n": len(pts), "polar_ok": int(polar.sum()), "perturbation_breaks": int(broken.sum())}

@@ -173,7 +173,7 @@ class TestCurvatureOracles:
         lam = 0.5
         f = fd.Fold(tb.spherical_halfspace_table(), am.spherical(4), lam)
         fr = fd.frame_at(f, np.zeros(4))
-        assert np.allclose(fr.grad_F, [-(lam**2) / 4.0, 0.0, 0.0, 0.0], atol=1e-12)
+        assert np.allclose(fr.grad, [-(lam**2) / 4.0, 0.0, 0.0, 0.0], atol=1e-12)
 
     @pytest.mark.parametrize("lam", [0.9, 0.1])
     def test_spherical_halfspace_matches_rational_defect(self, lam, rng):

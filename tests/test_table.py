@@ -248,6 +248,43 @@ class TestBoundaryFrame:
         with pytest.raises(PreconditionError):
             tb.boundary_frame(tb.disk_table(), am.euclidean(3), [0.5, 0.0])
 
+    def test_a_failing_point_fails_its_batch(self):
+        model = am.euclidean(3)
+        for table, good, bad, message in [
+                (tb.disk_table(), [1.0, 0.0], [0.5, 0.0], "x0 is not on the boundary"),
+                (tb.half_space_table(), [0.0, 1.0], [0.0, 6.0], "x0 lies outside the patch U")]:
+            with pytest.raises(PreconditionError, match=message):
+                tb.boundary_frame(table, model, bad)
+            with pytest.raises(PreconditionError, match=message):
+                tb.boundary_frame(table, model, [good, bad, good])
+        with pytest.raises(InvalidInputError, match="wrong dimension"):
+            tb.boundary_frame(tb.disk_table(), model, [[1.0, 0.0, 0.0]])
+
+    @pytest.mark.parametrize("table", BUILTIN_TABLES, ids=lambda t: t.name)
+    def test_euclidean_frames_keep_the_metric_normal(self, table):
+        # in the euclidean model g^{-1} Df is Df and |g^{-1} Df|_g is
+        # sqrt(nu . g . nu), so the shared frame keeps the bits of the
+        # earlier boundary normal and basis
+        model = am.euclidean(table.n + 1)
+        pts = tb.sample_boundary_points(table, model, 200, seed=4)
+        fr = tb.boundary_frame(table, model, pts)
+        for i, x0 in enumerate(pts):
+            nu, basis = boundary_frame_by_metric_normal(table, model, x0)
+            assert fr.nu[i].tobytes() == nu.tobytes()
+            assert fr.tangent_basis[i].tobytes() == basis.tobytes()
+
+
+def boundary_frame_by_metric_normal(table, model, x0):
+    """Reference: the one-point boundary normal g^{-1} Df / sqrt(nu . g . nu)
+    and its tangent basis, Gram-Schmidt aligned by Df."""
+    df = table.grad_f(x0)
+    metric = am.metric_tensor(tb.model_on_table(table, model), x0)
+    nu = metric.g_inv @ df
+    nu = nu / np.sqrt(nu @ metric.g @ nu)
+    basis, spanned = tb._orthonormal_complement(metric.g, nu, df)
+    assert spanned
+    return nu, basis
+
 
 def _complement_loop(g, normal, alignment):
     """Reference: the batch Gram-Schmidt that visits every axis and projects
@@ -388,15 +425,27 @@ class TestLazyTangentBasis:
     @pytest.mark.parametrize("table", BUILTIN_TABLES, ids=lambda t: t.name)
     @pytest.mark.parametrize("kind", am.MODEL_KINDS)
     def test_basis_equals_the_batch_row(self, table, kind):
+        # a batched frame gives each point the one-point frame's normal,
+        # gradient norm and tangent basis, bit for bit, and each basis is
+        # the row of one Gram-Schmidt over the stacked points
         model = am.AmbientModel(kind, table.n + 1)
-        frames = [tb.boundary_frame(table, model, x)
-                  for x in tb.sample_boundary_points(table, model, 8, seed=5)]
-        batch, spanned = tb._orthonormal_complement(np.stack([fr.metric.g for fr in frames]),
-                                                    np.stack([fr.nu for fr in frames]),
-                                                    np.stack([fr.df for fr in frames]))
+        pts = tb.sample_boundary_points(table, model, 8, seed=5)
+        frames = [tb.boundary_frame(table, model, x) for x in pts]
+        batch = tb.boundary_frame(table, model, pts)
+        rows, spanned = tb._orthonormal_complement(np.stack([fr.metric.g for fr in frames]),
+                                                   np.stack([fr.nu for fr in frames]),
+                                                   np.stack([fr.grad for fr in frames]))
         assert spanned.all()
-        for fr, row in zip(frames, batch):
-            assert fr.tangent_basis.tobytes() == row.tobytes()
+        for i, fr in enumerate(frames):
+            assert fr.nu.tobytes() == batch.nu[i].tobytes()
+            assert fr.grad_norm.tobytes() == batch.grad_norm[i].tobytes()
+            assert fr.tangent_basis.tobytes() == batch.tangent_basis[i].tobytes()
+            assert fr.tangent_basis.tobytes() == rows[i].tobytes()
+
+    def test_polarity_check_runs_one_gram_schmidt(self, monkeypatch):
+        calls = count_complement_calls(monkeypatch)
+        res = tb.reflection_iff_polar_check(tb.disk_table(), am.hyperbolic(3), 25, seed=11)
+        assert res["n"] == 25 and len(calls) == 1
 
     def test_unspanned_basis_raises_on_read(self, monkeypatch):
         monkeypatch.setattr(tb, "_orthonormal_complement",
@@ -445,6 +494,46 @@ class TestReflectionAndPolarity:
         fr = tb.boundary_frame(halfplane_table(), am.euclidean(3), [0.0, 0.0])
         with pytest.raises(PreconditionError):
             tb.is_polar(fr, [0.0, 1.0], [0.0, -1.0])
+
+    @pytest.mark.parametrize("bad", [[np.nan, np.nan], [np.nan, 0.0], [np.inf, 0.0],
+                                     [-np.inf, np.nan]])
+    def test_non_finite_vectors_rejected(self, bad):
+        fr = tb.boundary_frame(tb.disk_table(), am.euclidean(3), [1.0, 0.0])
+        calls = [("w_in", lambda: tb.reflect(fr, bad)),
+                 ("u", lambda: tb.polar_vector(fr, bad)),
+                 ("u", lambda: tb.is_polar(fr, bad, [-1.0, 0.0])),
+                 ("v", lambda: tb.is_polar(fr, [-1.0, 0.0], bad))]
+        for label, call in calls:
+            # an infinite entry times a zero of g warns before the check raises
+            with np.errstate(invalid="ignore"), pytest.raises(
+                    PreconditionError, match=f"^{label} is not a unit vector in g$"):
+                call()
+
+    @pytest.mark.parametrize("kind", am.MODEL_KINDS)
+    def test_batch_rows_equal_single_points(self, kind):
+        # reflect, polar_vector and is_polar on a batch give each row the
+        # bits of the one-point call, and one failing row fails the batch
+        model = am.AmbientModel(kind, 3)
+        disk = tb.disk_table()
+        pts = tb.sample_boundary_points(disk, model, 12, seed=6)
+        batch = tb.boundary_frame(disk, model, pts)
+        frames = [tb.boundary_frame(disk, model, x) for x in pts]
+        r = np.random.default_rng(6)
+        w = ((r.normal(size=(12, 1, 1)) @ batch.tangent_basis)[:, 0]
+             - (0.1 + np.abs(r.normal(size=(12, 1)))) * batch.nu)
+        w /= np.sqrt(am._form(w, batch.metric.g, w))[:, None]
+        out = tb.reflect(batch, w)
+        partner = tb.polar_vector(batch, -w)
+        polar = tb.is_polar(batch, -w, out)
+        assert polar.shape == (12,) and polar.all()
+        assert not tb.is_polar(batch, -w, -w).any()
+        for i, fr in enumerate(frames):
+            assert tb.reflect(fr, w[i]).tobytes() == out[i].tobytes()
+            assert tb.polar_vector(fr, -w[i]).tobytes() == partner[i].tobytes()
+            assert tb.is_polar(fr, -w[i], out[i]) is True
+        w[5] = -w[5]
+        with pytest.raises(PreconditionError, match="not an incoming velocity"):
+            tb.reflect(batch, w)
 
     @given(seed=st.integers(0, 10**6))
     def test_reflection_properties(self, seed):
@@ -510,7 +599,7 @@ def sample_boundary_points_one_ray_at_a_time(table, model, k, seed=0, max_tries=
             else:
                 lo = mid
         x0 = anchor + 0.5 * (lo + hi) * d
-        if abs(table.f(x0)) > tb.ON_BOUNDARY_TOL:
+        if abs(table.f(x0)) > tb.ON_LEVEL_SET_TOL:
             continue
         if np.linalg.norm(table.grad_f(x0)) < 1e-6:
             continue
