@@ -185,10 +185,10 @@ def norm(model: AmbientModel, x, v):
 
 
 def normalize(model: AmbientModel, x, v) -> np.ndarray:
-    """v / |v|_g at the points x, shape (..., dim)."""
+    """v / |v|_g at the points x, shape (..., dim), for finite |v|_g >= 1e-14."""
     n = np.asarray(norm(model, x, v))
-    if (n < 1e-14).any():
-        raise InvalidInputError("cannot normalize a (near-)zero vector")
+    if not ((n >= 1e-14) & (n < np.inf)).all():
+        raise InvalidInputError("cannot normalize a (near-)zero or non-finite vector")
     return np.asarray(v, dtype=float) / n[..., None]
 
 

@@ -20,8 +20,10 @@ flat sheets.  Steps are not tied to the output grid: each grid sample is
 read off the quintic Hermite extension of the step that covers it, after
 the steps (this dense output is a continuous extension of the accepted
 steps), all samples in one call; a row reads its samples early only when
-a step end leaves the patch U, where a sample may stop it.  Each step end
-is Newton-projected back onto the level set as it is taken, and each
+a step end leaves the patch U, where a sample may stop it.  A flow starts
+where its frame exists (fold.frame_at, table.boundary_frame), with v0 unit
+in g and tangent there (table.TANGENT_TOL).  Each step end is
+Newton-projected (_settle) back onto the level set as it is taken, and each
 sample when it is read, its velocity made tangent and of unit speed; a
 projection still off after NEWTON_ITERS iterations, and a step below
 STEP_FLOOR T, raise NumericError.  refine_tol=None takes fixed RK4 steps
@@ -34,8 +36,8 @@ along the exact flow: one guarded search (_first_dip) finds the first dip
 below f = 0.  A batched bound on d^2 f / dt^2 clears the intervals that
 cannot hide one; each other interval is cut into at most _SPLIT steps and
 searched again the same way, down to steps of DELTA_MIN / 2.  Regula falsi
-on f(flow(s)) finds the root to |f| <= 1e-10, and the velocity reflects by
-the mirror law.
+on f(flow(s)) finds the root to |f| <= 1e-10, _settle puts it on f = 0 and
+the velocity reflects by the mirror law.
 """
 
 from __future__ import annotations
@@ -45,14 +47,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ambient
-from .ambient import AmbientModel, _dot, _form
+from .ambient import AmbientModel, _all_finite, _dot, _form
 from .errors import (
     BounceAccumulationError,
     InvalidInputError,
     NumericError,
     PreconditionError,
 )
-from .table import (ON_LEVEL_SET_TOL, SINGULAR_GRAD_TOL, UNIT_TOL, TableSpec, boundary_frame,
+from .fold import frame_at
+from .table import (UNIT_TOL, TableSpec, _check_tangent, _normal_component, boundary_frame,
                     model_on_table, reflect)
 
 REFINE_TOL = 1e-9
@@ -174,40 +177,45 @@ def _acceleration(model: AmbientModel, constraint, x, v):
     return acc
 
 
-def _project(model: AmbientModel, constraint, x, v, t=None):
-    """Newton-project the points x, shape (..., dim), onto the level set along
-    grad F, make v tangent and rescale it to unit speed.
+def _settle(model: AmbientModel, value, egrad, x, t=None):
+    """Newton-project the points x, shape (N, dim), in place onto the level
+    set {value = 0} along grad F = g^{-1} egrad, and return them.
 
     Each row iterates until |F| < 1e-14, at most NEWTON_ITERS times, under
     its own mask, so its bits do not depend on the other rows.  NumericError,
     naming the time t of the row when given, when a row still has
     |F| > NEWTON_F_TOL after the last iteration."""
+    rows = np.arange(len(x))
+    for _ in range(NEWTON_ITERS):
+        val = value(x[rows])
+        go = np.abs(val) >= 1e-14
+        rows, val = rows[go], val[go]
+        if not rows.size:
+            return x
+        xr = x[rows]
+        df = egrad(xr)
+        grad = _raise_index(model, xr, df)
+        denom = _dot(df, grad)
+        if (denom < 1e-20).any():
+            raise NumericError("projection failed: vanishing gradient")
+        x[rows] = xr - (val / denom)[:, None] * grad
+    val = np.abs(value(x[rows]))
+    if (val > NEWTON_F_TOL).any():
+        i = (val > NEWTON_F_TOL).argmax()
+        at = "" if t is None else f" at t = {np.broadcast_to(t, len(x))[rows[i]]}"
+        raise NumericError(f"Newton projection left |F| = {val[i]} > {NEWTON_F_TOL} "
+                           f"after {NEWTON_ITERS} iterations{at}")
+    return x
+
+
+def _project(model: AmbientModel, constraint, x, v, t=None):
+    """_settle the points x, shape (..., dim), make v tangent and of unit speed."""
     shape = np.shape(x)
     x = np.array(x, dtype=float).reshape(-1, shape[-1])
     v = np.asarray(v, dtype=float).reshape(x.shape)
     if constraint is not None:
         value, egrad, _ = constraint
-        rows = np.arange(len(x))
-        for _ in range(NEWTON_ITERS):
-            val = value(x[rows])
-            go = np.abs(val) >= 1e-14
-            rows, val = rows[go], val[go]
-            if not rows.size:
-                break
-            xr = x[rows]
-            df = egrad(xr)
-            grad = _raise_index(model, xr, df)
-            denom = _dot(df, grad)
-            if (denom < 1e-20).any():
-                raise NumericError("projection failed: vanishing gradient")
-            x[rows] = xr - (val / denom)[:, None] * grad
-        else:
-            val = np.abs(value(x[rows]))
-            if (val > NEWTON_F_TOL).any():
-                i = (val > NEWTON_F_TOL).argmax()
-                at = "" if t is None else f" at t = {np.broadcast_to(t, len(x))[rows[i]]}"
-                raise NumericError(f"Newton projection left |F| = {val[i]} > {NEWTON_F_TOL} "
-                                   f"after {NEWTON_ITERS} iterations{at}")
+        x = _settle(model, value, egrad, x, t)
         df = egrad(x)
         grad = _raise_index(model, x, df)
         v = v - (_dot(df, v) / _dot(df, grad))[:, None] * grad
@@ -416,24 +424,10 @@ def _sampled(times, pts, vel, filled, exits, row) -> SampledCurve:
                         truncated=exit_t is not None, exit_forward=exit_t)
 
 
-def _check_unit(model, x, v, label="v0"):
-    nrm = ambient.norm(model, x, v)
-    if np.any(np.abs(nrm - 1.0) > UNIT_TOL):
-        raise PreconditionError(f"{label} must be a unit vector (got |v| = {nrm})")
-
-
-def _check_start(model, constraint, x0, v0, point: str, surface: str):
-    """x0 on the level set with a non-singular gradient, v0 tangent and of
-    unit norm in the model."""
-    value, egrad, _ = constraint
-    if abs(value(x0)) > ON_LEVEL_SET_TOL:
-        raise PreconditionError(f"{point} is not on the {surface}")
-    df = egrad(x0)
-    if np.linalg.norm(df) < SINGULAR_GRAD_TOL:
-        raise PreconditionError(f"the {surface} is singular at {point}")
-    if abs(df @ v0) > 1e-8 * max(1.0, float(np.linalg.norm(df))):
-        raise PreconditionError(f"v0 is not tangent to the {surface}")
-    _check_unit(model, x0, v0)
+def _check_unit(model, x, v):
+    """v finite and |g(v, v) - 1| <= UNIT_TOL at x, as table._normal_component tests it."""
+    if not (_all_finite(v) and np.all(np.abs(ambient.inner(model, x, v, v) - 1.0) <= UNIT_TOL)):
+        raise PreconditionError("v0 is not a unit vector in g")
 
 
 def integrate_fold_geodesic(fold, q0, v0, T, dt, two_sided: bool = True,
@@ -441,15 +435,16 @@ def integrate_fold_geodesic(fold, q0, v0, T, dt, two_sided: bool = True,
     """Geodesic of the fold through q0 with initial velocity v0.
 
     Integrates on [-T, T] when two_sided (the default), else on [0, T]; the
-    two sides are the rows v0 and -v0 of one batch.  Requires q0 on the
-    fold, v0 tangent and of unit ambient norm.  If the projected base point
-    leaves the patch U the curve is truncated on that side and flagged.
-    refine_tol=None takes fixed RK4 steps of size dt.
+    two sides are the rows v0 and -v0 of one batch.  Requires q0 where
+    frame_at builds a frame, and v0 unit and tangent there.  If the
+    projected base point leaves the patch U the curve is truncated on that
+    side and flagged.  refine_tol=None takes fixed RK4 steps of size dt.
     """
-    q0 = np.asarray(q0, dtype=float)
-    v0 = np.asarray(v0, dtype=float)
+    q0, v0 = np.asarray(q0, dtype=float), np.asarray(v0, dtype=float)
+    frame = frame_at(fold, q0)
+    _normal_component(frame, v0, "v0")
+    _check_tangent(frame, v0, "v0")
     constraint = (fold.value, fold.euclid_grad, fold.euclid_hess)
-    _check_start(fold.model, constraint, q0, v0, "q0", "fold")
     region = fold.table.region
     times = _grid(T, dt)
     sides = np.stack([v0, -v0]) if two_sided and T > 0 else v0[None]
@@ -475,8 +470,7 @@ def integrate_table_geodesic(model: AmbientModel, x0, v0, T, dt) -> SampledCurve
     v0 of shape (..., n) broadcasts against x0: the points and velocities
     then have shape (..., N, n) for the N grid times, one curve per launch.
     """
-    x0 = np.asarray(x0, dtype=float)
-    v0 = np.asarray(v0, dtype=float)
+    x0, v0 = np.asarray(x0, dtype=float), np.asarray(v0, dtype=float)
     _check_unit(model, x0, v0)
     times = _grid(T, dt)
     p, v = ambient.geodesic_flow(model, x0, v0, times)
@@ -488,14 +482,15 @@ def integrate_boundary_geodesic(table: TableSpec, model: AmbientModel, x0, v0,
     """Geodesic of the boundary hypersurface {f = 0} inside (H, g).
 
     model is the ambient model; the curve runs in the induced geometry on H
-    constrained to the table boundary.  Requires x0 on the boundary with a
-    non-singular gradient of f, and v0 tangent to it and of unit norm.
+    constrained to the table boundary.  Requires x0 where boundary_frame
+    builds its frame, and v0 unit and tangent there.
     """
-    x0 = np.asarray(x0, dtype=float)
-    v0 = np.asarray(v0, dtype=float)
+    x0, v0 = np.asarray(x0, dtype=float), np.asarray(v0, dtype=float)
+    frame = boundary_frame(table, model, x0)
+    _normal_component(frame, v0, "v0")
+    _check_tangent(frame, v0, "v0")
     model_H = model_on_table(table, model)
     constraint = (table.f, table.grad_f, table.hess_f)
-    _check_start(model_H, constraint, x0, v0, "x0", "table boundary")
     times = _grid(T, dt)
     flow = _level_set_flow(model_H, constraint, x0[None], v0[None], times, REFINE_TOL,
                            table.region.contains)
@@ -583,22 +578,17 @@ def _contact(table, model, x, v):
     return frame, w, w @ g @ frame.nu
 
 
-def _bounce(table, model, t, xb, vb) -> Bounce:
+def _bounce(table, model_H, t, xb, vb) -> Bounce:
     """Mirror reflection of the unit velocity at a located crossing; grazing
     contacts continue unreflected.  The point is settled onto the boundary
-    so the next segment does not re-trigger on residual negative f."""
-    frame, w_in, normal_speed = _contact(table, model, xb, vb)
+    (_settle) so the next segment does not re-trigger on residual negative f."""
+    frame, w_in, normal_speed = _contact(table, model_H, xb, vb)
     if normal_speed > GRAZING_TOL:
         raise NumericError("crossing detected with inward velocity")
     grazing = bool(abs(normal_speed) <= GRAZING_TOL)
     w_out = w_in if grazing else reflect(frame, w_in)
-    for _ in range(3):
-        val = table.f(xb)
-        if abs(val) < 1e-14:
-            break
-        dfb = table.grad_f(xb)
-        xb = xb - (val / (dfb @ dfb)) * dfb
-    return Bounce(t=t, x=xb.copy(), w_in=w_in, w_out=w_out, grazing=grazing)
+    x = _settle(model_H, table.f, table.grad_f, np.array([xb], dtype=float), t)[0]
+    return Bounce(t=t, x=x, w_in=w_in, w_out=w_out, grazing=grazing)
 
 
 def billiard_trajectory(table: TableSpec, model: AmbientModel, x0, v0, T,
@@ -614,8 +604,7 @@ def billiard_trajectory(table: TableSpec, model: AmbientModel, x0, v0, T,
     run that ends on the boundary inside U, moving out of the table, records
     a last bounce at T.
     """
-    x0 = np.asarray(x0, dtype=float)
-    v0 = np.asarray(v0, dtype=float)
+    x0, v0 = np.asarray(x0, dtype=float), np.asarray(v0, dtype=float)
     model_H = model_on_table(table, model)
     f0 = table.f(x0)
     if f0 < -1e-10:
@@ -623,8 +612,8 @@ def billiard_trajectory(table: TableSpec, model: AmbientModel, x0, v0, T,
     if not table.region.contains(x0):
         raise PreconditionError("x0 is outside the patch U")
     _check_unit(model_H, x0, v0)
-    if abs(f0) <= 1e-10 and _contact(table, model, x0, v0)[2] < -1e-10:
-        raise PreconditionError("x0 is on the boundary and v0 leaves the table")
+    if abs(f0) <= 1e-10:
+        _normal_component(boundary_frame(table, model_H, x0), v0, "v0", in_cone=True)
 
     times = _grid(T, dt)
     pts = np.empty((len(times), len(x0)))
@@ -656,7 +645,7 @@ def billiard_trajectory(table: TableSpec, model: AmbientModel, x0, v0, T,
         if bounces and t_b - bounces[-1].t < DELTA_MIN:
             raise BounceAccumulationError(
                 f"bounces at t = {bounces[-1].t} and {t_b} are closer than {DELTA_MIN}")
-        bounces.append(_bounce(table, model, float(t_b), xb, vb))
+        bounces.append(_bounce(table, model_H, float(t_b), xb, vb))
         t_s, x, v = t_b, bounces[-1].x, bounces[-1].w_out
 
     # terminal boundary hit inside U with outward velocity counts as a bounce

@@ -33,7 +33,7 @@ from .errors import (
     SingularPointError,
 )
 from .table import (ON_LEVEL_SET_TOL, SINGULAR_GRAD_TOL, LevelSetFrame, TableSpec,
-                    sample_boundary_points)
+                    _check_tangent, sample_boundary_points)
 
 # Curvature sampling stays away from the pinch set by this margin in f.
 EDGE_EXCLUSION_F = 1e-6
@@ -144,7 +144,10 @@ def frame_at(fold: Fold, q) -> LevelSetFrame:
 def second_fundamental_form(fold: Fold, q, v, w) -> float:
     """h(v, w) = Hess F(v, w) / |grad F| for tangent vectors v, w at q."""
     frame = frame_at(fold, np.asarray(q, dtype=float))
-    return float(np.asarray(v) @ frame.hessian @ np.asarray(w) / frame.grad_norm)
+    v, w = np.asarray(v, dtype=float), np.asarray(w, dtype=float)
+    _check_tangent(frame, v, "v")
+    _check_tangent(frame, w, "w")
+    return float(v @ frame.hessian @ w / frame.grad_norm)
 
 
 def _coordinate_dot(u, v):
@@ -178,22 +181,15 @@ def _gauss_equation(h, kappa_ambient: float, a, b):
 
 
 def sectional_curvature(fold: Fold, q, v, w) -> float:
-    """Sectional curvature of the fold at q for the plane span{v, w}.
-
-    v and w must be tangent: |dF . v| <= 1e-8 (scaled by |v|).
-    """
-    q = np.asarray(q, dtype=float)
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    frame = frame_at(fold, q)
-    df = fold.euclid_grad(q)
-    for vec, label in ((v, "v"), (w, "w")):
-        scale = max(1.0, float(np.linalg.norm(vec)))
-        if abs(df @ vec) > 1e-8 * scale * max(1.0, frame.grad_norm):
-            raise PreconditionError(f"{label} is not tangent to the fold")
+    """Sectional curvature of the fold at q for the plane span{v, w} of
+    tangent vectors v, w (table._check_tangent)."""
+    frame = frame_at(fold, np.asarray(q, dtype=float))
+    v, w = np.asarray(v, dtype=float), np.asarray(w, dtype=float)
+    _check_tangent(frame, v, "v")
+    _check_tangent(frame, w, "w")
     tg = frame.tangent_basis @ frame.metric.g   # coefficients a_i = g(t_i, v)
     sec, gram = _gauss_equation(frame.h, fold.model.kappa, tg @ v, tg @ w)
-    if gram < 1e-12:
+    if not gram >= 1e-12:
         raise DegeneratePlaneError("tangent vectors do not span a 2-plane")
     return float(sec)
 

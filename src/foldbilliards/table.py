@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from . import ambient
-from .ambient import AmbientModel, _dot, _form, _identity
+from .ambient import AmbientModel, _all_finite, _dot, _form, _identity
 from .errors import (
     DegenerateBoundaryError,
     InvalidInputError,
@@ -27,9 +27,11 @@ from .errors import (
 ON_LEVEL_SET_TOL = 1e-8
 # |DF| below this is a singular point of a level set.
 SINGULAR_GRAD_TOL = 1e-10
-# Slack of a unit vector's g-norm, or of its square, from 1.
+# Slack of a unit vector's squared g-norm from 1.
 UNIT_TOL = 1e-8
-# Default slack for the polarity tests.
+# A vector v is tangent to a level set when |g(v, nu)| <= TANGENT_TOL max(1, |v|_g).
+TANGENT_TOL = 1e-8
+# Slack of the polarity tests.
 POLAR_TOL = 1e-9
 # Tangential step of reflection_iff_polar_check's perturbed vectors.
 POLAR_PERTURBATION = 1e-3
@@ -405,6 +407,8 @@ def _normal_component(frame: LevelSetFrame, v: np.ndarray, label: str,
     in_cone.  v^T g is formed once for g(v, v) and g(v, nu), which round as
     _form's do; one point takes the 1-D products, which round the same."""
     g, nu = frame.metric.g, frame.nu
+    if not _all_finite(v):   # an infinite entry times a zero of g would warn
+        raise PreconditionError(f"{label} is not a unit vector in g")
     if v.ndim == nu.ndim == 1:
         vg = v @ g
         vv, r = vg @ v, vg @ nu
@@ -418,18 +422,27 @@ def _normal_component(frame: LevelSetFrame, v: np.ndarray, label: str,
     return r
 
 
-def is_polar(frame: LevelSetFrame, u, v, tol: float = POLAR_TOL):
+def _check_tangent(frame: LevelSetFrame, v: np.ndarray, label: str) -> None:
+    """PreconditionError unless the vectors v are finite and tangent at the
+    frame's points: |g(v, nu)| <= TANGENT_TOL max(1, |v|_g)."""
+    g = frame.metric.g
+    if not (_all_finite(v) and _all(abs(_form(v, g, frame.nu))
+                                    <= TANGENT_TOL * np.maximum(1.0, np.sqrt(_form(v, g, v))))):
+        raise PreconditionError(f"{label} is not tangent to the level set")
+
+
+def is_polar(frame: LevelSetFrame, u, v):
     """Whether unit cone vectors u, v, shape (..., n), form a polar pair at
     the frame's points; a bool for one point.
 
-    Runs both equivalent tests and insists they agree:
+    Runs both equivalent tests and insists they agree, at tol = POLAR_TOL:
       (a) g(u + v, w) >= -tol for w in the generating set {+-t_i, nu};
       (b) u + v = s nu with s >= -tol and tangential remainder below tol.
     """
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
     _normal_component(frame, u, "u", in_cone=True)
     _normal_component(frame, v, "v", in_cone=True)
-    g, s = frame.metric.g, u + v
+    g, s, tol = frame.metric.g, u + v, POLAR_TOL
     r = _form(s, g, frame.nu)
     val = _form(s[..., None, :], g[..., None, :, :], frame.tangent_basis)
     test_a = (r >= -tol) & ((val >= -tol) & (-val >= -tol)).all(axis=-1)
@@ -452,12 +465,12 @@ def polar_vector(frame: LevelSetFrame, u) -> np.ndarray:
 def reflect(frame: LevelSetFrame, w_in) -> np.ndarray:
     """Mirror law for incoming unit velocities, shape (..., n): w - 2 g(w, nu) nu.
 
-    Incoming means the normal component g(w_in, nu) is <= 1e-10; an outgoing
+    Incoming means the normal component g(w_in, nu) is <= CONE_TOL; an outgoing
     vector is a precondition error.  Grazing vectors reflect to themselves.
     """
     w_in = np.asarray(w_in, dtype=float)
     r = _normal_component(frame, w_in, "w_in")
-    if not _all(r <= 1e-10):
+    if not _all(r <= CONE_TOL):
         raise PreconditionError("w_in points into the table; not an incoming velocity")
     return w_in - 2.0 * r * frame.nu
 

@@ -636,6 +636,10 @@ class TestNormsAndVectors:
     def test_zero_vector_rejected_by_normalize(self):
         with pytest.raises(InvalidInputError):
             am.normalize(am.euclidean(3), np.zeros(3), np.zeros(3))
+        # a NaN norm and an infinite one are rejected too
+        for v in ([np.nan, 0.0], [np.inf, 0.0]):
+            with pytest.raises(InvalidInputError):
+                am.normalize(am.euclidean(2), [0.1, 0.2], v)
 
     @pytest.mark.parametrize("model", MODELS3, ids=lambda m: m.kind)
     def test_batches_equal_single_points(self, model):

@@ -17,6 +17,7 @@ from foldbilliards import dynamics as dy
 from foldbilliards import table as tb
 from foldbilliards.errors import (
     BounceAccumulationError,
+    DegenerateBoundaryError,
     InvalidInputError,
     NumericError,
     PreconditionError,
@@ -218,6 +219,14 @@ class TestFoldGeodesic:
         with pytest.raises(PreconditionError):
             dy.integrate_fold_geodesic(sphere_fold, q0, np.array([0, 0, 1.0]),
                                        1.0, 1e-3)
+        # a non-finite velocity fails the unit test of the frame, a
+        # non-finite point the frame's point check
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(PreconditionError, match="^v0 is not a unit vector in g$"):
+                dy.integrate_fold_geodesic(sphere_fold, q0, np.array([bad, 0, 0]), 1.0, 1e-3)
+        with pytest.raises(InvalidInputError):
+            dy.integrate_fold_geodesic(sphere_fold, np.array([np.nan, 0, 1.0]),
+                                       np.array([1.0, 0, 0]), 1.0, 1e-3)
 
     def test_order_of_accuracy_at_least_two(self, sphere_fold):
         # with step refinement disabled halving dt must shrink the endpoint
@@ -478,16 +487,36 @@ class TestTableGeodesic:
         with pytest.raises(PreconditionError):
             dy.integrate_table_geodesic(am.euclidean(2), np.zeros(2),
                                         np.array([2.0, 0.0]), 1.0, 1e-3)
+        # a non-finite velocity fails the test too, in every model
+        for model in (am.euclidean(2), am.hyperbolic(2), am.spherical(2)):
+            for v0 in ([np.nan, 0.0], [np.inf, 0.0], [0.0, -np.inf]):
+                with pytest.raises(PreconditionError, match="^v0 is not a unit vector in g$"):
+                    dy.integrate_table_geodesic(model, np.full(2, 0.1), np.array(v0), 1.0, 1e-3)
 
     @pytest.mark.parametrize("x0, v0", [
-        ([0.5, 0.0], [0.0, 1.0]),  # start off the boundary
-        ([1.0, 0.0], [S2, S2]),    # v0 not tangent to the boundary
-        ([1.0, 0.0], [0.0, 2.0]),  # v0 not of unit norm
-    ], ids=["off-boundary", "not-tangent", "not-unit"])
+        ([0.5, 0.0], [0.0, 1.0]),       # start off the boundary
+        ([1.0, 0.0], [S2, S2]),         # v0 not tangent to the boundary
+        ([1.0, 0.0], [0.0, 2.0]),       # v0 not of unit norm
+        ([1.0, 0.0], [0.0, np.nan]),
+        ([1.0, 0.0], [0.0, np.inf]),
+        ([1.0, 0.0], [0.0, -np.inf]),
+    ], ids=["off-boundary", "not-tangent", "not-unit", "nan", "inf", "minus-inf"])
     def test_boundary_geodesic_preconditions(self, x0, v0):
         with pytest.raises(PreconditionError):
             dy.integrate_boundary_geodesic(tb.disk_table(), am.euclidean(2),
                                            np.array(x0), np.array(v0), 1.0, 1e-3)
+
+    def test_boundary_geodesic_starts_on_its_frame(self):
+        # the frame exists neither outside the patch U nor at a singular
+        # point of the boundary
+        with pytest.raises(PreconditionError, match="outside the patch U"):
+            dy.integrate_boundary_geodesic(tb.half_space_table(), am.euclidean(2),
+                                           np.array([0.0, 6.0]), np.array([0.0, 1.0]), 1.0, 0.1)
+        cone = tb.TableSpec(n=2, shape=tb.PolynomialShape(terms=(((2, 0), 1.0), ((0, 2), -1.0))),
+                            region=tb.Region(center=(0.0, 0.0), radius=3.0), p0=(1.0, 1.0))
+        with pytest.raises(DegenerateBoundaryError):
+            dy.integrate_boundary_geodesic(cone, am.euclidean(2), np.zeros(2),
+                                           np.array([S2, S2]), 1.0, 0.1)
 
 
 MODELS2 = [am.euclidean(2), am.hyperbolic(2), am.spherical(2)]
@@ -876,6 +905,11 @@ class TestBilliard:
         with pytest.raises(PreconditionError, match="outside the patch U"):
             dy.billiard_trajectory(tb.half_space_table(), m, np.array([6.0, 0.0]),
                                    np.array([1.0, 0.0]), 1.0, 1e-3)
+        # non-finite velocities, inside the table and on its boundary
+        for x0 in ([0.0, 0.0], [1.0, 0.0]):
+            for v0 in ([np.nan, 0.0], [np.inf, 0.0], [0.0, -np.inf]):
+                with pytest.raises(PreconditionError, match="^v0 is not a unit vector in g$"):
+                    dy.billiard_trajectory(disk, m, np.array(x0), np.array(v0), 1.0, 1e-3)
 
     def test_grazing_contact_continues_and_an_inward_crossing_raises(self):
         disk, m, xb = tb.disk_table(), am.euclidean(2), np.array([1.0, 0.0])
@@ -884,6 +918,18 @@ class TestBilliard:
         assert (b.w_out == b.w_in).all()
         with pytest.raises(NumericError, match="inward velocity"):
             dy._bounce(disk, m, 0.5, xb, np.array([-0.6, 0.8]))
+
+    def test_bounce_settles_through_the_integrator_newton(self):
+        # a crossing a hair outside the boundary settles as a level-set flow
+        # projects its step ends, in the metric of the model
+        disk, m = tb.disk_table(), am.hyperbolic(2)
+        xb = np.array([1.0 + 1e-9, 0.0])
+        b = dy._bounce(disk, m, 0.5, xb, np.array([1.0, 0.0]))
+        assert same_bits(b.x, dy._settle(m, disk.f, disk.grad_f, np.array([xb]), 0.5)[0])
+        assert abs(disk.f(b.x)) < 1e-14 and not b.grazing
+        # a point Newton cannot bring onto f = 0 in NEWTON_ITERS steps raises
+        with pytest.raises(NumericError, match=r"after 3 iterations at t = 0\.5$"):
+            dy._settle(am.euclidean(2), disk.f, disk.grad_f, np.array([[3.0, 0.0]]), 0.5)
 
     @pytest.mark.parametrize("model", MODELS2, ids=lambda m: m.kind)
     def test_tangent_launch_on_the_unit_circle(self, model):

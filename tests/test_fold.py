@@ -163,6 +163,29 @@ class TestCurvatureOracles:
         w2 = A[1, 0] * v + A[1, 1] * w
         assert fd.sectional_curvature(f, q, v2, w2) == pytest.approx(sec0, abs=1e-8)
 
+    @pytest.mark.parametrize("oracle", [fd.sectional_curvature, fd.second_fundamental_form],
+                             ids=["sectional", "second-fundamental-form"])
+    def test_vectors_must_be_finite_and_tangent_in_g(self, oracle):
+        f = fd.Fold(tb.disk_table(), am.euclidean(3), 0.5)
+        q = fd.lift(f, [0.3, 0.2])
+        t = fd.frame_at(f, q).tangent_basis
+        # at the pinch of a thin fold |dF| = 2 lam^2 is about 3e-5, so a
+        # Euclidean test on dF . v would pass g(v, nu) = 1e-6
+        thin = fd.Fold(tb.disk_table(), am.euclidean(3), 2.0 ** -8)
+        p = fd.lift(thin, [1.0, 0.0])
+        fr = fd.frame_at(thin, p)
+        off = fr.tangent_basis[0] + 1e-6 * fr.nu
+        assert off @ fr.metric.g @ fr.nu == pytest.approx(1e-6, rel=1e-12)
+        cases = [(f, q, np.array([bad, 0.0, 0.0]), t[1]) for bad in (np.nan, np.inf, -np.inf)]
+        cases += [(f, q, np.nan * t[0], t[1]), (thin, p, off, fr.tangent_basis[1])]
+        for fold, point, v, w in cases:
+            with pytest.raises(PreconditionError, match="^v is not tangent"):
+                oracle(fold, point, v, w)
+            with pytest.raises(PreconditionError, match="^w is not tangent"):
+                oracle(fold, point, w, v)
+        # the tangent pair itself passes
+        oracle(thin, p, fr.tangent_basis[0], fr.tangent_basis[1])
+
     def test_sectional_rejects_parallel_vectors(self):
         f = fd.Fold(tb.disk_table(), am.euclidean(3), 1.0)
         q = np.array([1.0, 0.0, 0.0])
